@@ -14,8 +14,8 @@ semantic drift.  The measured before/after table lives in
 EXPERIMENTS.md.
 
 The profiled variants time the same workloads under
-``run(..., profile=True)`` (the engine's split-phase round path, see
-docs/OBSERVABILITY.md) and assert the same observational-identity
+``run(..., profile=True)`` (the same round loop with its phase timers
+on, see docs/OBSERVABILITY.md) and assert the same observational-identity
 contract, so the profiling overhead column is honest too.
 
 The topology micro-benchmarks at the bottom compare the two adjacency
@@ -110,8 +110,8 @@ def test_e22_parallel_template_medium_fast(benchmark):
 
 
 def test_e22_greedy_on_large_grid_profiled(benchmark):
-    """Profiling cost on the grid workload — and proof the split-phase
-    profiled loop changes nothing observable."""
+    """Profiling cost on the grid workload — and proof the round loop's
+    phase timers change nothing observable."""
     graph = grid2d(40, 40)
     reference = run(GreedyMISAlgorithm(), graph)
 

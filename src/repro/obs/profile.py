@@ -10,11 +10,14 @@ compose / deliver / process / finalize phase timings together with the
 message and live-node counts, and aggregates them into totals and
 histograms.
 
-Profiling uses a separate engine round path that splits the fused
-compose-and-deliver loop so the phases can be timed independently; the
-split is observationally identical (same outputs, rounds, message
-counts, event order) and is never taken when profiling is off, so the
-unprofiled hot loop pays nothing.
+Each scheduler records its own samples from inside its round loop:
+``compose`` sums the programs' ``compose()`` calls; ``deliver`` is the
+rest of the round before ``process`` (recoveries, node selection,
+replays, adjudication, accounting, inbox filling, the shard barrier,
+and under ``schedule="async"`` the delayed landings and retransmissions
+due that tick).  Profiled and unprofiled runs take the same path, so
+they are observationally identical (same outputs, rounds, message
+counts, event order), and an unprofiled round reads no clock.
 """
 
 from __future__ import annotations
@@ -41,9 +44,10 @@ class RoundSample:
 
     Attributes:
         round: The round index (1-based; setup is not a sample).
-        compose: Seconds spent composing outboxes.
-        deliver: Seconds spent adjudicating faults, accounting bandwidth
-            and filling inboxes (includes adversarial replays).
+        compose: Seconds spent in the programs' ``compose()`` calls.
+        deliver: Seconds of the round before ``process`` outside
+            ``compose()``: adjudicating faults, accounting bandwidth and
+            filling inboxes (replays and async landings included).
         process: Seconds spent in the programs' ``process`` phase.
         finalize: Seconds spent applying terminations/crashes and
             publishing neighbor outputs.
@@ -83,7 +87,7 @@ class RoundSample:
 class RoundProfile:
     """Per-round phase timings of one run, with aggregation helpers.
 
-    Filled by the engine's profiled round path; read via ``result.
+    Filled by the schedulers' round loops; read via ``result.
     profile``.  ``setup`` is the seconds spent in the setup phase
     (round 0), which has no per-phase breakdown.
     """
@@ -98,21 +102,22 @@ class RoundProfile:
         self,
         round_index: int,
         *,
-        compose: float,
-        deliver: float,
-        process: float,
-        finalize: float,
+        compose: float = 0.0,
+        deliver: float = 0.0,
+        process: float = 0.0,
+        finalize: float = 0.0,
         messages: int,
         active: int,
         scheduled: int = -1,
         kernel: float = 0.0,
     ) -> None:
-        """Append one round's sample (called by the engine).
+        """Append one round's sample (called by the schedulers).
 
-        ``scheduled`` defaults to ``active`` (the eager schedule runs
-        every live node); the quiescent profiled path passes the wake-set
-        size instead, and the vectorized path passes the count of nodes
-        that observably acted together with the round's ``kernel`` time.
+        ``scheduled`` defaults to ``active`` (every live node ran); the
+        interpreted schedulers pass the size of the round's process
+        phase, and the vectorized one passes the count of nodes that
+        observably acted together with the round's ``kernel`` time (its
+        interpreted phases stay zero).
         """
         self.samples.append(
             RoundSample(

@@ -61,9 +61,10 @@ if TYPE_CHECKING:  # lazy at runtime: repro.exec imports this module.
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
 
-#: Schedules whose round loops carry the boundary hooks.  ``vectorized``
-#: reaches the kernel resolver, which rejects edge-cut views (or
-#: downgrades via ``fallback="interpret"``); ``async`` is rejected by
+#: Schedules edge-cut sharding accepts (the shared interpreted round loop
+#: carries the boundary hooks).  ``vectorized`` reaches the kernel
+#: resolver, which rejects edge-cut views (or downgrades via
+#: ``fallback="interpret"``); ``async`` is rejected by
 #: :class:`~repro.core.runner.ExecutionPolicy` before a driver exists.
 _SUPPORTED_SCHEDULES = ("eager", "quiescent", "quiescent-debug", "vectorized")
 

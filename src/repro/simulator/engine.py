@@ -17,8 +17,9 @@ without re-implementing the handshake.
 The engine itself is a thin orchestrator over composable runtime stages
 (docs/ARCHITECTURE.md has the full layer map): the shared
 :class:`~repro.graphs.csr.CSRTopology` core, ``Transport`` (mailboxes +
-bit accounting), ``Scheduler`` (eager / quiescent / quiescent-debug round
-drive), ``FaultInterposer`` (the one fault surface; ``docs/MODEL.md``),
+bit accounting), ``Scheduler`` (eager / quiescent / quiescent-debug /
+async through one shared round loop, or vectorized kernels),
+``FaultInterposer`` (the one fault surface; ``docs/MODEL.md``),
 ``NodeLifecycle`` (terminations, crashes, recoveries, stuck reports) and
 ``ObsDispatch`` (event fan-out + round profile).  The engine wires the
 stages and owns the run loop; it contains no scheduling policy and no
@@ -110,8 +111,10 @@ class SyncEngine:
             work at all.
         profile: ``True`` (or a :class:`~repro.obs.profile.RoundProfile`
             to fill) records per-round compose/deliver/process/finalize
-            phase timings on ``result.profile``, via a split round path
-            that is observationally identical to the fused one.
+            phase timings (``kernel`` under ``schedule="vectorized"``) on
+            ``result.profile``, on every schedule.  The scheduler's one
+            round loop times itself, so a profiled run takes the same
+            path as an unprofiled one and only adds clock reads.
         crash_rounds: Deprecated fault injection — mapping
             ``node -> round``; the node executes that round and then
             vanishes without output.  Use
@@ -246,10 +249,6 @@ class SyncEngine:
         #: The scheduling stage: which nodes run a round, and the
         #: compose/deliver/process drive.
         self._scheduler = SCHEDULERS[schedule]()
-        if self.obs.profile is not None and not self._scheduler.supports_profile:
-            raise ValueError(
-                f"profiling is not supported with schedule={schedule!r}"
-            )
         self._seed = seed
         #: The run's result record, shared with transport and interposer.
         self.result = RunResult(model=model)
@@ -415,11 +414,7 @@ class SyncEngine:
             profile.setup = perf_counter() - setup_start
         else:
             self._setup_phase()
-        run_round = (
-            self._scheduler.run_round_profiled
-            if profile is not None
-            else self._scheduler.run_round
-        )
+        run_round = self._scheduler.run_round
         round_index = 0
         run_deadline = (
             None if self.deadline_s is None else perf_counter() + self.deadline_s
@@ -527,7 +522,7 @@ class SyncEngine:
             ctx = self.contexts[node]
             ctx.round = 0
             self.programs[node].setup(ctx)
-            scheduler.note_setup(node, ctx)
+            scheduler.note_state(node, ctx)
         self.finalize_round(0)
 
     def apply_recoveries(self, round_index: int) -> None:

@@ -6,8 +6,8 @@ the :class:`~repro.simulator.interpose.FaultInterposer`, message cost and
 mailboxes to the :class:`~repro.simulator.transport.Transport`, and event
 fan-out to the :class:`~repro.simulator.obs_dispatch.ObsDispatch`.  The
 engine orchestrates rounds; it never special-cases a scheduling policy —
-the three policies that used to be branches inside one monolithic round
-loop are now three implementations of one protocol:
+the interpreted policies share one round loop, :meth:`Scheduler.run_round`,
+and differ only in what it reads once per round:
 
 * :class:`EagerScheduler` — every active node, every round (the default).
 * :class:`QuiescentScheduler` — runs only the wake-set of nodes whose
@@ -24,21 +24,19 @@ loop are now three implementations of one protocol:
   happen again.  At ``phi = 0`` with no send timeout it is bit-identical
   to the quiescent (and hence the eager) schedule.
 
-Each scheduler provides a fused ``run_round`` and (where supported) a
-split ``run_round_profiled`` that times compose/deliver/process/finalize
-separately while staying observationally identical — same outputs, same
-message counts, same event order.
+:class:`VectorizedScheduler` replaces the loop with one kernel call per
+round.  Every ``run_round`` records its own round profile sample.
 
-Writing a new scheduler means subclassing :class:`Scheduler`, implementing
-``run_round``, and wiring the wake hooks (``note_setup``, ``on_delivery``
-bookkeeping, ``on_terminated``/``on_crashed``/``on_recovered``) if the
-policy needs per-round wake state; see docs/ARCHITECTURE.md.
+Writing a new scheduler means subclassing :class:`Scheduler`, overriding
+the per-round reads it needs, and wiring the wake hooks (``note_state``,
+``on_terminated``/``on_crashed``/``on_recovered``) if the policy needs
+per-round wake state; see docs/ARCHITECTURE.md.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.simulator.adversary import DelayAdversary, RetryPolicy
 from repro.simulator.context import NodeContext
@@ -59,18 +57,19 @@ class QuiescenceViolation(RuntimeError):
 
 
 class Scheduler:
-    """Protocol for round-scheduling policies.
+    """Protocol for round-scheduling policies, and the shared round loop.
 
     A scheduler is bound to one engine run via :meth:`bind` and then
-    drives every round through :meth:`run_round` (or
-    :meth:`run_round_profiled` when the run profiles).  The remaining
-    hooks let wake-tracking policies observe the lifecycle events that
-    constitute wake conditions; the eager policy leaves them as no-ops so
-    the default hot path carries no wake bookkeeping at all.
+    drives every round through :meth:`run_round`.  The base class is the
+    eager policy; subclasses override the loop's per-round reads
+    (:meth:`compose_order`, :meth:`before_compose`, ``_next_wake``,
+    ``_expected``).  The remaining hooks let wake-tracking policies
+    observe the lifecycle events that constitute wake conditions; the
+    eager policy leaves them as no-ops so the default hot path carries no
+    wake bookkeeping at all.
 
     Attributes:
         tracks_wakes: Whether the policy maintains wake-set state.
-        supports_profile: Whether :meth:`run_round_profiled` exists.
         processed_last_round: Nodes the last executed round actually
             processed (``None`` means every active node) — keeps
             stuck-report inbox snapshots identical across schedules.
@@ -88,7 +87,6 @@ class Scheduler:
     """
 
     tracks_wakes = False
-    supports_profile = True
     quiesced = False
     is_async = False
     handles_setup = False
@@ -97,20 +95,25 @@ class Scheduler:
     def __init__(self) -> None:
         self.rt: Any = None
         self.processed_last_round: Optional[set] = None
+        #: The next round's wake-set, or ``None`` when the policy keeps
+        #: none — the round loop then keeps no process-set either.
+        self._next_wake: Optional[set] = None
+        #: The nodes the quiescent schedule would run this round, when
+        #: the policy polices the idle contract; ``None`` otherwise.
+        self._expected: Optional[set] = None
 
     @classmethod
     def capabilities(cls) -> Dict[str, Any]:
         """Introspectable capability record (see :func:`repro.schedules`)."""
+        kernels: Tuple[str, ...] = ()
         if cls.uses_kernels:
             from repro.kernels import available_kernels
 
-            kernels: Tuple[str, ...] = available_kernels()
-        else:
-            kernels = ()
+            kernels = available_kernels()
         return {
             "quiescence": cls.tracks_wakes,
             "async": cls.is_async,
-            "profile": cls.supports_profile,
+            "profile": True,
             "kernels": kernels,
         }
 
@@ -119,8 +122,8 @@ class Scheduler:
         self.rt = rt
 
     # -- wake-condition hooks (no-ops for the eager policy) -------------
-    def note_setup(self, node: int, ctx: NodeContext) -> None:
-        """A node finished its setup (round 0) with ``ctx`` state."""
+    def note_state(self, node: int, ctx: NodeContext) -> None:
+        """A node finished its setup, or a round's process, in ``ctx``."""
 
     def on_terminated(self, node: int, neighbors: Any) -> None:
         """A node terminated at the end of a round."""
@@ -136,66 +139,91 @@ class Scheduler:
     def on_recovery_terminated(self, node: int) -> None:
         """A rejoined node terminated straight from its recovery setup."""
 
+    # -- per-round reads of the round loop --------------------------------
+    def compose_order(self, round_index: int) -> List[int]:
+        """This round's composers, ascending: every active node."""
+        return self.rt._active_order
+
+    def before_compose(
+        self, round_index: int, process_set: Optional[set]
+    ) -> Optional[Callable[..., None]]:
+        """Land older traffic due this round (after replays, before any
+        send); return a ``(sender, receiver, payload)`` router to replace
+        the inline adjudicate → wake → deposit of its sends, or ``None``."""
+        return None
+
     # -- round execution ------------------------------------------------
     def run_setup(self) -> None:
         """Round 0 for policies with ``handles_setup = True``."""
         raise NotImplementedError
 
     def run_round(self, round_index: int) -> None:
-        raise NotImplementedError
+        """One synchronous round: compose-and-deliver, process, finalize.
 
-    def run_round_profiled(self, round_index: int) -> None:
-        raise NotImplementedError
-
-    def finish(self) -> None:
-        """Called once after the round loop, before result aggregation.
-
-        Batched policies flush buffered per-node results here; the
-        interpreted policies write through per round and need nothing.
+        A composer's sends land as soon as it composes, so no outbox
+        outlives its turn.  Under a profile, each ``compose()`` call
+        counts as compose and the rest of the round before ``process``
+        as deliver; without one the loop reads no clock.
         """
-
-    def build_stuck_report(
-        self, round_index: int, reason: str
-    ) -> Optional[Any]:
-        """Policy-built stuck report, or ``None`` to use the lifecycle's."""
-        return None
-
-
-class EagerScheduler(Scheduler):
-    """Runs every active node every round (the default policy)."""
-
-    def run_round(self, round_index: int) -> None:
         rt = self.rt
+        profile = rt.obs.profile
+        if profile is not None:
+            round_start = perf_counter()
+            compose_s = 0.0
+            messages_before = rt.result.message_count
         rt.apply_recoveries(round_index)
         # Local bindings keep the per-round loops free of attribute churn;
         # the fault/sink hooks are skipped entirely when nothing is
         # installed, and the transport elides bandwidth accounting in
         # ``fast`` mode.
         active = rt._active
-        order = rt._active_order
+        live = len(active)
+        order = self.compose_order(round_index)
+        wake = self._next_wake
+        expected = self._expected
         programs = rt.programs
         contexts = rt.contexts
         transport = rt.transport
         inboxes = transport.inboxes
-        deposit = transport.deposit
         emit = rt.obs.emit if rt.obs else None
         interposer = rt.interposer
         transport.round = round_index
-        remote = transport.remote
+        #: Nodes to run in the process phase; sleeping nodes keep stale
+        #: inboxes, cleared lazily when a delivery first wakes them.
+        process_set = None if wake is None else set(order)
 
         for node in order:
             inboxes[node].clear()
         if interposer is not None and interposer.has_pending_replays:
-            interposer.deliver_replays(round_index, transport, active)
+            interposer.deliver_replays(
+                round_index, transport, active, awaken=process_set, wake=wake
+            )
+        # A policy's router takes over adjudicating, waking and depositing.
+        deposit, awaken, woken = transport.deposit, process_set, wake
+        adjudicate = None if interposer is None else interposer.adjudicate
+        router = self.before_compose(round_index, process_set)
+        if router is not None:
+            deposit, adjudicate, awaken, woken = router, None, None, None
 
-        # Compose phase: every active node decides its messages using state
-        # from the end of the previous round.
+        # Compose-and-deliver: each composer's messages, decided from its
+        # previous-round state, land before the next node composes.
         for node in order:
             ctx = contexts[node]
             ctx.round = round_index
-            outbox = programs[node].compose(ctx)
+            if profile is None:
+                outbox = programs[node].compose(ctx)
+            else:
+                started = perf_counter()
+                outbox = programs[node].compose(ctx)
+                compose_s += perf_counter() - started
             if not outbox:
                 continue
+            if expected is not None and node not in expected:
+                raise QuiescenceViolation(
+                    f"node {node} ({type(programs[node]).__name__}) composed "
+                    f"a non-empty outbox in round {round_index} while idle: "
+                    f"schedule='quiescent' would have skipped this send"
+                )
             neighbors = ctx.neighbors
             for receiver, payload in outbox.items():
                 if receiver not in neighbors:
@@ -214,110 +242,88 @@ class EagerScheduler(Scheduler):
                 # mailbox lives on another shard is handed to the boundary
                 # instead; the owning shard applies the same rules.
                 if receiver not in active:
-                    if receiver in remote:
+                    if receiver in transport.remote:
                         transport.export(node, receiver, payload)
                     continue
-                if interposer is not None:
-                    payload = interposer.adjudicate(
-                        round_index, node, receiver, payload
-                    )
+                if adjudicate is not None:
+                    payload = adjudicate(round_index, node, receiver, payload)
                     if payload is DROPPED:
+                        # The drop may have starved a waiter mid-protocol;
+                        # waking the would-be receiver is harmless (an idle
+                        # round is a no-op by contract) and keeps it live.
+                        if woken is not None:
+                            woken.add(receiver)
                         continue
+                if awaken is not None and receiver not in awaken:
+                    inboxes[receiver].clear()
+                    awaken.add(receiver)
                 deposit(node, receiver, payload)
+                if woken is not None:
+                    woken.add(receiver)
 
-        # Boundary barrier: merge cut messages before any node processes
-        # (a no-op under the local transport).
-        transport.sync(round_index, active)
+        # Boundary barrier: merge cut messages before any node processes;
+        # inbound ones wake their receivers and join the process phase
+        # exactly as local deliveries would have (a no-op under the local
+        # transport).
+        transport.sync(round_index, active, process_set, wake)
 
-        # Process phase: every active node consumes its inbox.
-        for node in order:
-            programs[node].process(contexts[node], inboxes[node])
-
-        rt.finalize_round(round_index)
-
-    def run_round_profiled(self, round_index: int) -> None:
-        """One round with the compose/deliver split timed per phase.
-
-        Observationally identical to :meth:`run_round` — same outputs,
-        message counts, event order — but compose collects every outbox
-        before any delivery, so the two phases can be timed separately.
-        (Replays still land before fresh sends, and the inbox insertion
-        order per receiver is unchanged because delivery walks nodes in
-        the same order compose did.)
-        """
-        rt = self.rt
-        profile = rt.obs.profile
-        rt.apply_recoveries(round_index)
-        active = rt._active
-        order = rt._active_order
-        programs = rt.programs
-        contexts = rt.contexts
-        transport = rt.transport
-        inboxes = transport.inboxes
-        deposit = transport.deposit
-        emit = rt.obs.emit if rt.obs else None
-        interposer = rt.interposer
-        transport.round = round_index
-        remote = transport.remote
-        messages_before = rt.result.message_count
-        participants = len(order)
-
-        compose_start = perf_counter()
-        outboxes: List[Tuple[int, Dict[int, Any]]] = []
-        for node in order:
-            inboxes[node].clear()
+        if process_set is None or len(process_set) == len(order):
+            process_order = order
+        else:
+            process_order = sorted(process_set)
+        if profile is not None:
+            process_start = perf_counter()
+        for node in process_order:
             ctx = contexts[node]
             ctx.round = round_index
-            outbox = programs[node].compose(ctx)
-            if not outbox:
-                continue
-            neighbors = ctx.neighbors
-            for receiver in outbox:
-                if receiver not in neighbors:
-                    raise ValueError(
-                        f"node {node} sent to non-neighbor {receiver} "
-                        f"in round {round_index}"
+            inbox = inboxes[node]
+            if expected is None or node in expected or inbox:
+                programs[node].process(ctx, inbox)
+            else:
+                before = (ctx.has_output, ctx.output)
+                programs[node].process(ctx, inbox)
+                if ctx.terminate_requested or (ctx.has_output, ctx.output) != before:
+                    raise QuiescenceViolation(
+                        f"node {node} ({type(programs[node]).__name__}) "
+                        f"{'terminated' if ctx.terminate_requested else 'assigned output'} "
+                        f"in round {round_index} while idle: schedule='quiescent' "
+                        f"would not have run it"
                     )
-            outboxes.append((node, outbox))
+            if wake is not None:
+                self.note_state(node, ctx)
+        self.processed_last_round = process_set
 
-        deliver_start = perf_counter()
-        if interposer is not None and interposer.has_pending_replays:
-            interposer.deliver_replays(round_index, transport, active)
-        for node, outbox in outboxes:
-            for receiver, payload in outbox.items():
-                if emit is not None:
-                    emit(
-                        round_index, "send", node, {"to": receiver, "payload": payload}
-                    )
-                if receiver not in active:
-                    if receiver in remote:
-                        transport.export(node, receiver, payload)
-                    continue
-                if interposer is not None:
-                    payload = interposer.adjudicate(
-                        round_index, node, receiver, payload
-                    )
-                    if payload is DROPPED:
-                        continue
-                deposit(node, receiver, payload)
-        transport.sync(round_index, active)
+        if profile is not None:
+            finalize_start = perf_counter()
+        rt.finalize_round(round_index, None if process_set is None else process_order)
+        if profile is not None:
+            profile.add_round(
+                round_index,
+                compose=compose_s,
+                deliver=process_start - round_start - compose_s,
+                process=finalize_start - process_start,
+                finalize=perf_counter() - finalize_start,
+                messages=rt.result.message_count - messages_before,
+                active=live,
+                scheduled=len(process_order),
+            )
 
-        process_start = perf_counter()
-        for node in order:
-            programs[node].process(contexts[node], inboxes[node])
+    def finish(self) -> None:
+        """Called once after the round loop, before result aggregation.
 
-        finalize_start = perf_counter()
-        rt.finalize_round(round_index)
-        finalize_end = perf_counter()
-        profile.add_round(
-            round_index,
-            compose=deliver_start - compose_start,
-            deliver=process_start - deliver_start,
-            process=finalize_start - process_start,
-            finalize=finalize_end - finalize_start,
-            messages=rt.result.message_count - messages_before,
-            active=participants,
-        )
+        Batched policies flush buffered per-node results here; the
+        interpreted policies write through per round and need nothing.
+        """
+
+    def build_stuck_report(
+        self, round_index: int, reason: str
+    ) -> Optional[Any]:
+        """Policy-built stuck report, or ``None`` to use the lifecycle's."""
+        return None
+
+
+class EagerScheduler(Scheduler):
+    """Runs every active node every round (the default policy)."""
 
 
 class QuiescentScheduler(Scheduler):
@@ -338,7 +344,7 @@ class QuiescentScheduler(Scheduler):
         super().__init__()
         #: Nodes with a pending wake condition for the upcoming round
         #: (everyone before round 1, seeded in :meth:`bind`).
-        self._next_wake: set = set()
+        self._next_wake = set()
         #: node -> earliest requested timed-wakeup round.
         self._timed_wake: Dict[int, int] = {}
         #: Nodes whose programs did not opt into quiescence.
@@ -352,7 +358,7 @@ class QuiescentScheduler(Scheduler):
                 self._always_awake.add(node)
 
     # -- wake bookkeeping ----------------------------------------------
-    def _collect_wake(self, node: int, ctx: NodeContext) -> None:
+    def note_state(self, node: int, ctx: NodeContext) -> None:
         """Fold a context's pending ``wake_at`` request into the schedule."""
         request = ctx._wake_request
         if request is not None:
@@ -360,9 +366,6 @@ class QuiescentScheduler(Scheduler):
             current = self._timed_wake.get(node)
             if current is None or request < current:
                 self._timed_wake[node] = request
-
-    def note_setup(self, node: int, ctx: NodeContext) -> None:
-        self._collect_wake(node, ctx)
 
     def on_terminated(self, node: int, neighbors: Any) -> None:
         # Neighbors observe terminations from the next round on; under
@@ -384,14 +387,14 @@ class QuiescentScheduler(Scheduler):
             self._always_awake.discard(node)
         else:
             self._always_awake.add(node)
-        self._collect_wake(node, ctx)
+        self.note_state(node, ctx)
 
     def on_recovery_terminated(self, node: int) -> None:
         self._timed_wake.pop(node, None)
         self._next_wake.discard(node)
         self._always_awake.discard(node)
 
-    def compute_wake_order(self, round_index: int) -> List[int]:
+    def compose_order(self, round_index: int) -> List[int]:
         """This round's compose schedule: woken ∪ always-awake, active,
         sorted.
 
@@ -412,187 +415,6 @@ class QuiescentScheduler(Scheduler):
         self._next_wake = set()
         return scheduled
 
-    # -- round execution ------------------------------------------------
-    def run_round(self, round_index: int) -> None:
-        rt = self.rt
-        rt.apply_recoveries(round_index)
-        scheduled = self.compute_wake_order(round_index)
-        next_wake = self._next_wake
-        active = rt._active
-        programs = rt.programs
-        contexts = rt.contexts
-        transport = rt.transport
-        inboxes = transport.inboxes
-        deposit = transport.deposit
-        emit = rt.obs.emit if rt.obs else None
-        interposer = rt.interposer
-        transport.round = round_index
-        remote = transport.remote
-        #: Nodes to run in the process phase; sleeping nodes keep stale
-        #: inboxes, cleared lazily when a delivery first wakes them.
-        process_set = set(scheduled)
-
-        for node in scheduled:
-            inboxes[node].clear()
-        if interposer is not None and interposer.has_pending_replays:
-            interposer.deliver_replays(
-                round_index, transport, active, awaken=process_set, wake=next_wake
-            )
-
-        for node in scheduled:
-            ctx = contexts[node]
-            ctx.round = round_index
-            outbox = programs[node].compose(ctx)
-            if not outbox:
-                continue
-            neighbors = ctx.neighbors
-            for receiver, payload in outbox.items():
-                if receiver not in neighbors:
-                    raise ValueError(
-                        f"node {node} sent to non-neighbor {receiver} "
-                        f"in round {round_index}"
-                    )
-                if emit is not None:
-                    emit(
-                        round_index, "send", node, {"to": receiver, "payload": payload}
-                    )
-                if receiver not in active:
-                    if receiver in remote:
-                        transport.export(node, receiver, payload)
-                    continue
-                if interposer is not None:
-                    payload = interposer.adjudicate(
-                        round_index, node, receiver, payload
-                    )
-                    if payload is DROPPED:
-                        # The drop may have starved a waiter mid-protocol;
-                        # waking the would-be receiver is harmless (an idle
-                        # round is a no-op by contract) and keeps it live.
-                        next_wake.add(receiver)
-                        continue
-                if receiver not in process_set:
-                    inboxes[receiver].clear()
-                    process_set.add(receiver)
-                deposit(node, receiver, payload)
-                next_wake.add(receiver)
-
-        # Boundary barrier: inbound cut messages wake their receivers and
-        # join the process phase exactly as local deliveries would have
-        # (a no-op under the local transport).
-        transport.sync(round_index, active, process_set, next_wake)
-
-        if len(process_set) == len(scheduled):
-            process_order: List[int] = scheduled
-        else:
-            process_order = sorted(process_set)
-        for node in process_order:
-            ctx = contexts[node]
-            ctx.round = round_index
-            programs[node].process(ctx, inboxes[node])
-            self._collect_wake(node, ctx)
-        self.processed_last_round = process_set
-        rt.finalize_round(round_index, participants=process_order)
-
-    def run_round_profiled(self, round_index: int) -> None:
-        """Quiescent scheduling with the split, per-phase-timed round path.
-
-        Wake-set computation is charged to the compose phase (it is the
-        scheduler's overhead); everything else mirrors
-        :meth:`EagerScheduler.run_round_profiled` restricted to the
-        wake-set.
-        """
-        rt = self.rt
-        profile = rt.obs.profile
-        rt.apply_recoveries(round_index)
-        active = rt._active
-        programs = rt.programs
-        contexts = rt.contexts
-        transport = rt.transport
-        inboxes = transport.inboxes
-        deposit = transport.deposit
-        emit = rt.obs.emit if rt.obs else None
-        interposer = rt.interposer
-        transport.round = round_index
-        remote = transport.remote
-        messages_before = rt.result.message_count
-        participants = len(rt._active_order)
-
-        compose_start = perf_counter()
-        scheduled = self.compute_wake_order(round_index)
-        next_wake = self._next_wake
-        process_set = set(scheduled)
-        outboxes: List[Tuple[int, Dict[int, Any]]] = []
-        for node in scheduled:
-            inboxes[node].clear()
-            ctx = contexts[node]
-            ctx.round = round_index
-            outbox = programs[node].compose(ctx)
-            if not outbox:
-                continue
-            neighbors = ctx.neighbors
-            for receiver in outbox:
-                if receiver not in neighbors:
-                    raise ValueError(
-                        f"node {node} sent to non-neighbor {receiver} "
-                        f"in round {round_index}"
-                    )
-            outboxes.append((node, outbox))
-
-        deliver_start = perf_counter()
-        if interposer is not None and interposer.has_pending_replays:
-            interposer.deliver_replays(
-                round_index, transport, active, awaken=process_set, wake=next_wake
-            )
-        for node, outbox in outboxes:
-            for receiver, payload in outbox.items():
-                if emit is not None:
-                    emit(
-                        round_index, "send", node, {"to": receiver, "payload": payload}
-                    )
-                if receiver not in active:
-                    if receiver in remote:
-                        transport.export(node, receiver, payload)
-                    continue
-                if interposer is not None:
-                    payload = interposer.adjudicate(
-                        round_index, node, receiver, payload
-                    )
-                    if payload is DROPPED:
-                        next_wake.add(receiver)
-                        continue
-                if receiver not in process_set:
-                    inboxes[receiver].clear()
-                    process_set.add(receiver)
-                deposit(node, receiver, payload)
-                next_wake.add(receiver)
-        transport.sync(round_index, active, process_set, next_wake)
-
-        process_start = perf_counter()
-        if len(process_set) == len(scheduled):
-            process_order: List[int] = scheduled
-        else:
-            process_order = sorted(process_set)
-        for node in process_order:
-            ctx = contexts[node]
-            ctx.round = round_index
-            programs[node].process(ctx, inboxes[node])
-            self._collect_wake(node, ctx)
-        self.processed_last_round = process_set
-
-        finalize_start = perf_counter()
-        rt.finalize_round(round_index, participants=process_order)
-        finalize_end = perf_counter()
-        profile.add_round(
-            round_index,
-            compose=deliver_start - compose_start,
-            deliver=process_start - deliver_start,
-            process=finalize_start - process_start,
-            finalize=finalize_end - finalize_start,
-            messages=rt.result.message_count - messages_before,
-            active=participants,
-            scheduled=len(process_order),
-        )
-
 
 class QuiescentDebugScheduler(QuiescentScheduler):
     """Eager execution that polices the quiescence idle contract.
@@ -605,89 +427,10 @@ class QuiescentDebugScheduler(QuiescentScheduler):
     :class:`QuiescenceViolation`.
     """
 
-    supports_profile = False
-
-    def run_round(self, round_index: int) -> None:
-        rt = self.rt
-        rt.apply_recoveries(round_index)
-        expected = set(self.compute_wake_order(round_index))
-        next_wake = self._next_wake
-        active = rt._active
-        order = rt._active_order
-        programs = rt.programs
-        contexts = rt.contexts
-        transport = rt.transport
-        inboxes = transport.inboxes
-        deposit = transport.deposit
-        emit = rt.obs.emit if rt.obs else None
-        interposer = rt.interposer
-        transport.round = round_index
-        remote = transport.remote
-
-        for node in order:
-            inboxes[node].clear()
-        if interposer is not None and interposer.has_pending_replays:
-            interposer.deliver_replays(
-                round_index, transport, active, wake=next_wake
-            )
-
-        for node in order:
-            ctx = contexts[node]
-            ctx.round = round_index
-            outbox = programs[node].compose(ctx)
-            if not outbox:
-                continue
-            if node not in expected:
-                raise QuiescenceViolation(
-                    f"node {node} ({type(programs[node]).__name__}) composed "
-                    f"a non-empty outbox in round {round_index} while idle: "
-                    f"schedule='quiescent' would have skipped this send"
-                )
-            neighbors = ctx.neighbors
-            for receiver, payload in outbox.items():
-                if receiver not in neighbors:
-                    raise ValueError(
-                        f"node {node} sent to non-neighbor {receiver} "
-                        f"in round {round_index}"
-                    )
-                if emit is not None:
-                    emit(
-                        round_index, "send", node, {"to": receiver, "payload": payload}
-                    )
-                if receiver not in active:
-                    if receiver in remote:
-                        transport.export(node, receiver, payload)
-                    continue
-                if interposer is not None:
-                    payload = interposer.adjudicate(
-                        round_index, node, receiver, payload
-                    )
-                    if payload is DROPPED:
-                        next_wake.add(receiver)
-                        continue
-                deposit(node, receiver, payload)
-                next_wake.add(receiver)
-        transport.sync(round_index, active, None, next_wake)
-
-        for node in order:
-            ctx = contexts[node]
-            inbox = inboxes[node]
-            if node in expected or inbox:
-                programs[node].process(ctx, inbox)
-                self._collect_wake(node, ctx)
-                continue
-            before = (ctx.has_output, ctx.output)
-            programs[node].process(ctx, inbox)
-            self._collect_wake(node, ctx)
-            if ctx.terminate_requested or (ctx.has_output, ctx.output) != before:
-                raise QuiescenceViolation(
-                    f"node {node} ({type(programs[node]).__name__}) "
-                    f"{'terminated' if ctx.terminate_requested else 'assigned output'} "
-                    f"in round {round_index} while idle: schedule='quiescent' "
-                    f"would not have run it"
-                )
-
-        rt.finalize_round(round_index)
+    def compose_order(self, round_index: int) -> List[int]:
+        """Every active node; the idle checks police the wake order."""
+        self._expected = set(super().compose_order(round_index))
+        return self.rt._active_order
 
 
 class AsyncScheduler(QuiescentScheduler):
@@ -715,19 +458,18 @@ class AsyncScheduler(QuiescentScheduler):
       every active node once (an idle round is a no-op by the quiescence
       contract, so the pulse is always safe).  A pulse that provokes no
       new activity proves the execution has *stabilized*; the scheduler
-      sets :attr:`quiesced` and the engine ends the run with a partial
-      result instead of spinning empty ticks to the round budget.
+      sets :attr:`quiesced`, the tick runs empty, and the engine ends
+      the run with a partial result instead of spinning empty ticks to
+      the round budget.
 
     At ``phi = 0`` with no send timeout every message lands in its send
     tick, no retry is ever armed and the stabilization detector stays
     dormant, so the execution is bit-identical — outputs, counters and
     the full event stream — to ``schedule="quiescent"`` (and therefore
     to eager; ``tests/test_engine_fuzz.py`` enforces this
-    differentially).  Profiling is unsupported: with messages in flight
-    the compose/deliver phase split of a tick is not well-defined.
+    differentially).
     """
 
-    supports_profile = False
     is_async = True
 
     def __init__(self) -> None:
@@ -741,12 +483,18 @@ class AsyncScheduler(QuiescentScheduler):
         #: Whether the previous tick was a stabilization pulse that has
         #: not yet provoked any activity.
         self._pulsed = False
-        self.quiesced = False
+        #: Whether delays or retries can occur (arms the stall detector).
+        self._live = False
+        #: The tick and process-set :meth:`_dispatch` routes into, set by
+        #: :meth:`before_compose` each tick.
+        self._tick = 0
+        self._process_set: set = set()
 
     def bind(self, rt: Any) -> None:
         super().bind(rt)
         self._adversary = DelayAdversary(rt.phi, rt._seed)
         self._policy = RetryPolicy(rt.send_timeout, rt.max_retries)
+        self._live = rt.phi > 0 or rt.send_timeout is not None
 
     # -- async bookkeeping ----------------------------------------------
     def _has_future_work(self, round_index: int) -> bool:
@@ -759,15 +507,19 @@ class AsyncScheduler(QuiescentScheduler):
             return True
         return rt._has_pending_recoveries(round_index)
 
+    def _land(self, sender: int, receiver: int, payload: Any) -> None:
+        """Deposit one message now: its receiver joins this tick's
+        process phase and the next tick's wake-set."""
+        transport = self.rt.transport
+        process_set = self._process_set
+        if receiver not in process_set:
+            transport.inboxes[receiver].clear()
+            process_set.add(receiver)
+        transport.deposit(sender, receiver, payload)
+        self._next_wake.add(receiver)
+
     def _dispatch(
-        self,
-        tick: int,
-        sender: int,
-        receiver: int,
-        payload: Any,
-        attempt: int,
-        process_set: set,
-        next_wake: set,
+        self, sender: int, receiver: int, payload: Any, attempt: int = 0
     ) -> None:
         """Route one composed (or retransmitted) message.
 
@@ -776,12 +528,13 @@ class AsyncScheduler(QuiescentScheduler):
         drop with a timeout armed — schedules a backoff retransmission
         of the *original* payload.
         """
+        tick = self._tick
         rt = self.rt
         interposer = rt.interposer
         if interposer is not None:
             adjudicated = interposer.adjudicate(tick, sender, receiver, payload)
             if adjudicated is DROPPED:
-                next_wake.add(receiver)
+                self._next_wake.add(receiver)
                 ctx_timeout = rt.contexts[sender]._send_timeout
                 timeout = (
                     ctx_timeout
@@ -810,136 +563,77 @@ class AsyncScheduler(QuiescentScheduler):
                 (sender, receiver, payload)
             )
             return
-        transport = rt.transport
-        if receiver not in process_set:
-            transport.inboxes[receiver].clear()
-            process_set.add(receiver)
-        transport.deposit(sender, receiver, payload)
-        next_wake.add(receiver)
+        self._land(sender, receiver, payload)
 
-    # -- round execution ------------------------------------------------
-    def run_round(self, round_index: int) -> None:
+    # -- per-round reads of the round loop --------------------------------
+    def compose_order(self, round_index: int) -> List[int]:
+        """The wake order, or a stabilization pulse of every active node
+        when nothing anywhere can wake one again."""
+        scheduled = super().compose_order(round_index)
         rt = self.rt
-        rt.apply_recoveries(round_index)
-        scheduled = self.compute_wake_order(round_index)
-        next_wake = self._next_wake
-        active = rt._active
-        programs = rt.programs
-        contexts = rt.contexts
-        transport = rt.transport
-        inboxes = transport.inboxes
-        deposit = transport.deposit
-        emit = rt.obs.emit if rt.obs else None
-        interposer = rt.interposer
-        live_async = (
-            self._adversary.phi > 0 or self._policy.send_timeout is not None
-        )
-
         if scheduled:
             self._pulsed = False
-        elif live_async and active and not self._has_future_work(round_index):
+        elif self._live and rt._active and not self._has_future_work(round_index):
             if self._pulsed:
                 # A full pulse provoked nothing and nothing is in flight
                 # anywhere: the execution has stabilized short of
-                # termination.  Tell the engine instead of spinning.
+                # termination.  Tell the engine instead of spinning; this
+                # tick runs empty.
                 self.quiesced = True
-                self.processed_last_round = set()
-                rt.finalize_round(round_index, participants=[])
-                return
+                return scheduled
             # Self-stabilizing recovery: wake everyone once.  An idle
             # round is a no-op under the quiescence contract, so the
             # pulse never perturbs a healthy execution.
             self._pulsed = True
             rt.result.recovery_pulses += 1
-            if emit is not None:
-                emit(round_index, "stabilize", -1, {"live": len(active)})
+            if rt.obs:
+                rt.obs.emit(round_index, "stabilize", -1, {"live": len(rt._active)})
             scheduled = list(rt._active_order)
+        return scheduled
 
-        process_set = set(scheduled)
-        for node in scheduled:
-            inboxes[node].clear()
-        if interposer is not None and interposer.has_pending_replays:
-            interposer.deliver_replays(
-                round_index, transport, active, awaken=process_set, wake=next_wake
-            )
+    def before_compose(
+        self, round_index: int, process_set: Optional[set]
+    ) -> Optional[Callable[..., None]]:
+        """Land the traffic due this tick; route its sends via _dispatch.
 
-        # Delayed messages due this tick land before fresh sends — they
-        # are older traffic, the same precedence adversarial replays get.
-        # A receiver that left the computation while the message was in
-        # flight discards it, matching the synchronous rule for sends to
-        # inactive nodes.
-        due = self._in_flight.pop(round_index, None)
-        if due is not None:
-            for sender, receiver, payload in due:
-                if receiver not in active:
-                    continue
-                if emit is not None:
-                    emit(
-                        round_index,
-                        "deliver",
-                        sender,
-                        {"to": receiver, "payload": payload},
-                    )
-                if receiver not in process_set:
-                    inboxes[receiver].clear()
-                    process_set.add(receiver)
-                deposit(sender, receiver, payload)
-                next_wake.add(receiver)
-
-        # Retransmissions whose backoff timer expires this tick.
-        due_retries = self._retries.pop(round_index, None)
-        if due_retries is not None:
-            for sender, receiver, payload, attempt in due_retries:
-                if sender not in active or receiver not in active:
-                    continue
-                rt.result.retried_messages += 1
-                if emit is not None:
-                    emit(
-                        round_index,
-                        "retry",
-                        sender,
-                        {"to": receiver, "payload": payload, "attempt": attempt},
-                    )
-                self._dispatch(
-                    round_index, sender, receiver, payload, attempt,
-                    process_set, next_wake,
-                )
-
-        for node in scheduled:
-            ctx = contexts[node]
-            ctx.round = round_index
-            outbox = programs[node].compose(ctx)
-            if not outbox:
+        Delayed messages due this tick land before fresh sends — they
+        are older traffic, the same precedence adversarial replays get.
+        A receiver that left the computation while the message was in
+        flight discards it, matching the synchronous rule for sends to
+        inactive nodes.  Retransmissions whose backoff timer expires
+        this tick re-enter :meth:`_dispatch`, so they can be dropped or
+        delayed again.
+        """
+        self._tick = round_index
+        self._process_set = process_set
+        rt = self.rt
+        active = rt._active
+        emit = rt.obs.emit if rt.obs else None
+        for sender, receiver, payload in self._in_flight.pop(round_index, ()):
+            if receiver not in active:
                 continue
-            neighbors = ctx.neighbors
-            for receiver, payload in outbox.items():
-                if receiver not in neighbors:
-                    raise ValueError(
-                        f"node {node} sent to non-neighbor {receiver} "
-                        f"in round {round_index}"
-                    )
-                if emit is not None:
-                    emit(
-                        round_index, "send", node, {"to": receiver, "payload": payload}
-                    )
-                if receiver not in active:
-                    continue
-                self._dispatch(
-                    round_index, node, receiver, payload, 0,
-                    process_set, next_wake,
+            if emit is not None:
+                emit(
+                    round_index,
+                    "deliver",
+                    sender,
+                    {"to": receiver, "payload": payload},
                 )
-
-        if len(process_set) == len(scheduled):
-            process_order: List[int] = scheduled
-        else:
-            process_order = sorted(process_set)
-        for node in process_order:
-            ctx = contexts[node]
-            ctx.round = round_index
-            programs[node].process(ctx, inboxes[node])
-            self._collect_wake(node, ctx)
-        self.processed_last_round = process_set
-        rt.finalize_round(round_index, participants=process_order)
+            self._land(sender, receiver, payload)
+        due_retries = self._retries.pop(round_index, ())
+        for sender, receiver, payload, attempt in due_retries:
+            if sender not in active or receiver not in active:
+                continue
+            rt.result.retried_messages += 1
+            if emit is not None:
+                emit(
+                    round_index,
+                    "retry",
+                    sender,
+                    {"to": receiver, "payload": payload, "attempt": attempt},
+                )
+            self._dispatch(sender, receiver, payload, attempt)
+        return self._dispatch
 
 
 class VectorizedScheduler(Scheduler):
@@ -977,30 +671,25 @@ class VectorizedScheduler(Scheduler):
         self.kernel.setup()
 
     def run_round(self, round_index: int) -> None:
-        self.kernel.run_round(round_index)
+        """One kernel invocation per round.
 
-    def run_round_profiled(self, round_index: int) -> None:
-        """One timed kernel invocation per round.
-
-        The interpreted phase split does not exist here; the whole
-        round is charged to the ``kernel`` profile phase, and
+        Under a profile the call is timed as the round's ``kernel``
+        phase (the interpreted phase split does not exist here), and
         ``scheduled`` records how many nodes observably acted (the
         vectorized analogue of the quiescent wake-set size).
         """
         rt = self.rt
         profile = rt.obs.profile
+        if profile is None:
+            self.kernel.run_round(round_index)
+            return
         messages_before = rt.result.message_count
         active_before = len(rt._active)
         start = perf_counter()
         acted = self.kernel.run_round(round_index)
-        elapsed = perf_counter() - start
         profile.add_round(
             round_index,
-            compose=0.0,
-            deliver=0.0,
-            process=0.0,
-            finalize=0.0,
-            kernel=elapsed,
+            kernel=perf_counter() - start,
             messages=rt.result.message_count - messages_before,
             active=active_before,
             scheduled=int(acted),
@@ -1029,7 +718,8 @@ def schedule_capabilities() -> Dict[str, Dict[str, Any]]:
     The single source of truth behind :func:`repro.schedules` and the
     CLI's ``--schedule`` choices: a scheduler registered here is
     immediately selectable everywhere, with its capabilities
-    (quiescence tracking, asynchrony, profiling support, compiled
-    kernel availability) introspectable instead of hand-maintained.
+    (quiescence tracking, asynchrony, profiling — which every schedule
+    supports — and compiled kernel availability) introspectable instead
+    of hand-maintained.
     """
     return {name: cls.capabilities() for name, cls in SCHEDULERS.items()}

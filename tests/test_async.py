@@ -172,10 +172,36 @@ class TestAsyncConfig:
             SyncEngine(ring(4), lambda n: WaiterProgram(),
                        schedule="async", phi=-1)
 
-    def test_profile_unsupported_under_async(self):
-        with pytest.raises(ValueError, match="profil"):
-            SyncEngine(ring(4), lambda n: WaiterProgram(),
-                       schedule="async", profile=True)
+    def test_profiled_async_run(self):
+        """Async runs profile like every schedule: one sample per tick,
+        the stabilization pulse and the final empty tick included, and
+        the profiled run is the unprofiled one."""
+        graph = erdos_renyi(10, 0.6, seed=3)
+        plan = FaultPlan(messages=MessageAdversary(drop_rate=0.4), seed=3)
+
+        def execute(profile):
+            sink = MemoryEventSink()
+            engine = SyncEngine(
+                graph, lambda n: PingProgram(), faults=plan, sinks=[sink],
+                schedule="async", phi=2, send_timeout=2, max_rounds=300,
+                on_round_limit="partial", profile=profile,
+            )
+            return engine.run(), sink.events
+
+        result, events = execute(True)
+        plain, plain_events = execute(False)
+        assert result.recovery_pulses == 1
+        assert result.stuck.reason == "stabilized"
+        assert result.delayed_messages and result.retried_messages
+        samples = result.profile.samples
+        assert [sample.round for sample in samples] == list(
+            range(1, result.rounds_executed + 1)
+        )
+        assert sum(result.profile.message_counts()) == result.message_count
+        assert result.message_count > 0
+        assert (result.outputs, result.rounds_executed, events) == (
+            plain.outputs, plain.rounds_executed, plain_events
+        )
 
     def test_deadline_validation(self):
         with pytest.raises(ValueError, match="deadline"):

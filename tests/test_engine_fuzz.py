@@ -7,6 +7,7 @@ timing, and clean termination bookkeeping.
 """
 
 import random
+import re
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -188,8 +189,8 @@ def _factories(seed):
 
 class TestQuiescentDifferentialFuzz:
     """schedule='quiescent' must be observationally identical to eager
-    for every algorithm, graph and fault plan — including a profiled
-    quiescent run (the third way of the three-way differential)."""
+    for every algorithm, graph and fault plan — and so must a profiled
+    run of each of eager, quiescent and quiescent-debug."""
 
     def _factories(self, seed):
         return _factories(seed)
@@ -207,9 +208,15 @@ class TestQuiescentDifferentialFuzz:
         quiescent = _run_collect(graph, factory, "quiescent", plan)
         profiled = _run_collect(graph, factory, "quiescent", plan, profile=True)
         debug = _run_collect(graph, factory, "quiescent-debug", plan)
+        eager_profiled = _run_collect(graph, factory, "eager", plan, profile=True)
+        debug_profiled = _run_collect(
+            graph, factory, "quiescent-debug", plan, profile=True
+        )
         assert quiescent == eager, name
         assert profiled == eager, name
         assert debug == eager, name
+        assert eager_profiled == eager, name
+        assert debug_profiled == eager, name
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=10, deadline=None)
@@ -356,6 +363,61 @@ class TestLayeredRuntimeDifferential:
 
         assert observe(SyncEngine) == observe(ReferenceSyncEngine), name
 
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=15, deadline=None)
+    def test_matches_reference_engine_strict_congest(self, seed):
+        """Strict CONGEST aborts on the same message as the unprofiled
+        monolith: eager and quiescent, profiled or not, raise its
+        exception type and text, with the counters it held at the abort.
+
+        The monolith's text predates the ``from u to v in round r``
+        clause, so that clause is compared across the four new runs
+        instead, which must raise byte-identical text.
+        """
+        from repro.simulator.models import strict_congest
+
+        from tests.reference_engine import ReferenceSyncEngine
+
+        rng = random.Random(f"{seed}:old-vs-new-strict")
+        graph = erdos_renyi(rng.randint(3, 14), 0.3, seed=seed)
+        model = strict_congest(rng.choice([1, 2, 4]))
+        name, factory = self._families(seed)[seed % 5]
+
+        def outcome(engine_cls, schedule, profile=False):
+            engine = engine_cls(
+                graph, factory, model=model, schedule=schedule,
+                max_rounds=200, on_round_limit="partial", profile=profile,
+            )
+            result = engine.result if engine_cls is SyncEngine else engine._result
+            try:
+                engine.run()
+                error = None
+            except (RuntimeError, ValueError) as exc:
+                error = (type(exc).__name__, str(exc))
+            return error, (
+                result.outputs,
+                result.message_count,
+                result.total_bits,
+                result.bandwidth_violations,
+            )
+
+        texts = set()
+        for schedule in ("eager", "quiescent"):
+            old_error, old_counters = outcome(ReferenceSyncEngine, schedule)
+            for profile in (False, True):
+                error, counters = outcome(SyncEngine, schedule, profile)
+                assert counters == old_counters, (name, schedule, profile)
+                if old_error is None:
+                    assert error is None, (name, schedule, profile)
+                    continue
+                kind, text = error
+                assert kind == old_error[0], (name, schedule, profile)
+                clause = re.search(r" from \d+ to \d+ in round \d+", text)
+                assert clause is not None, text
+                assert text.replace(clause.group(), "") == old_error[1]
+                texts.add(text)
+        assert len(texts) <= 1, (name, texts)
+
 
 # ----------------------------------------------------------------------
 # Asynchronous-schedule fuzzing
@@ -398,7 +460,9 @@ class TestAsyncDifferentialFuzz:
         name, factory = _factories(seed)[seed % 5]
         eager = _run_collect(graph, factory, "eager", plan)
         phi0 = _run_collect(graph, factory, "async", plan)
+        phi0_profiled = _run_collect(graph, factory, "async", plan, profile=True)
         assert phi0 == eager, name
+        assert phi0_profiled == eager, name
 
 
 class TestAsyncInvariantFuzz:

@@ -221,10 +221,18 @@ class TestScheduleConfig:
         with pytest.raises(ValueError, match="schedule"):
             SyncEngine(line(3), lambda node: _SilentLiar(), schedule="lazy")
 
-    def test_debug_excludes_profiling(self):
-        with pytest.raises(ValueError, match="profil"):
-            run(MIS_ALG, line(4), profile=True,
-                policy=ExecutionPolicy(schedule="quiescent-debug"))
+    def test_debug_supports_profiling(self):
+        """The debug schedule profiles through the shared round loop:
+        one sample per executed round, every active node scheduled."""
+        result = run(MIS_ALG, sorted_path_ids(line(12)), profile=True,
+                     policy=ExecutionPolicy(schedule="quiescent-debug"))
+        samples = result.profile.samples
+        assert [sample.round for sample in samples] == list(
+            range(1, result.rounds_executed + 1)
+        )
+        assert sum(result.profile.message_counts()) == result.message_count
+        assert result.message_count > 0
+        assert all(sample.scheduled == sample.active for sample in samples)
 
     def test_round_limit_partial_still_works(self):
         for schedule in ("eager", "quiescent"):

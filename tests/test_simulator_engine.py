@@ -191,7 +191,10 @@ class TestMetricsAndModels:
         assert result.message_count == 4
         assert result.total_bits >= 4
 
-    def test_strict_congest_raises_on_wide_message(self):
+    @pytest.mark.parametrize(
+        "schedule", ["eager", "quiescent", "quiescent-debug", "async"]
+    )
+    def test_strict_congest_raises_on_wide_message(self, schedule):
         class Wide(NodeProgram):
             def compose(self, ctx):
                 return {other: "x" * 5000 for other in ctx.active_neighbors}
@@ -200,9 +203,10 @@ class TestMetricsAndModels:
                 ctx.set_output(0)
                 ctx.terminate()
 
-        with pytest.raises(BandwidthExceeded):
+        with pytest.raises(BandwidthExceeded, match="in round 1 "):
             SyncEngine(
-                line(3), lambda v: Wide(), model=strict_congest(2)
+                line(3), lambda v: Wide(), model=strict_congest(2),
+                schedule=schedule,
             ).run()
 
     def test_non_strict_model_records_violations(self):
