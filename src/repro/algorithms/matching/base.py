@@ -36,10 +36,11 @@ class MatchingBaseProgram(NodeProgram):
     def process(self, ctx: NodeContext, inbox: Inbox) -> None:
         if ctx.round == 1:
             predicted = ctx.prediction
-            if (
-                predicted in ctx.neighbors
-                and inbox.get(predicted) == ctx.node_id
-            ):
+            try:
+                named = predicted in ctx.neighbors
+            except TypeError:  # an unhashable prediction names no partner
+                named = False
+            if named and inbox.get(predicted) == ctx.node_id:
                 self._partner = predicted
         elif ctx.round == 2:
             if self._partner is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Any, FrozenSet, Iterable, List, Mapping
 
 from repro.errors.components import (
+    active_mask,
     black_white_components,
     error_components,
     mis_base_partial,
@@ -121,9 +122,17 @@ def mu2_bounds(
 def eta1(
     graph: DistGraph, predictions: Predictions, problem_name: str = "mis"
 ) -> int:
-    """η₁ = max μ₁(S) over the error components (0 when predictions are correct)."""
-    components = error_components(problem_name, graph, predictions)
-    return max((len(component) for component in components), default=0)
+    """η₁ = max μ₁(S) over the error components (0 when predictions are correct).
+
+    For the node problems this sizes the index components of the active
+    mask directly; no identifier sets are built.
+    """
+    if problem_name == "edge-coloring":
+        components = error_components(problem_name, graph, predictions)
+    else:
+        mask = active_mask(problem_name, graph, predictions)
+        components = graph.csr.components(mask)
+    return max(map(len, components), default=0)
 
 
 def eta2(

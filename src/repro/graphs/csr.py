@@ -39,8 +39,13 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
+
+#: ``bytes.translate`` table turning a component mask into the walk's
+#: initial ``seen`` flags: indices whose mask entry is 0 start seen.
+_MASKED_OUT = bytes([1]) + bytes(255)
 
 #: Optional hook consulted by :meth:`CSRTopology.__reduce__`.  When a
 #: :class:`repro.shard.store.SharedCSRStore` is active it installs a
@@ -207,13 +212,20 @@ class CSRTopology:
         v_index = table.get(v)
         if u_index is None or v_index is None:
             return False
-        # Probe the smaller row; rows are sorted, so bisect decides.
+        # Probe the smaller row.
         if self.degree_at(u_index) > self.degree_at(v_index):
             u_index, v_index = v_index, u_index
-        lo = self.indptr[u_index]
-        hi = self.indptr[u_index + 1]
-        position = bisect_left(self.indices, v_index, lo, hi)
-        return position < hi and self.indices[position] == v_index
+        return self.adjacent(u_index, v_index)
+
+    def adjacent(self, index: int, other: int) -> bool:
+        """Whether internal indices ``index`` and ``other`` are adjacent.
+
+        Bisects ``index``'s row (rows are sorted): ``O(log deg)``.
+        """
+        lo = self.indptr[index]
+        hi = self.indptr[index + 1]
+        position = bisect_left(self.indices, other, lo, hi)
+        return position < hi and self.indices[position] == other
 
     @property
     def max_degree(self) -> int:
@@ -252,37 +264,53 @@ class CSRTopology:
         indptr = self.indptr
         return [indptr[i + 1] - indptr[i] for i in range(self.n)]
 
-    def components(self) -> Tuple[Tuple[int, ...], ...]:
+    def components(
+        self, mask: Optional[Sequence[int]] = None
+    ) -> Tuple[Tuple[int, ...], ...]:
         """Connected components as tuples of internal *indices*.
 
         Each component's indices ascend, and components are ordered by
         their smallest index — which, because identifiers ascend with
-        indices, is also ascending-min-identifier order.  Computed once
-        and cached (the shard planner asks per shard task; workers that
-        attach the same shared topology share the cached answer).
+        indices, is also ascending-min-identifier order.
+
+        With ``mask`` (one entry per index, e.g. a ``bytearray`` of 0/1
+        flags), the components of the subgraph induced by the indices
+        whose entry is nonzero: the same answer, indices for identifiers,
+        as ``subgraph(...).components()`` without building the subgraph.
+        Only the unmasked answer is cached (the shard planner asks per
+        shard task; workers that attach the same shared topology share
+        it).
         """
-        if self._components is None:
-            indptr = self.indptr
-            indices = self.indices
+        if mask is None:
+            if self._components is not None:
+                return self._components
             seen = bytearray(self.n)
-            parts: List[Tuple[int, ...]] = []
-            for start in range(self.n):
-                if seen[start]:
-                    continue
-                seen[start] = 1
-                stack = [start]
-                members = [start]
-                while stack:
-                    index = stack.pop()
-                    for position in range(indptr[index], indptr[index + 1]):
-                        other = indices[position]
-                        if not seen[other]:
-                            seen[other] = 1
-                            members.append(other)
-                            stack.append(other)
-                members.sort()
-                parts.append(tuple(members))
-            self._components = tuple(parts)
+        elif len(mask) == self.n:
+            seen = bytearray(mask).translate(_MASKED_OUT)
+        else:
+            raise ValueError(f"mask has {len(mask)} entries for {self.n} nodes")
+        indptr = self.indptr
+        indices = self.indices
+        parts: List[Tuple[int, ...]] = []
+        for start in range(self.n):
+            if seen[start]:
+                continue
+            seen[start] = 1
+            stack = [start]
+            members = [start]
+            while stack:
+                index = stack.pop()
+                for position in range(indptr[index], indptr[index + 1]):
+                    other = indices[position]
+                    if not seen[other]:
+                        seen[other] = 1
+                        members.append(other)
+                        stack.append(other)
+            members.sort()
+            parts.append(tuple(members))
+        if mask is not None:
+            return tuple(parts)
+        self._components = tuple(parts)
         return self._components
 
     # ------------------------------------------------------------------

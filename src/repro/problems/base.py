@@ -87,6 +87,27 @@ class GraphProblem(ABC):
         return []
 
 
+def clashing_neighbors(
+    graph: DistGraph, index: int, values: List[Any], value: Any
+) -> List[int]:
+    """Neighbors of CSR ``index`` with a higher id whose ``values`` entry
+    equals ``value``, as identifiers in ``graph.neighbors(node)`` order.
+
+    The matching and coloring checks have always reported the clashes at
+    one node in the iteration order of its neighbor set; the CSR row is
+    ascending, so that order is restored here (the set is only read when
+    there are two or more).
+    """
+    csr = graph.csr
+    ids = csr.ids
+    row = csr.indices[csr.indptr[index] : csr.indptr[index + 1]]
+    clashes = [ids[other] for other in row if other > index and values[other] == value]
+    if len(clashes) < 2:
+        return clashes
+    wanted = set(clashes)
+    return [other for other in graph.neighbors(ids[index]) if other in wanted]
+
+
 def decided_nodes(outputs: Outputs) -> List[int]:
     """Nodes that have produced an output, sorted."""
     return sorted(outputs)

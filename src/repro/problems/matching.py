@@ -8,10 +8,10 @@ neighbors.  Predictions are a predicted partner (or ⊥) per node.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set, Tuple
+from typing import Any, List, Optional, Sequence, Set, Tuple
 
 from repro.graphs.graph import DistGraph
-from repro.problems.base import GraphProblem, Outputs
+from repro.problems.base import GraphProblem, Outputs, clashing_neighbors
 
 #: The ⊥ output: the node ends up unmatched.
 UNMATCHED = "unmatched"
@@ -34,25 +34,62 @@ class MaximalMatchingProblem(GraphProblem):
         return self._check_consistency(graph, outputs)
 
     def _check_consistency(self, graph: DistGraph, outputs: Outputs) -> List[str]:
+        """Matched pairs are mutual edges; no two ⊥-nodes are adjacent.
+
+        Walks the decided nodes by CSR index in ascending id order; the
+        adjacent ⊥-nodes of one node come out in the order of
+        :func:`~repro.problems.base.clashing_neighbors`.  An output key
+        outside the graph raises ``KeyError``, an unhashable partner
+        ``TypeError``.
+        """
         problems: List[str] = []
-        for node, value in sorted(outputs.items()):
-            if value == UNMATCHED:
+        csr = graph.csr
+        ids = csr.ids
+        indptr = csr.indptr
+        indices = csr.indices
+        index_of = csr.index_of
+        # ``outputs.get`` by index: None for undecided nodes.
+        values: List[Any] = [None] * csr.n
+        decided: List[int] = []
+        for node, value in outputs.items():
+            index = index_of[node]
+            values[index] = value
+            decided.append(index)
+        decided.sort()
+        # Partners of reciprocated matches pass their own check too.
+        confirmed = bytearray(csr.n)
+        unmatched: List[int] = []
+        for index in decided:
+            if confirmed[index]:
                 continue
-            if value not in graph.neighbors(node):
-                problems.append(f"node {node} matched to non-neighbor {value!r}")
+            value = values[index]
+            partner = index_of.get(value)
+            if partner is None and value == UNMATCHED:
+                unmatched.append(index)
                 continue
-            partner_value = outputs.get(value)
-            if partner_value != node:
+            if partner is None or not csr.adjacent(index, partner):
                 problems.append(
-                    f"match {node}->{value} not reciprocated "
+                    f"node {ids[index]} matched to non-neighbor {value!r}"
+                )
+                continue
+            partner_value = values[partner]
+            if partner_value != ids[index]:
+                problems.append(
+                    f"match {ids[index]}->{value} not reciprocated "
                     f"(partner output {partner_value!r})"
                 )
-        for node, value in sorted(outputs.items()):
-            if value != UNMATCHED:
+            else:
+                confirmed[partner] = 1
+        for index in unmatched:
+            for position in range(indptr[index], indptr[index + 1]):
+                other = indices[position]
+                if other > index and values[other] == UNMATCHED:
+                    break
+            else:
                 continue
-            for other in graph.neighbors(node):
-                if other in outputs and outputs[other] == UNMATCHED and other > node:
-                    problems.append(f"adjacent unmatched nodes {node} and {other}")
+            node = ids[index]
+            for other in clashing_neighbors(graph, index, values, UNMATCHED):
+                problems.append(f"adjacent unmatched nodes {node} and {other}")
         return problems
 
     def extendability_violations(

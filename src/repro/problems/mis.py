@@ -31,25 +31,45 @@ class MaximalIndependentSetProblem(GraphProblem):
     def verify_partial(self, graph: DistGraph, outputs: Outputs) -> List[str]:
         """MIS conditions on the subgraph induced by the decided nodes.
 
-        The adjacency scans walk the CSR rows directly (ascending-id
-        streams), so both checks run over flat index arrays instead of
-        per-node set objects and report violations in deterministic order.
+        One pass over ``outputs`` flags the 1-nodes by CSR index; one walk
+        over their rows reports adjacent 1-nodes (ascending ids) and marks
+        every node with a decided 1-neighbor, so each 0-node then reads a
+        single flag.  An output key outside the graph whose value is 0 or
+        1 raises ``KeyError``.
         """
         problems: List[str] = []
-        for node, value in outputs.items():
-            if value not in (0, 1):
-                problems.append(f"node {node} output {value!r}, expected 0 or 1")
-        chosen = {node for node, value in outputs.items() if value == 1}
         csr = graph.csr
-        for node in sorted(chosen):
-            for other in csr.neighbor_ids(node):
-                if other > node and other in chosen:
-                    problems.append(f"adjacent nodes {node} and {other} both output 1")
+        ids = csr.ids
+        indptr = csr.indptr
+        indices = csr.indices
+        index_of = csr.index_of
+        chosen = bytearray(csr.n)
+        ones: List[int] = []
+        zeros: List[int] = []
         for node, value in outputs.items():
-            if value == 0 and not any(
-                other in chosen for other in csr.neighbor_ids(node)
-            ):
-                problems.append(f"node {node} output 0 without a decided 1-neighbor")
+            if value == 1:
+                index = index_of[node]
+                chosen[index] = 1
+                ones.append(index)
+            elif value == 0:
+                zeros.append(index_of[node])
+            else:
+                problems.append(f"node {node} output {value!r}, expected 0 or 1")
+        ones.sort()
+        dominated = bytearray(csr.n)
+        for index in ones:
+            for position in range(indptr[index], indptr[index + 1]):
+                other = indices[position]
+                dominated[other] = 1
+                if other > index and chosen[other]:
+                    problems.append(
+                        f"adjacent nodes {ids[index]} and {ids[other]} both output 1"
+                    )
+        for index in zeros:
+            if not dominated[index]:
+                problems.append(
+                    f"node {ids[index]} output 0 without a decided 1-neighbor"
+                )
         return problems
 
     def extendability_violations(

@@ -10,10 +10,10 @@ degree, so any remainder solution completes it.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Set
+from typing import Any, List, Optional, Sequence, Set
 
 from repro.graphs.graph import DistGraph
-from repro.problems.base import GraphProblem, Outputs
+from repro.problems.base import GraphProblem, Outputs, clashing_neighbors
 
 
 class VertexColoringProblem(GraphProblem):
@@ -34,20 +34,47 @@ class VertexColoringProblem(GraphProblem):
         return problems
 
     def verify_partial(self, graph: DistGraph, outputs: Outputs) -> List[str]:
+        """Color range and properness of the decided nodes, by CSR index.
+
+        Violations come out by ascending node id; the clashes at one node
+        in the order of :func:`~repro.problems.base.clashing_neighbors`.
+        An output key outside the graph raises ``KeyError``.
+        """
         problems: List[str] = []
         palette_size = self.num_colors(graph)
-        for node, color in sorted(outputs.items()):
+        csr = graph.csr
+        ids = csr.ids
+        indptr = csr.indptr
+        indices = csr.indices
+        index_of = csr.index_of
+        # ``outputs.get`` by index: None for undecided nodes.
+        colors: List[Any] = [None] * csr.n
+        decided: List[int] = []
+        for node, color in outputs.items():
+            index = index_of[node]
+            colors[index] = color
+            decided.append(index)
+        decided.sort()
+        for index in decided:
+            color = colors[index]
             if not isinstance(color, int) or not 1 <= color <= palette_size:
                 problems.append(
-                    f"node {node} output {color!r}, expected a color in "
+                    f"node {ids[index]} output {color!r}, expected a color in "
                     f"1..{palette_size}"
                 )
-        for node, color in sorted(outputs.items()):
-            for other in graph.neighbors(node):
-                if other > node and outputs.get(other) == color:
-                    problems.append(
-                        f"adjacent nodes {node} and {other} share color {color}"
-                    )
+        for index in decided:
+            color = colors[index]
+            for position in range(indptr[index], indptr[index + 1]):
+                other = indices[position]
+                if other > index and colors[other] == color:
+                    break
+            else:
+                continue
+            node = ids[index]
+            for other in clashing_neighbors(graph, index, colors, color):
+                problems.append(
+                    f"adjacent nodes {node} and {other} share color {color}"
+                )
         return problems
 
     def extendability_violations(

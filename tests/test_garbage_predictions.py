@@ -38,6 +38,8 @@ def garbage_variants(graph):
         v: [None, "x", 3.14, -7, 10**9][v % 5] for v in graph.nodes
     }
     yield "empty", {}
+    yield "lists", {v: [v] for v in graph.nodes}
+    yield "dicts", {v: {1: 2} for v in graph.nodes}
 
 
 MIS_ALGORITHMS = [mis_simple, mis_parallel, mis_blackwhite_simple]
@@ -102,6 +104,12 @@ class TestErrorMachineryGarbage:
                 components = error_components(problem, GRAPH, predictions)
                 union = set().union(*components) if components else set()
                 assert union <= set(GRAPH.nodes), (problem, label)
+
+    @pytest.mark.parametrize("problem", ["mis", "matching", "vertex-coloring"])
+    def test_garbage_is_maximal_error_for_node_problems(self, problem):
+        biggest = max(len(c) for c in GRAPH.components())
+        for label, predictions in garbage_variants(GRAPH):
+            assert eta1(GRAPH, predictions, problem) == biggest, (problem, label)
 
     def test_partial_prediction_maps(self):
         """Predictions covering only some nodes behave like garbage on

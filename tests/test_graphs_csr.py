@@ -195,6 +195,30 @@ class TestDerivedGraphCaches:
             line(4).subgraph([1, 99])
 
 
+class TestMaskedComponents:
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_mask_equals_induced_subgraph(self, seed):
+        rng = random.Random(f"{seed}:mask")
+        graph = erdos_renyi(rng.randint(1, 16), rng.choice([0.1, 0.3, 0.7]), seed=seed)
+        csr = graph.csr
+        flags = [rng.random() < 0.6 for _ in range(csr.n)]
+        kept = [node for node, flag in zip(csr.ids, flags) if flag]
+        expected = graph.subgraph(kept).components()
+        for mask in (bytearray(flags), flags):
+            parts = csr.components(mask)
+            assert [frozenset(csr.ids[i] for i in part) for part in parts] == expected
+        assert csr.components(bytearray(csr.n)) == ()
+        # Masked answers are not cached: the unmasked one is the whole graph's.
+        fresh = CSRTopology.from_adjacency(dict_adjacency(graph))
+        assert csr.components() == fresh.components()
+        assert csr.components(bytearray([1]) * csr.n) == fresh.components()
+
+    def test_mask_length_must_match(self):
+        with pytest.raises(ValueError, match="mask has 2 entries for 4 nodes"):
+            line(4).csr.components(bytearray(2))
+
+
 class TestCSRPickling:
     def test_topology_roundtrip(self):
         graph = torus(3, 3)
