@@ -89,7 +89,7 @@ def test_e28_round_loop_speedup(once):
     def _engine(schedule):
         return SyncEngine(
             graph, lambda node: GreedyMISAlgorithm().build_program(),
-            fast=True, schedule=schedule,
+            fast=True, policy=ExecutionPolicy(schedule=schedule),
         )
 
     def execute():

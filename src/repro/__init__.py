@@ -65,7 +65,6 @@ from repro.core import (
     SimpleTemplate,
     TwoPartReference,
     run,
-    run_with_trace,
 )
 from repro.exec import Sweep, SweepResult
 from repro.faults import FaultPlan
@@ -81,7 +80,7 @@ from repro.problems import EDGE_COLORING, MATCHING, MIS, VERTEX_COLORING, get_pr
 from repro.simulator import CONGEST, LOCAL, RunResult, SyncEngine
 from repro.simulator import schedule_capabilities as _schedule_capabilities
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 
 def schedules():
@@ -141,6 +140,5 @@ __all__ = [
     "mis_parallel",
     "mis_simple",
     "run",
-    "run_with_trace",
     "schedules",
 ]

@@ -20,7 +20,7 @@ from repro.core.algorithm import (
     PhasedAlgorithm,
     TwoPartReference,
 )
-from repro.core.runner import ExecutionPolicy, RunConfig, run, run_with_trace
+from repro.core.runner import ExecutionPolicy, RunConfig, run
 from repro.core.templates import (
     ConsecutiveTemplate,
     HedgedConsecutiveTemplate,
@@ -42,5 +42,4 @@ __all__ = [
     "SimpleTemplate",
     "TwoPartReference",
     "run",
-    "run_with_trace",
 ]

@@ -11,28 +11,21 @@ paper's performance measure.
 the engine's ``fast`` mode and the :class:`ExecutionPolicy` (scheduling
 and asynchrony knobs) — so that a configuration can be hashed, compared,
 stored in a sweep cell and shipped to a worker process.  The keyword
-arguments of :func:`run` are conveniences that build (or override) a
-:class:`RunConfig`.
-
-The execution knobs (``schedule``/``phi``/``send_timeout``/
-``max_retries``/``deadline_s``/``fallback``) live in
-:class:`ExecutionPolicy`; passing them flat to :func:`run` or
-:class:`RunConfig` still works but emits a :class:`DeprecationWarning`
-(docs/API.md documents the policy surface).
+arguments of :func:`run` are conveniences that override one
+:class:`RunConfig` field each.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional, Tuple
+from typing import Any, Mapping, Optional
 
 from repro.core.algorithm import DistributedAlgorithm
 from repro.graphs.graph import DistGraph
 from repro.simulator.engine import SyncEngine
 from repro.simulator.metrics import RunResult
 from repro.simulator.models import ExecutionModel
-from repro.simulator.scheduling import SCHEDULERS
+from repro.simulator.scheduling import ExecutionPolicy
 from repro.simulator.trace import TraceRecorder
 
 #: Sentinel distinguishing "not passed" from an explicit ``None``/value.
@@ -40,131 +33,6 @@ _UNSET: Any = object()
 
 
 @dataclass(frozen=True)
-class ExecutionPolicy:
-    """How rounds are driven: schedule choice plus its tuning knobs.
-
-    The one structured home for every knob that selects or parameterizes
-    a :class:`~repro.simulator.scheduling.Scheduler` — what used to be
-    five-and-growing flat keywords on :func:`run`.  Frozen and hashable,
-    so policies can be shared across sweep cells and compared;
-    :func:`repro.schedules` lists the valid ``schedule`` names with
-    their capabilities.
-
-    Attributes:
-        schedule: Round scheduling policy — ``"eager"`` (every live node
-            every round), ``"quiescent"`` (skip nodes that declare
-            ``quiescent_when_idle`` and cannot observably act this
-            round; observationally identical, much faster on frontier
-            workloads), ``"quiescent-debug"`` (run eagerly but raise
-            :class:`~repro.simulator.engine.QuiescenceViolation` if a
-            node the quiescent schedule would have skipped acts),
-            ``"async"`` (the asynchronous model: adversarial delivery
-            delays up to ``phi`` ticks, fire-on-receipt scheduling,
-            send timeouts and stabilization detection), or
-            ``"vectorized"`` (compiled whole-frontier NumPy kernels
-            over the CSR buffers — bit-identical to the interpreted
-            engine for the registered greedy families, an order of
-            magnitude faster at scale; see docs/PERFORMANCE.md).
-        phi: Delay bound for the ``"async"`` schedule's adversary
-            (``0`` = synchronous delivery; requires
-            ``schedule="async"`` when nonzero).
-        send_timeout: Async sender-side retransmission timeout (ticks);
-            ``None`` disables retries.  Requires ``schedule="async"``.
-        max_retries: Retransmission budget per lost send.
-        deadline_s: Wall-clock budget (seconds) per run; exceeding it
-            returns a partial result with a ``stuck`` report
-            (``reason="deadline"``) instead of hanging.
-        fallback: For ``schedule="vectorized"`` runs the kernels cannot
-            execute: ``None`` (default) raises
-            :class:`~repro.kernels.UnsupportedScheduleError`;
-            ``"interpret"`` warns and runs the interpreted
-            ``"quiescent"`` schedule instead.
-        share_graph: Sweep-level zero-copy flag — the process-pool
-            backend activates a :class:`~repro.shard.store.SharedCSRStore`
-            when any cell requests it, so CSR buffers cross the pool
-            boundary once as shared segments instead of per-chunk
-            pickles.  A no-op for single runs and the serial backend
-            (nothing ships).
-        shard: ``"components"`` splits the cell's graph by connected
-            components across pool workers and merges the shard results
-            into one bit-identical row (see :mod:`repro.shard`).
-            ``"edgecut"`` block-partitions the identifier space of a
-            (possibly connected) graph and runs one engine per block,
-            exchanging boundary messages at a per-round barrier
-            (see :mod:`repro.shard.edgecut`) — also bit-identical.
-            ``None`` (default) runs unsharded.  Incompatible with
-            ``schedule="async"``: the delay adversary draws from
-            tick-global streams, so isolation does not hold.
-    """
-
-    schedule: str = "eager"
-    phi: int = 0
-    send_timeout: Optional[int] = None
-    max_retries: int = 2
-    deadline_s: Optional[float] = None
-    fallback: Optional[str] = None
-    share_graph: bool = False
-    shard: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.schedule not in SCHEDULERS:
-            known = ", ".join(repr(name) for name in SCHEDULERS)
-            raise ValueError(
-                f"schedule must be one of {known}, got {self.schedule!r}"
-            )
-        if self.phi < 0:
-            raise ValueError(f"phi must be non-negative, got {self.phi}")
-        if (self.phi or self.send_timeout is not None) and self.schedule != "async":
-            raise ValueError(
-                "phi= and send_timeout= belong to the asynchronous model; "
-                f"pass schedule='async' (got schedule={self.schedule!r})"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError(
-                f"deadline_s must be positive, got {self.deadline_s}"
-            )
-        if self.fallback not in (None, "interpret"):
-            raise ValueError(
-                f"fallback must be None or 'interpret', got {self.fallback!r}"
-            )
-        if self.fallback is not None and self.schedule != "vectorized":
-            raise ValueError(
-                "fallback= only applies to schedule='vectorized' "
-                f"(got schedule={self.schedule!r})"
-            )
-        if self.shard not in (None, "components", "edgecut"):
-            raise ValueError(
-                "shard must be None, 'components' or 'edgecut', "
-                f"got {self.shard!r}"
-            )
-        if self.shard is not None and self.schedule == "async":
-            raise ValueError(
-                f"shard={self.shard!r} cannot run under schedule='async': "
-                "the asynchronous delay adversary draws from tick-global "
-                "streams, so sharded and unsharded runs would diverge"
-            )
-
-
-#: RunConfig keywords that live on the nested :class:`ExecutionPolicy`.
-_POLICY_FIELDS: Tuple[str, ...] = (
-    "schedule",
-    "phi",
-    "send_timeout",
-    "max_retries",
-    "deadline_s",
-    "fallback",
-    "share_graph",
-    "shard",
-)
-
-_FLAT_POLICY_MESSAGE = (
-    "flat execution keywords (schedule=/phi=/send_timeout=/max_retries=/"
-    "deadline_s=/fallback=) are deprecated; pass "
-    "policy=ExecutionPolicy(...) instead"
-)
-
-
-@dataclass(frozen=True, init=False)
 class RunConfig:
     """Frozen description of one engine execution.
 
@@ -176,9 +44,9 @@ class RunConfig:
             *unset*: single runs fall back to seed 0, while sweep cells
             derive a deterministic per-cell seed.  An explicit ``0`` is
             honored everywhere (it is a real seed, not "unset").
-        faults: A :class:`~repro.faults.plan.FaultPlan` (or controller)
-            describing crashes, message adversaries and prediction
-            corruption; ``None`` runs fault-free.
+        faults: A :class:`~repro.faults.plan.FaultPlan` describing
+            crashes, message adversaries and prediction corruption;
+            ``None`` runs fault-free.
         on_round_limit: ``"raise"`` or ``"partial"`` (graceful
             degradation; the result carries a ``stuck`` report).
         trace: Record every event; the :class:`TraceRecorder` is attached
@@ -191,10 +59,8 @@ class RunConfig:
             :class:`~repro.obs.profile.RoundProfile` is attached to the
             result as ``result.profile``.
         policy: The :class:`ExecutionPolicy` — schedule choice and its
-            asynchrony/fallback knobs.  The policy's fields are also
-            readable directly on the config (``config.schedule`` etc.);
-            passing them flat to the constructor still works but is
-            deprecated.
+            asynchrony/deadline/fallback knobs, read as
+            ``config.policy.schedule`` etc.
     """
 
     model: Optional[ExecutionModel] = None
@@ -207,83 +73,12 @@ class RunConfig:
     profile: bool = False
     policy: ExecutionPolicy = field(default_factory=ExecutionPolicy)
 
-    def __init__(
-        self,
-        model: Optional[ExecutionModel] = None,
-        max_rounds: Optional[int] = None,
-        seed: Optional[int] = None,
-        faults: Optional[Any] = None,
-        on_round_limit: str = "raise",
-        trace: bool = False,
-        fast: bool = False,
-        profile: bool = False,
-        policy: Optional[ExecutionPolicy] = None,
-        *,
-        schedule: Any = _UNSET,
-        phi: Any = _UNSET,
-        send_timeout: Any = _UNSET,
-        max_retries: Any = _UNSET,
-        deadline_s: Any = _UNSET,
-        fallback: Any = _UNSET,
-    ) -> None:
-        flat = {
-            name: value
-            for name, value in (
-                ("schedule", schedule),
-                ("phi", phi),
-                ("send_timeout", send_timeout),
-                ("max_retries", max_retries),
-                ("deadline_s", deadline_s),
-                ("fallback", fallback),
-            )
-            if value is not _UNSET
-        }
-        if flat:
-            warnings.warn(
-                _FLAT_POLICY_MESSAGE, DeprecationWarning, stacklevel=2
-            )
-            policy = replace(policy or ExecutionPolicy(), **flat)
-        if on_round_limit not in ("raise", "partial"):
+    def __post_init__(self) -> None:
+        if self.on_round_limit not in ("raise", "partial"):
             raise ValueError(
                 "on_round_limit must be 'raise' or 'partial', "
-                f"got {on_round_limit!r}"
+                f"got {self.on_round_limit!r}"
             )
-        object.__setattr__(self, "model", model)
-        object.__setattr__(self, "max_rounds", max_rounds)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "faults", faults)
-        object.__setattr__(self, "on_round_limit", on_round_limit)
-        object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "fast", fast)
-        object.__setattr__(self, "profile", profile)
-        object.__setattr__(
-            self, "policy", policy if policy is not None else ExecutionPolicy()
-        )
-
-    # -- policy field pass-throughs (the documented read surface) -------
-    @property
-    def schedule(self) -> str:
-        return self.policy.schedule
-
-    @property
-    def phi(self) -> int:
-        return self.policy.phi
-
-    @property
-    def send_timeout(self) -> Optional[int]:
-        return self.policy.send_timeout
-
-    @property
-    def max_retries(self) -> int:
-        return self.policy.max_retries
-
-    @property
-    def deadline_s(self) -> Optional[float]:
-        return self.policy.deadline_s
-
-    @property
-    def fallback(self) -> Optional[str]:
-        return self.policy.fallback
 
     @property
     def effective_seed(self) -> int:
@@ -291,49 +86,11 @@ class RunConfig:
         return 0 if self.seed is None else self.seed
 
     def with_overrides(self, **overrides: Any) -> "RunConfig":
-        """A copy with the given (non-``_UNSET``) fields replaced.
-
-        Accepts both config fields (including ``policy=``) and the
-        policy's own field names — the latter are folded into a copy of
-        the effective policy, so internal callers (the :func:`run`
-        shim, sweep backends) can keep passing flat names without
-        duplicating the routing logic.
-        """
+        """A copy with the given (non-``_UNSET``) fields replaced."""
         changes = {
             key: value for key, value in overrides.items() if value is not _UNSET
         }
-        policy = changes.pop("policy", None)
-        policy_changes = {
-            key: changes.pop(key)
-            for key in _POLICY_FIELDS
-            if key in changes
-        }
-        if policy is not None or policy_changes:
-            base = policy if policy is not None else self.policy
-            if policy_changes:
-                base = replace(base, **policy_changes)
-            changes["policy"] = base
         return replace(self, **changes) if changes else self
-
-
-def _deprecated_crash_rounds(
-    crash_rounds: Optional[Mapping[int, int]], faults: Optional[Any]
-) -> Optional[Any]:
-    """Fold the legacy ``crash_rounds`` mapping into a fault plan."""
-    warnings.warn(
-        "crash_rounds= is deprecated; pass "
-        "faults=FaultPlan.crash_stop({node: round, ...}) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    from repro.faults.plan import FaultPlan
-
-    if faults is None:
-        return FaultPlan.crash_stop(crash_rounds)
-    if isinstance(faults, FaultPlan):
-        return faults.with_crash_rounds(crash_rounds)
-    faults.add_crash_rounds(crash_rounds)
-    return faults
 
 
 def run(
@@ -345,19 +102,12 @@ def run(
     model: Optional[ExecutionModel] = _UNSET,
     max_rounds: Optional[int] = _UNSET,
     seed: Optional[int] = _UNSET,
-    crash_rounds: Optional[Mapping[int, int]] = None,
     faults: Optional[Any] = _UNSET,
     on_round_limit: str = _UNSET,
     trace: bool = _UNSET,
     fast: bool = _UNSET,
     profile: bool = _UNSET,
     policy: Optional[ExecutionPolicy] = None,
-    schedule: str = _UNSET,
-    phi: int = _UNSET,
-    send_timeout: Optional[int] = _UNSET,
-    max_retries: int = _UNSET,
-    deadline_s: Optional[float] = _UNSET,
-    fallback: Optional[str] = _UNSET,
     sinks: Optional[Any] = None,
 ) -> RunResult:
     """Run ``algorithm`` on ``graph`` and return the execution record.
@@ -377,19 +127,14 @@ def run(
         model, max_rounds, seed, faults, on_round_limit, trace, fast,
             profile: Field-level overrides of ``config`` (see
             :class:`RunConfig`).
-        policy: An :class:`ExecutionPolicy` override — the documented
-            way to choose a schedule and its asynchrony/fallback knobs:
+        policy: An :class:`ExecutionPolicy` override — the way to choose
+            a schedule and its asynchrony/deadline/fallback knobs:
             ``run(alg, g, policy=ExecutionPolicy(schedule="vectorized"))``.
-        schedule, phi, send_timeout, max_retries, deadline_s, fallback:
-            Deprecated flat spellings of the :class:`ExecutionPolicy`
-            fields; they still work (folded into the effective policy)
-            but emit a :class:`DeprecationWarning`.
+            ``None`` keeps ``config.policy``.
         sinks: Extra :class:`~repro.obs.events.EventSink` objects
             attached to the engine for this call (not part of the
             frozen config: sinks hold live resources such as open
             files).
-        crash_rounds: Deprecated — use
-            ``faults=FaultPlan.crash_stop({node: round, ...})``.
 
     Returns:
         The :class:`RunResult`; when tracing was requested its ``trace``
@@ -399,20 +144,6 @@ def run(
         raise ValueError(
             f"{algorithm.name or type(algorithm).__name__} requires predictions"
         )
-    flat_policy = {
-        name: value
-        for name, value in (
-            ("schedule", schedule),
-            ("phi", phi),
-            ("send_timeout", send_timeout),
-            ("max_retries", max_retries),
-            ("deadline_s", deadline_s),
-            ("fallback", fallback),
-        )
-        if value is not _UNSET
-    }
-    if flat_policy:
-        warnings.warn(_FLAT_POLICY_MESSAGE, DeprecationWarning, stacklevel=2)
     config = (config or RunConfig()).with_overrides(
         model=model,
         max_rounds=max_rounds,
@@ -422,13 +153,8 @@ def run(
         trace=trace,
         fast=fast,
         profile=profile,
-        policy=policy,
-        **flat_policy,
+        policy=_UNSET if policy is None else policy,
     )
-    if crash_rounds:
-        config = replace(
-            config, faults=_deprecated_crash_rounds(crash_rounds, config.faults)
-        )
     recorder = TraceRecorder() if config.trace else None
     engine = SyncEngine(
         graph,
@@ -443,45 +169,8 @@ def run(
         faults=config.faults,
         on_round_limit=config.on_round_limit,
         fast=config.fast,
-        schedule=config.schedule,
-        phi=config.phi,
-        send_timeout=config.send_timeout,
-        max_retries=config.max_retries,
-        deadline_s=config.deadline_s,
-        fallback=config.fallback,
+        policy=config.policy,
     )
     result = engine.run()
     result.trace = recorder
     return result
-
-
-def run_with_trace(
-    algorithm: DistributedAlgorithm,
-    graph: DistGraph,
-    predictions: Optional[Mapping[int, Any]] = None,
-    *,
-    model: Optional[ExecutionModel] = _UNSET,
-    max_rounds: Optional[int] = _UNSET,
-    seed: int = _UNSET,
-    faults: Optional[Any] = _UNSET,
-    on_round_limit: str = _UNSET,
-) -> Tuple[RunResult, TraceRecorder]:
-    """Deprecated: use ``run(..., trace=True)`` and ``result.trace``."""
-    warnings.warn(
-        "run_with_trace() is deprecated; use run(..., trace=True) and "
-        "read the recorder from result.trace",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    result = run(
-        algorithm,
-        graph,
-        predictions,
-        model=model,
-        max_rounds=max_rounds,
-        seed=seed,
-        faults=faults,
-        on_round_limit=on_round_limit,
-        trace=True,
-    )
-    return result, result.trace

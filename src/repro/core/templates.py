@@ -24,7 +24,7 @@ a component is only ever paused or cut at an extendable partial solution
 
 Every template builds a :class:`~repro.core.composition.SlicedProgram`,
 which participates in quiescence-aware scheduling
-(``run(..., schedule="quiescent")``, see ``docs/PERFORMANCE.md``): the
+(``ExecutionPolicy(schedule="quiescent")``, see ``docs/PERFORMANCE.md``): the
 sliced host is idle-skippable exactly while its current component is,
 arms a timed wakeup for the slice boundary when its component sleeps,
 and catches its slice clock up over any skipped rounds — so a template

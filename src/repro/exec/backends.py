@@ -14,7 +14,7 @@ pickle/IPC overhead of small cells, and — because chunks keep grid order,
 which groups cells sharing a graph spec — it turns most per-worker
 artifact-cache lookups into hits.
 
-Two :class:`~repro.core.runner.ExecutionPolicy` knobs change what a
+Two :class:`~repro.simulator.scheduling.ExecutionPolicy` knobs change what a
 dispatched work item *is*:
 
 * ``share_graph=True`` — the process backend activates a
@@ -101,7 +101,6 @@ def execute(
             "artifacts on disk, or use backend='serial'"
         )
     events = events or events_path is not None
-    _warn_bare_controllers(sweep)
     _warn_unshardable(sweep, profile=profile, events=events)
     tagged = [
         (index, cell, _resolved_seed(sweep, index, cell))
@@ -162,34 +161,6 @@ def execute(
     if events_path is not None:
         _write_sweep_events(events_path, rows)
     return result
-
-
-def _warn_bare_controllers(sweep: Sweep) -> None:
-    """Warn (once per sweep) when a cell carries a bare fault controller.
-
-    The engine already deprecates ``faults=<controller instance>``, but
-    when the cell runs inside a pool worker that warning fires in the
-    worker process and never reaches the caller's terminal or an
-    ``-W error::DeprecationWarning`` test run.  Surfacing it here, on
-    the parent side before dispatch, keeps the sweep path as loud as the
-    direct ``run()`` path.
-    """
-    for cell in sweep.cells:
-        for faults in (cell.faults, cell.config.faults):
-            if (
-                faults is not None
-                and not isinstance(faults, Spec)
-                and not hasattr(faults, "build_controller")
-            ):
-                warnings.warn(
-                    "passing a bare fault controller as faults= is "
-                    "deprecated; pass a FaultPlan (or any object with a "
-                    "build_controller() factory) instead "
-                    f"(sweep cell {cell.label!r})",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                return
 
 
 def _warn_unshardable(sweep: Sweep, *, profile: bool, events: bool) -> None:

@@ -75,7 +75,7 @@ class FaultController:
             self._recoveries_by_round.setdefault(recovery, []).append(crash.node)
 
     def add_crash_rounds(self, crash_rounds: Mapping[int, int]) -> None:
-        """Merge the engine's back-compat ``crash_rounds`` mapping in."""
+        """Merge crash-stop faults from a ``node -> round`` mapping in."""
         for node, round_index in sorted(crash_rounds.items()):
             self._register(CrashFault(node, round_index))
 

@@ -11,7 +11,7 @@ runs — and every random choice they induce is derived from the plan's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, FrozenSet, Mapping, Optional, Tuple
 
 #: Undirected edge key: ``(min(u, v), max(u, v))``.
@@ -205,9 +205,8 @@ class FaultPlan:
     ) -> "FaultPlan":
         """Crash-stop faults from a ``node -> round`` mapping.
 
-        The named successor of the engine's deprecated ``crash_rounds=``
-        parameter: each node executes its round fully and then vanishes
-        without output, never to return.
+        Each node executes its round fully and then vanishes without
+        output, never to return.
         """
         crashes = tuple(
             CrashFault(node, round_index)
@@ -219,14 +218,6 @@ class FaultPlan:
     def message_loss(cls, rate: float, seed: int = 0) -> "FaultPlan":
         """A plan whose only fault is uniform message loss."""
         return cls(messages=MessageAdversary(drop_rate=rate), seed=seed)
-
-    def with_crash_rounds(self, crash_rounds: Mapping[int, int]) -> "FaultPlan":
-        """This plan plus crash-stop faults from a ``crash_rounds`` map."""
-        extra = tuple(
-            CrashFault(node, round_index)
-            for node, round_index in sorted(crash_rounds.items())
-        )
-        return replace(self, crashes=self.crashes + extra)
 
     # ------------------------------------------------------------------
     def build_controller(self):

@@ -121,7 +121,7 @@ def resolve_kernel(rt: Any, programs: Any) -> Any:
         )
     if rt.interposer is not None:
         raise UnsupportedScheduleError(
-            "fault injection (faults=/crash_rounds=) is interpreted-only; "
+            "fault injection (faults=) is interpreted-only; "
             "vectorized kernels have no per-message fault surface"
         )
     if getattr(rt.graph, "is_edgecut", False):

@@ -38,6 +38,7 @@ import threading
 import time
 import traceback
 from bisect import bisect_right
+from dataclasses import replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -65,7 +66,8 @@ _PICKLE = pickle.HIGHEST_PROTOCOL
 #: carries the boundary hooks).  ``vectorized`` reaches the kernel
 #: resolver, which rejects edge-cut views (or downgrades via
 #: ``fallback="interpret"``); ``async`` is rejected by
-#: :class:`~repro.core.runner.ExecutionPolicy` before a driver exists.
+#: :class:`~repro.simulator.scheduling.ExecutionPolicy` before a driver
+#: exists.
 _SUPPORTED_SCHEDULES = ("eager", "quiescent", "quiescent-debug", "vectorized")
 
 
@@ -325,8 +327,8 @@ def _build_shard_engine(
     """One shard's engine: an :class:`EdgecutView` plus a boundary
     transport, constructed exactly as :func:`repro.core.runner.run`
     builds the unsharded engine (same model/seed/budget resolution).
-    ``deadline_s`` stays with the coordinator — a shard stopping on its
-    own clock would desert the barrier.
+    The policy's ``deadline_s`` stays with the coordinator — a shard
+    stopping on its own clock would desert the barrier.
     """
     view = EdgecutView(graph, shard, shard_count)
     restricted = None
@@ -359,8 +361,7 @@ def _build_shard_engine(
         seed=config.effective_seed,
         on_round_limit=config.on_round_limit,
         fast=config.fast,
-        schedule=config.schedule,
-        fallback=config.fallback,
+        policy=replace(config.policy, deadline_s=None),
         transport=transport_factory,
     )
 
@@ -474,9 +475,10 @@ def _check_shardable(config: Any, shard_count: int) -> None:
         raise ValueError("edge-cut sharding cannot run fault plans")
     if config.trace or config.profile:
         raise ValueError("edge-cut sharding cannot capture traces or profiles")
-    if config.schedule not in _SUPPORTED_SCHEDULES:
+    schedule = config.policy.schedule
+    if schedule not in _SUPPORTED_SCHEDULES:
         raise ValueError(
-            f"edge-cut sharding does not support schedule={config.schedule!r}"
+            f"edge-cut sharding does not support schedule={schedule!r}"
         )
 
 
@@ -488,7 +490,7 @@ def _make_plan(
         shard_count,
         max_rounds=_resolved_max_rounds(config, graph),
         on_round_limit=config.on_round_limit,
-        deadline_s=config.deadline_s,
+        deadline_s=config.policy.deadline_s,
         bandwidth_budget=model.bandwidth_bits(graph.n),
     )
 

@@ -50,6 +50,7 @@ from repro.simulator.program import NodeProgram
 from repro.simulator.scheduling import (
     AsyncScheduler,
     EagerScheduler,
+    ExecutionPolicy,
     QuiescentDebugScheduler,
     QuiescentScheduler,
     Scheduler,
@@ -66,6 +67,7 @@ __all__ = [
     "DelayAdversary",
     "EagerScheduler",
     "ExecutionModel",
+    "ExecutionPolicy",
     "FaultInterposer",
     "LOCAL",
     "NodeContext",

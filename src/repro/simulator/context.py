@@ -85,7 +85,7 @@ class NodeContext:
         self._seed = seed
         self._rng: Optional[random.Random] = None
         #: Per-node send-timeout override for the async schedule
-        #: (``None`` = use the engine-wide default); see
+        #: (``None`` = use the policy's default); see
         #: :meth:`set_send_timeout`.
         self._send_timeout: Optional[int] = None
 
@@ -249,9 +249,9 @@ class NodeContext:
 
         When one of this node's sends is lost and a timeout is armed,
         the scheduler retransmits after ``ticks`` ticks with exponential
-        backoff, up to the engine's ``max_retries``.  ``None`` restores
-        the engine-wide default (``send_timeout=``, itself ``None`` —
-        no retries — unless configured).  A no-op under every
+        backoff, up to the policy's ``max_retries``.  ``None`` restores
+        the policy's ``send_timeout`` (itself ``None`` — no retries —
+        unless configured).  A no-op under every
         synchronous schedule, like :meth:`wake_at` under eager.
         """
         if ticks is not None and ticks < 1:

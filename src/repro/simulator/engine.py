@@ -31,6 +31,7 @@ exception, so benchmarks under faults can *measure* degradation.
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 from time import perf_counter
 from typing import (
     Any,
@@ -40,7 +41,6 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -52,7 +52,11 @@ from repro.simulator.metrics import NodeRecord, RunResult, StuckReport
 from repro.simulator.models import LOCAL, ExecutionModel
 from repro.simulator.obs_dispatch import ObsDispatch
 from repro.simulator.program import NodeProgram
-from repro.simulator.scheduling import SCHEDULERS, QuiescenceViolation
+from repro.simulator.scheduling import (
+    SCHEDULERS,
+    ExecutionPolicy,
+    QuiescenceViolation,
+)
 from repro.simulator.trace import TraceRecorder
 from repro.simulator.transport import (
     BandwidthExceeded,
@@ -115,15 +119,10 @@ class SyncEngine:
             ``result.profile``, on every schedule.  The scheduler's one
             round loop times itself, so a profiled run takes the same
             path as an unprofiled one and only adds clock reads.
-        crash_rounds: Deprecated fault injection — mapping
-            ``node -> round``; the node executes that round and then
-            vanishes without output.  Use
-            :meth:`repro.faults.plan.FaultPlan.crash_stop` instead.
         faults: A :class:`~repro.faults.plan.FaultPlan` (or any object
             with a ``build_controller()`` factory) describing crashes,
             crash-recovery, message adversaries and prediction
-            corruption.  Passing a bare controller instance is
-            deprecated and emits a :class:`DeprecationWarning`.
+            corruption.  Anything else raises :class:`TypeError`.
         on_round_limit: ``"raise"`` (default) raises
             :class:`RoundLimitExceeded` when the budget is blown;
             ``"partial"`` stops instead and returns the partial
@@ -133,45 +132,19 @@ class SyncEngine:
             maximum throughput; ``message_count`` is still maintained.
             Outputs, round counts and termination records are identical
             to a normal run.
-        schedule: Round-scheduling policy.  ``"eager"`` (default) runs
-            every active node every round.  ``"quiescent"`` skips nodes
-            whose programs declare ``quiescent_when_idle = True`` in
-            rounds with no wake reason (mail, neighbor event, setup or
-            recovery, timed wakeup via ``ctx.wake_at``), cutting frontier
-            workloads from Θ(n · rounds) to Θ(total activity) while
-            staying observationally identical.  ``"quiescent-debug"``
-            executes eagerly but raises :class:`QuiescenceViolation` when
-            an idle node acts.  ``"async"`` is the asynchronous execution
-            model of docs/MODEL.md: messages are delayed up to ``phi``
-            ticks by a seeded adversary, nodes fire on receipt, and a
-            stabilization detector quiesces starved runs.
-            ``"vectorized"`` executes compiled whole-frontier NumPy
-            kernels (:mod:`repro.kernels`) over the CSR buffers instead
-            of interpreting per-node programs — bit-identical outputs
-            and counters for the registered greedy families, an order
-            of magnitude faster at scale; unsupported runs raise
-            :class:`~repro.kernels.UnsupportedScheduleError` (see
-            ``fallback``).  See docs/PERFORMANCE.md.
-        phi: Delay bound (ticks) for the ``"async"`` schedule's
-            adversary; ``0`` (default) degenerates to synchronous
-            delivery.  Only meaningful with ``schedule="async"``.
-        send_timeout: Ticks an async sender waits before retransmitting
-            a lost message (exponential backoff, ``max_retries``
-            attempts); ``None`` (default) disables retries.  Only
-            meaningful with ``schedule="async"``.
-        max_retries: Retransmission budget per original send.
-        deadline_s: Optional wall-clock budget (seconds) for the whole
-            run.  A run that exceeds it stops *gracefully* — whatever
-            ``on_round_limit`` says — and returns the partial result
-            with a ``stuck`` report whose ``reason`` is ``"deadline"``,
-            so a hung cell can never wedge a sweep or CI job.
-        fallback: What to do when ``schedule="vectorized"`` cannot run
-            this instance (no kernel for the program family, fault
-            injection, event sinks, per-node program mappings).
-            ``None`` (default) raises
-            :class:`~repro.kernels.UnsupportedScheduleError`;
-            ``"interpret"`` warns and downgrades to the interpreted
-            ``"quiescent"`` schedule, which accepts any program.
+        policy: The :class:`~repro.simulator.scheduling.ExecutionPolicy`
+            — schedule choice plus its asynchrony, deadline and fallback
+            knobs; ``None`` means ``ExecutionPolicy()`` (eager).  The
+            policy validated its own fields, so the engine only reads
+            them.  A wall-clock ``deadline_s`` stops the run
+            *gracefully* — whatever ``on_round_limit`` says — with a
+            ``stuck`` report whose ``reason`` is ``"deadline"``.  Under
+            ``schedule="vectorized"`` a run no kernel can execute (no
+            kernel for the program family, fault injection, event
+            sinks, per-node program mappings) raises
+            :class:`~repro.kernels.UnsupportedScheduleError`, or with
+            ``fallback="interpret"`` warns and runs the interpreted
+            ``"quiescent"`` schedule instead.
         transport: Optional transport factory ``(nodes, result, model,
             n, fast) -> Transport``; ``None`` builds the default
             :class:`~repro.simulator.transport.LocalTransport`.  The
@@ -192,44 +165,20 @@ class SyncEngine:
         trace: Optional[TraceRecorder] = None,
         sinks: Optional[Sequence[Any]] = None,
         profile: Union[bool, RoundProfile, None] = None,
-        crash_rounds: Optional[Mapping[int, int]] = None,
         faults: Optional[Any] = None,
         on_round_limit: str = "raise",
         fast: bool = False,
-        schedule: str = "eager",
-        phi: int = 0,
-        send_timeout: Optional[int] = None,
-        max_retries: int = 2,
-        deadline_s: Optional[float] = None,
-        fallback: Optional[str] = None,
+        policy: Optional[ExecutionPolicy] = None,
         transport: Optional[TransportFactory] = None,
     ) -> None:
         if on_round_limit not in ("raise", "partial"):
             raise ValueError(
                 f"on_round_limit must be 'raise' or 'partial', got {on_round_limit!r}"
             )
-        if schedule not in SCHEDULERS:
-            known = ", ".join(repr(name) for name in SCHEDULERS)
-            raise ValueError(f"schedule must be one of {known}, got {schedule!r}")
-        if phi < 0:
-            raise ValueError(f"phi must be non-negative, got {phi}")
-        if (phi or send_timeout is not None) and schedule != "async":
-            raise ValueError(
-                "phi= and send_timeout= belong to the asynchronous model; "
-                f"pass schedule='async' (got schedule={schedule!r})"
-            )
-        if deadline_s is not None and deadline_s <= 0:
-            raise ValueError(f"deadline_s must be positive, got {deadline_s}")
-        if fallback not in (None, "interpret"):
-            raise ValueError(
-                f"fallback must be None or 'interpret', got {fallback!r}"
-            )
-        if crash_rounds:
-            warnings.warn(
-                "crash_rounds= is deprecated; pass "
-                "faults=FaultPlan.crash_stop({node: round, ...}) instead",
-                DeprecationWarning,
-                stacklevel=2,
+        if faults is not None and not hasattr(faults, "build_controller"):
+            raise TypeError(
+                "faults= takes a FaultPlan (or any object with a "
+                f"build_controller() factory), got {type(faults).__name__}"
             )
         self.graph = graph
         self.model = model
@@ -239,24 +188,20 @@ class SyncEngine:
         self.max_rounds = max_rounds if max_rounds is not None else 8 * graph.n + 64
         self.on_round_limit = on_round_limit
         self.fast = fast
-        self.schedule = schedule
-        #: Async-model knobs (read by the async scheduler at bind time;
-        #: inert under every synchronous policy).
-        self.phi = phi
-        self.send_timeout = send_timeout
-        self.max_retries = max_retries
-        self.deadline_s = deadline_s
+        #: How this run executes (the async scheduler reads its knobs at
+        #: bind time); after a vectorized fallback, the quiescent policy
+        #: that actually runs.
+        self.policy = policy if policy is not None else ExecutionPolicy()
         #: The scheduling stage: which nodes run a round, and the
         #: compose/deliver/process drive.
-        self._scheduler = SCHEDULERS[schedule]()
+        self._scheduler = SCHEDULERS[self.policy.schedule]()
         self._seed = seed
         #: The run's result record, shared with transport and interposer.
         self.result = RunResult(model=model)
-        controller = self._resolve_faults(faults, crash_rounds)
         #: The fault stage, or ``None`` — faultless runs pay nothing.
         self.interposer: Optional[FaultInterposer] = (
-            FaultInterposer(controller, self.result, self.obs)
-            if controller is not None
+            FaultInterposer(faults.build_controller(), self.result, self.obs)
+            if faults is not None
             else None
         )
         predictions = dict(predictions or {})
@@ -282,7 +227,7 @@ class SyncEngine:
             try:
                 self._kernel = resolve_kernel(self, programs)
             except UnsupportedScheduleError as exc:
-                if fallback != "interpret":
+                if self.policy.fallback != "interpret":
                     raise
                 warnings.warn(
                     f"schedule='vectorized' cannot run this instance "
@@ -291,8 +236,10 @@ class SyncEngine:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                self.schedule = schedule = "quiescent"
-                self._scheduler = SCHEDULERS[schedule]()
+                self.policy = replace(
+                    self.policy, schedule="quiescent", fallback=None
+                )
+                self._scheduler = SCHEDULERS["quiescent"]()
 
         self.programs: Dict[int, NodeProgram] = {}
         self.contexts: Dict[int, NodeContext] = {}
@@ -331,48 +278,6 @@ class SyncEngine:
         self._lifecycle = NodeLifecycle(self)
         self._scheduler.bind(self)
 
-    # -- compat: pre-layering attribute names -----------------------------
-    @property
-    def _sinks(self) -> Tuple[Any, ...]:
-        return self.obs.sinks
-
-    @property
-    def _profile(self) -> Optional[RoundProfile]:
-        return self.obs.profile
-
-    @property
-    def _result(self) -> RunResult:
-        return self.result
-
-    @staticmethod
-    def _resolve_faults(
-        faults: Optional[Any], crash_rounds: Optional[Mapping[int, int]]
-    ) -> Optional[Any]:
-        """Normalize ``faults``/``crash_rounds`` into one controller."""
-        controller = None
-        if faults is not None:
-            if hasattr(faults, "build_controller"):
-                controller = faults.build_controller()
-            else:
-                warnings.warn(
-                    "passing a bare fault controller as faults= is deprecated; "
-                    "pass a FaultPlan (or any object with a build_controller() "
-                    "factory) instead",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-                controller = faults
-        if crash_rounds:
-            if controller is None:
-                # Imported here: the simulator package must stay importable
-                # without repro.faults (which itself imports the simulator).
-                from repro.faults.plan import FaultPlan
-
-                controller = FaultPlan.from_crash_rounds(crash_rounds).build_controller()
-            else:
-                controller.add_crash_rounds(crash_rounds)
-        return controller
-
     def _build_context(self, node: int) -> NodeContext:
         return NodeContext(
             node_id=node,
@@ -383,7 +288,7 @@ class SyncEngine:
             prediction=self._predictions.get(node),
             attrs=self.graph.node_attrs(node),
             seed=self._seed,
-            phi=self.phi,
+            phi=self.policy.phi,
         )
 
     # ------------------------------------------------------------------
@@ -416,9 +321,8 @@ class SyncEngine:
             self._setup_phase()
         run_round = self._scheduler.run_round
         round_index = 0
-        run_deadline = (
-            None if self.deadline_s is None else perf_counter() + self.deadline_s
-        )
+        deadline_s = self.policy.deadline_s
+        run_deadline = None if deadline_s is None else perf_counter() + deadline_s
         while self._active or self._has_pending_recoveries(round_index):
             if stop_after is not None and round_index >= stop_after:
                 break

@@ -39,7 +39,7 @@ class NodeProgram:
 
     Quiescence (the idle contract).  A program may set the class attribute
     ``quiescent_when_idle = True`` to opt into the engine's quiescence
-    scheduler (``run(..., schedule="quiescent")``).  Doing so promises
+    scheduler (``ExecutionPolicy(schedule="quiescent")``).  Doing so promises
     that in any round where the node is *idle* — it received no message in
     the previous round, no neighbor terminated/crashed/recovered since it
     last ran, and no timed wakeup (:meth:`NodeContext.wake_at` /

@@ -31,10 +31,16 @@ Writing a new scheduler means subclassing :class:`Scheduler`, overriding
 the per-round reads it needs, and wiring the wake hooks (``note_state``,
 ``on_terminated``/``on_crashed``/``on_recovered``) if the policy needs
 per-round wake state; see docs/ARCHITECTURE.md.
+
+:class:`ExecutionPolicy` is how a caller picks a schedule and its knobs,
+validated against the :data:`SCHEDULERS` registry below.  It is the one
+execution surface of every layer: ``run()``/``RunConfig``, the sweep
+cells and :class:`~repro.simulator.engine.SyncEngine` itself.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -447,7 +453,7 @@ class AsyncScheduler(QuiescentScheduler):
       in flight and lands at the start of tick ``tick + delta`` (waking
       its receiver), charged to the transport at delivery time.
     * **Send timeouts with bounded retry** — when the interposer drops a
-      send and a send timeout is armed (engine-wide ``send_timeout`` or
+      send and a send timeout is armed (the policy's ``send_timeout`` or
       per-node ``ctx.set_send_timeout``), the sender retransmits after
       an exponential backoff (``timeout * 2**(attempt-1)`` ticks), up to
       ``max_retries`` times; the retransmission is re-adjudicated and
@@ -479,7 +485,7 @@ class AsyncScheduler(QuiescentScheduler):
         #: due tick -> [(sender, receiver, payload, attempt)].
         self._retries: Dict[int, List[Tuple[int, int, Any, int]]] = {}
         self._adversary = DelayAdversary(0, 0)
-        self._policy = RetryPolicy()
+        self._retry = RetryPolicy()
         #: Whether the previous tick was a stabilization pulse that has
         #: not yet provoked any activity.
         self._pulsed = False
@@ -492,9 +498,10 @@ class AsyncScheduler(QuiescentScheduler):
 
     def bind(self, rt: Any) -> None:
         super().bind(rt)
-        self._adversary = DelayAdversary(rt.phi, rt._seed)
-        self._policy = RetryPolicy(rt.send_timeout, rt.max_retries)
-        self._live = rt.phi > 0 or rt.send_timeout is not None
+        policy = rt.policy
+        self._adversary = DelayAdversary(policy.phi, rt._seed)
+        self._retry = RetryPolicy(policy.send_timeout, policy.max_retries)
+        self._live = policy.phi > 0 or policy.send_timeout is not None
 
     # -- async bookkeeping ----------------------------------------------
     def _has_future_work(self, round_index: int) -> bool:
@@ -539,10 +546,10 @@ class AsyncScheduler(QuiescentScheduler):
                 timeout = (
                     ctx_timeout
                     if ctx_timeout is not None
-                    else self._policy.send_timeout
+                    else self._retry.send_timeout
                 )
                 if timeout is not None:
-                    due = self._policy.retry_due(tick, attempt + 1, timeout)
+                    due = self._retry.retry_due(tick, attempt + 1, timeout)
                     if due is not None:
                         self._retries.setdefault(due, []).append(
                             (sender, receiver, payload, attempt + 1)
@@ -710,6 +717,118 @@ SCHEDULERS = {
     "async": AsyncScheduler,
     "vectorized": VectorizedScheduler,
 }
+
+
+@dataclass(frozen=True)
+class ExecutionPolicy:
+    """How rounds are driven: schedule choice plus its tuning knobs.
+
+    The one way to say how a run executes, at every layer: ``run()`` and
+    :class:`~repro.core.runner.RunConfig` carry one, sweep cells carry
+    one, and :class:`~repro.simulator.engine.SyncEngine` takes one.
+    Frozen and hashable, so policies can be shared across sweep cells and
+    compared; :func:`repro.schedules` lists the valid ``schedule`` names
+    with their capabilities.  Every field is checked here, once, so a
+    policy object is valid by the time a run sees it.
+
+    Attributes:
+        schedule: Round scheduling policy — ``"eager"`` (every live node
+            every round), ``"quiescent"`` (skip nodes that declare
+            ``quiescent_when_idle`` and cannot observably act this
+            round; observationally identical, much faster on frontier
+            workloads), ``"quiescent-debug"`` (run eagerly but raise
+            :class:`QuiescenceViolation` if a node the quiescent
+            schedule would have skipped acts), ``"async"`` (the
+            asynchronous model: adversarial delivery delays up to
+            ``phi`` ticks, fire-on-receipt scheduling, send timeouts and
+            stabilization detection), or ``"vectorized"`` (compiled
+            whole-frontier NumPy kernels over the CSR buffers —
+            bit-identical to the interpreted engine for the registered
+            greedy families, an order of magnitude faster at scale; see
+            docs/PERFORMANCE.md).
+        phi: Delay bound for the ``"async"`` schedule's adversary
+            (``0`` = synchronous delivery; requires
+            ``schedule="async"`` when nonzero).
+        send_timeout: Async sender-side retransmission timeout (ticks,
+            at least 1); ``None`` disables retries.  Requires
+            ``schedule="async"``.
+        max_retries: Retransmission budget per lost send (non-negative).
+        deadline_s: Wall-clock budget (seconds) per run; exceeding it
+            returns a partial result with a ``stuck`` report
+            (``reason="deadline"``) instead of hanging, whatever
+            ``on_round_limit`` says.
+        fallback: For ``schedule="vectorized"`` runs the kernels cannot
+            execute: ``None`` (default) raises
+            :class:`~repro.kernels.UnsupportedScheduleError`;
+            ``"interpret"`` warns and runs the interpreted
+            ``"quiescent"`` schedule instead.
+        share_graph: Sweep-level zero-copy flag — the process-pool
+            backend activates a :class:`~repro.shard.store.SharedCSRStore`
+            when any cell requests it, so CSR buffers cross the pool
+            boundary once as shared segments instead of per-chunk
+            pickles.  A no-op for single runs and the serial backend
+            (nothing ships).
+        shard: ``"components"`` splits the cell's graph by connected
+            components across pool workers and merges the shard results
+            into one bit-identical row (see :mod:`repro.shard`).
+            ``"edgecut"`` block-partitions the identifier space of a
+            (possibly connected) graph and runs one engine per block,
+            exchanging boundary messages at a per-round barrier
+            (see :mod:`repro.shard.edgecut`) — also bit-identical.
+            ``None`` (default) runs unsharded.  Incompatible with
+            ``schedule="async"``: the delay adversary draws from
+            tick-global streams, so isolation does not hold.
+    """
+
+    schedule: str = "eager"
+    phi: int = 0
+    send_timeout: Optional[int] = None
+    max_retries: int = 2
+    deadline_s: Optional[float] = None
+    fallback: Optional[str] = None
+    share_graph: bool = False
+    shard: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.schedule not in SCHEDULERS:
+            known = ", ".join(repr(name) for name in SCHEDULERS)
+            raise ValueError(
+                f"schedule must be one of {known}, got {self.schedule!r}"
+            )
+        if self.phi < 0:
+            raise ValueError(f"phi must be non-negative, got {self.phi}")
+        if (self.phi or self.send_timeout is not None) and self.schedule != "async":
+            raise ValueError(
+                "phi= and send_timeout= belong to the asynchronous model; "
+                f"pass schedule='async' (got schedule={self.schedule!r})"
+            )
+        # The retry policy the async scheduler builds from these fields:
+        # constructing it here applies its range checks on every schedule.
+        RetryPolicy(self.send_timeout, self.max_retries)
+        if self.deadline_s is not None and self.deadline_s <= 0:
+            raise ValueError(
+                f"deadline_s must be positive, got {self.deadline_s}"
+            )
+        if self.fallback not in (None, "interpret"):
+            raise ValueError(
+                f"fallback must be None or 'interpret', got {self.fallback!r}"
+            )
+        if self.fallback is not None and self.schedule != "vectorized":
+            raise ValueError(
+                "fallback= only applies to schedule='vectorized' "
+                f"(got schedule={self.schedule!r})"
+            )
+        if self.shard not in (None, "components", "edgecut"):
+            raise ValueError(
+                "shard must be None, 'components' or 'edgecut', "
+                f"got {self.shard!r}"
+            )
+        if self.shard is not None and self.schedule == "async":
+            raise ValueError(
+                f"shard={self.shard!r} cannot run under schedule='async': "
+                "the asynchronous delay adversary draws from tick-global "
+                "streams, so sharded and unsharded runs would diverge"
+            )
 
 
 def schedule_capabilities() -> Dict[str, Dict[str, Any]]:

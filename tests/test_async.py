@@ -16,7 +16,7 @@ import pytest
 from repro.core import ExecutionPolicy, RunConfig, run
 from repro.faults import FaultPlan
 from repro.faults.plan import MessageAdversary
-from repro.graphs import erdos_renyi, line, ring
+from repro.graphs import erdos_renyi, line
 from repro.obs import MemoryEventSink, async_telemetry
 from repro.simulator import (
     DelayAdversary,
@@ -83,10 +83,12 @@ def _run_async(graph, factory, *, phi=0, send_timeout=None, max_retries=2,
         factory,
         faults=faults,
         seed=seed,
-        schedule="async",
-        phi=phi,
-        send_timeout=send_timeout,
-        max_retries=max_retries,
+        policy=ExecutionPolicy(
+            schedule="async",
+            phi=phi,
+            send_timeout=send_timeout,
+            max_retries=max_retries,
+        ),
         max_rounds=max_rounds,
         on_round_limit="partial",
         sinks=[sink],
@@ -155,9 +157,6 @@ class TestRetryPolicy:
 # ----------------------------------------------------------------------
 class TestAsyncConfig:
     def test_phi_requires_async_schedule(self):
-        graph = ring(4)
-        with pytest.raises(ValueError, match="async"):
-            SyncEngine(graph, lambda n: WaiterProgram(), phi=2)
         with pytest.raises(ValueError, match="async"):
             ExecutionPolicy(phi=2, schedule="eager")
 
@@ -168,9 +167,6 @@ class TestAsyncConfig:
     def test_negative_phi_rejected(self):
         with pytest.raises(ValueError, match="phi"):
             ExecutionPolicy(phi=-1, schedule="async")
-        with pytest.raises(ValueError, match="phi"):
-            SyncEngine(ring(4), lambda n: WaiterProgram(),
-                       schedule="async", phi=-1)
 
     def test_profiled_async_run(self):
         """Async runs profile like every schedule: one sample per tick,
@@ -183,8 +179,8 @@ class TestAsyncConfig:
             sink = MemoryEventSink()
             engine = SyncEngine(
                 graph, lambda n: PingProgram(), faults=plan, sinks=[sink],
-                schedule="async", phi=2, send_timeout=2, max_rounds=300,
-                on_round_limit="partial", profile=profile,
+                policy=ExecutionPolicy(schedule="async", phi=2, send_timeout=2),
+                max_rounds=300, on_round_limit="partial", profile=profile,
             )
             return engine.run(), sink.events
 
@@ -204,10 +200,9 @@ class TestAsyncConfig:
         )
 
     def test_deadline_validation(self):
-        with pytest.raises(ValueError, match="deadline"):
-            ExecutionPolicy(deadline_s=0)
-        with pytest.raises(ValueError, match="deadline"):
-            SyncEngine(ring(4), lambda n: WaiterProgram(), deadline_s=-1.0)
+        for deadline_s in (0, -1.0):
+            with pytest.raises(ValueError, match="deadline"):
+                ExecutionPolicy(deadline_s=deadline_s)
 
     def test_run_accepts_async_overrides(self):
         from repro.algorithms.mis.greedy import GreedyMISAlgorithm
@@ -403,7 +398,8 @@ class TestStabilization:
     def test_stabilization_raises_under_raise_mode(self):
         graph = erdos_renyi(6, 0.5, seed=3)
         engine = SyncEngine(graph, lambda n: WaiterProgram(),
-                            schedule="async", phi=2, max_rounds=500)
+                            policy=ExecutionPolicy(schedule="async", phi=2),
+                            max_rounds=500)
         with pytest.raises(RoundLimitExceeded, match="stabilized"):
             engine.run()
 
@@ -431,11 +427,14 @@ class TestStabilization:
 # ----------------------------------------------------------------------
 # Wall-clock deadlines
 # ----------------------------------------------------------------------
+DEADLINE = ExecutionPolicy(deadline_s=0.15)
+
+
 class TestDeadline:
     def test_deadline_returns_partial_result(self):
         graph = erdos_renyi(30, 0.5, seed=1)
         engine = SyncEngine(graph, lambda n: SpinnerProgram(),
-                            max_rounds=10**9, deadline_s=0.15,
+                            max_rounds=10**9, policy=DEADLINE,
                             on_round_limit="partial")
         result = engine.run()
         assert result.stuck is not None
@@ -446,7 +445,7 @@ class TestDeadline:
         """deadline_s exists so CI cannot hang; it never raises."""
         graph = erdos_renyi(30, 0.5, seed=1)
         engine = SyncEngine(graph, lambda n: SpinnerProgram(),
-                            max_rounds=10**9, deadline_s=0.15)
+                            max_rounds=10**9, policy=DEADLINE)
         result = engine.run()
         assert result.stuck is not None
         assert result.stuck.reason == "deadline"
@@ -456,7 +455,7 @@ class TestDeadline:
 
         graph = erdos_renyi(12, 0.3, seed=2)
         engine = SyncEngine(graph, lambda n: GreedyMISProgram(),
-                            deadline_s=30.0)
+                            policy=ExecutionPolicy(deadline_s=30.0))
         result = engine.run()
         assert result.stuck is None
         assert result.all_terminated

@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultPlan
 from repro.graphs import erdos_renyi
-from repro.simulator import NodeProgram, SyncEngine, TraceRecorder
+from repro.simulator import (
+    ExecutionPolicy,
+    NodeProgram,
+    SyncEngine,
+    TraceRecorder,
+)
 
 
 class FuzzProgram(NodeProgram):
@@ -122,7 +127,7 @@ def _run_collect(graph, factory, schedule, plan, profile=False):
         factory,
         faults=plan,
         sinks=[sink],
-        schedule=schedule,
+        policy=ExecutionPolicy(schedule=schedule),
         max_rounds=200,
         on_round_limit="partial",
         profile=profile,
@@ -232,7 +237,7 @@ class TestQuiescentDifferentialFuzz:
             graph,
             lambda node: GreedyMISProgram(),
             faults=plan,
-            schedule="quiescent-debug",
+            policy=ExecutionPolicy(schedule="quiescent-debug"),
             max_rounds=200,
             on_round_limit="partial",
         )
@@ -243,19 +248,30 @@ class TestQuiescentDifferentialFuzz:
 # Old-vs-new differential: the layered runtime vs the frozen monolith
 # ----------------------------------------------------------------------
 
+def _engine(engine_cls, graph, factory, schedule, **kwargs):
+    """``engine_cls`` on ``schedule``: the frozen monolith takes it as its
+    ``schedule=`` keyword, :class:`SyncEngine` inside an ExecutionPolicy."""
+    if engine_cls is SyncEngine:
+        kwargs["policy"] = ExecutionPolicy(schedule=schedule)
+    else:
+        kwargs["schedule"] = schedule
+    return engine_cls(graph, factory, **kwargs)
+
+
 def _observables(engine_cls, graph, factory, plan, schedule, predictions=None):
     """Everything observable about one run: outputs, counters, records,
     the stuck report footprint and the exact event stream (order included)."""
     from repro.obs import MemoryEventSink
 
     sink = MemoryEventSink()
-    engine = engine_cls(
+    engine = _engine(
+        engine_cls,
         graph,
         factory,
+        schedule,
         predictions=predictions,
         faults=plan,
         sinks=[sink],
-        schedule=schedule,
         max_rounds=200,
         on_round_limit="partial",
     )
@@ -384,8 +400,8 @@ class TestLayeredRuntimeDifferential:
         name, factory = self._families(seed)[seed % 5]
 
         def outcome(engine_cls, schedule, profile=False):
-            engine = engine_cls(
-                graph, factory, model=model, schedule=schedule,
+            engine = _engine(
+                engine_cls, graph, factory, schedule, model=model,
                 max_rounds=200, on_round_limit="partial", profile=profile,
             )
             result = engine.result if engine_cls is SyncEngine else engine._result
@@ -433,9 +449,9 @@ def _run_async_collect(graph, factory, plan, *, phi, seed=0, send_timeout=None):
         factory,
         faults=plan,
         sinks=[sink],
-        schedule="async",
-        phi=phi,
-        send_timeout=send_timeout,
+        policy=ExecutionPolicy(
+            schedule="async", phi=phi, send_timeout=send_timeout
+        ),
         seed=seed,
         max_rounds=200,
         on_round_limit="partial",

@@ -602,7 +602,7 @@ class TestBrokenPoolRecovery:
 
 
 # ----------------------------------------------------------------------
-# Bare-controller deprecation through the sweep path
+# Fault plans through the sweep path (bare controllers: test_faults.py)
 # ----------------------------------------------------------------------
 class TestSweepBareControllerWarning:
     def _sweep(self, faults):
@@ -620,18 +620,6 @@ class TestSweepBareControllerWarning:
             config=RunConfig(max_rounds=50, on_round_limit="partial"),
         )
         return sweep
-
-    def test_bare_controller_warns_from_sweep(self):
-        """The engine-side deprecation fires inside pool workers where
-        nobody sees it; the sweep path must warn on the parent side."""
-        from repro.faults import FaultPlan
-
-        controller = FaultPlan.crash_stop({1: 2}).build_controller()
-        # Broad capture: the serial run also fires the engine-side
-        # deprecation, which must not leak (and -W error would promote it).
-        with pytest.warns(DeprecationWarning) as record:
-            self._sweep(controller).run("serial")
-        assert any("sweep cell 'a'" in str(w.message) for w in record)
 
     def test_fault_plan_does_not_warn(self):
         from repro.faults import FaultPlan

@@ -5,8 +5,8 @@ what happens outside it.  These tests pin down the subsystem's contracts:
 declarative plans validate their inputs, every adversarial decision is a
 deterministic function of (seed, round, edge), crash-recovery rejoins
 nodes with fresh state, partial runs return a measurable
-:class:`StuckReport`, and the legacy ``crash_rounds`` path is exactly
-equivalent to the plan it desugars into.
+:class:`StuckReport`, and ``faults=`` takes a plan, never a bare
+controller.
 """
 
 import pytest
@@ -270,26 +270,6 @@ class TestCrashRecovery:
         assert result.records[3].recovery_round is None
         assert 3 not in result.outputs
 
-    def test_crash_rounds_backcompat_equivalence(self):
-        """Legacy crash_rounds= warns, and the plan it desugars to is
-        identical to FaultPlan.crash_stop."""
-        graph = erdos_renyi(24, 0.2, seed=7)
-        crash_rounds = {5: 2, 9: 4}
-        with pytest.warns(DeprecationWarning, match="crash_stop"):
-            legacy = run(
-                GreedyMISAlgorithm(),
-                graph,
-                crash_rounds=crash_rounds,
-                max_rounds=1000,
-            )
-        plan = run(
-            GreedyMISAlgorithm(),
-            graph,
-            faults=FaultPlan.from_crash_rounds(crash_rounds),
-            max_rounds=1000,
-        )
-        assert repr(legacy) == repr(plan)
-
 
 class TestPredictionAdversary:
     def test_flips_are_seeded_and_partial(self):
@@ -442,46 +422,25 @@ class TestChurnEdgePerturbation:
 
 
 class TestBareControllerDeprecation:
-    """Passing a pre-built controller as ``faults=`` is a legacy entry
-    point: it bypasses the plan layer and couples callers to the engine's
-    internal hook API.  The shim still works but warns."""
+    """Passing a pre-built controller as ``faults=`` was a 1.x entry
+    point that bypassed the plan layer and coupled callers to the
+    engine's internal hook API.  Since 2.0 it is refused, directly and
+    from a sweep cell alike."""
 
-    def test_bare_controller_warns(self):
+    def test_bare_controller_is_refused(self):
         from repro.algorithms.mis.greedy import GreedyMISProgram
+        from repro.exec import GraphSpec, Sweep
 
-        plan = FaultPlan.message_loss(0.4, seed=7)
-        graph = line(8)
-        with pytest.warns(DeprecationWarning, match="bare fault controller"):
-            engine = SyncEngine(
-                graph,
-                lambda node: GreedyMISProgram(),
-                faults=plan.build_controller(),
-            )
-        assert engine.interposer is not None
-
-    def test_bare_controller_behaves_like_the_plan(self):
-        import warnings
-
-        from repro.algorithms.mis.greedy import GreedyMISProgram
-
-        plan = FaultPlan.message_loss(0.4, seed=7)
-        graph = line(8)
-
-        def outcome(faults):
-            engine = SyncEngine(
-                graph,
-                lambda node: GreedyMISProgram(),
-                faults=faults,
-                max_rounds=60,
-                on_round_limit="partial",
-            )
-            result = engine.run()
-            return (result.outputs, result.rounds, result.dropped_messages)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = outcome(plan.build_controller())
-        assert legacy == outcome(plan)
+        controller = FaultPlan.message_loss(0.4, seed=7).build_controller()
+        with pytest.raises(TypeError, match="FaultPlan"):
+            SyncEngine(line(8), lambda node: GreedyMISProgram(),
+                       faults=controller)
+        sweep = Sweep(name="bare", base_seed=1)
+        sweep.add("a", GraphSpec.of("ring", 6), "mis_simple",
+                  predictions="all_zeros_mis", faults=controller,
+                  problem="mis", seed=0)
+        with pytest.raises(TypeError, match="FaultPlan"):
+            sweep.run("serial")
 
     def test_plan_path_does_not_warn(self):
         import warnings

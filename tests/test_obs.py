@@ -134,8 +134,8 @@ class TestEventSinks:
         result = run(algorithm, graph, predictions, seed=1)
         assert result.profile is None
         engine = SyncEngine(grid2d(2, 2), lambda v: _Noop())
-        assert engine._sinks == ()
-        assert engine._profile is None
+        assert engine.obs.sinks == ()
+        assert engine.obs.profile is None
 
     def test_custom_sink_needs_only_the_hooks_it_wants(self):
         class CountingSink(EventSink):

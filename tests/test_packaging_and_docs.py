@@ -1,6 +1,7 @@
 """Repository hygiene: packaging, exports, docstrings, documentation."""
 
 import importlib
+import importlib.metadata
 import pathlib
 import pkgutil
 
@@ -21,7 +22,14 @@ def all_repro_modules():
 
 class TestPackaging:
     def test_version(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "2.0.0"
+        # pyproject.toml reads its version from repro.__version__, so an
+        # installed distribution (e.g. ``pip install -e .``) must agree.
+        try:
+            installed = importlib.metadata.version("repro")
+        except importlib.metadata.PackageNotFoundError:
+            return
+        assert installed == repro.__version__
 
     def test_all_exports_resolve(self):
         for name in repro.__all__:

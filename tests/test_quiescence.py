@@ -44,6 +44,7 @@ from repro.simulator import (
 )
 
 MIS_ALG = GreedyMISAlgorithm()
+DEBUG = ExecutionPolicy(schedule="quiescent-debug")
 MATCHING_ALG = GreedyMatchingAlgorithm()
 COLORING_ALG = PaletteGreedyColoringAlgorithm()
 
@@ -195,15 +196,13 @@ class _SilentLiar(NodeProgram):
 class TestQuiescenceViolation:
     def test_idle_send_is_rejected(self):
         engine = SyncEngine(
-            line(6), lambda node: _ChattyLiar(node), schedule="quiescent-debug"
+            line(6), lambda node: _ChattyLiar(node), policy=DEBUG
         )
         with pytest.raises(QuiescenceViolation, match="non-empty outbox"):
             engine.run()
 
     def test_idle_termination_is_rejected(self):
-        engine = SyncEngine(
-            line(6), lambda node: _SilentLiar(), schedule="quiescent-debug"
-        )
+        engine = SyncEngine(line(6), lambda node: _SilentLiar(), policy=DEBUG)
         with pytest.raises(QuiescenceViolation):
             engine.run()
 
@@ -218,8 +217,6 @@ class TestScheduleConfig:
     def test_unknown_schedule_rejected(self):
         with pytest.raises(ValueError, match="schedule"):
             ExecutionPolicy(schedule="lazy")
-        with pytest.raises(ValueError, match="schedule"):
-            SyncEngine(line(3), lambda node: _SilentLiar(), schedule="lazy")
 
     def test_debug_supports_profiling(self):
         """The debug schedule profiles through the shared round loop:

@@ -2,6 +2,8 @@
 
 import pytest
 
+import repro
+import repro.core
 from repro.algorithms.mis import GreedyMISAlgorithm, LinialMISAlgorithm
 from repro.bench.algorithms import (
     coloring_consecutive,
@@ -19,11 +21,30 @@ from repro.bench.algorithms import (
     mis_rooted_simple,
     mis_simple,
 )
-from repro.core import RunConfig, run, run_with_trace
+from repro.core import RunConfig, run
 from repro.graphs import erdos_renyi, line, random_rooted_tree
 from repro.predictions import noisy_predictions
 from repro.problems import EDGE_COLORING, MATCHING, MIS, VERTEX_COLORING
+from repro.simulator import SyncEngine
 from repro.simulator.models import LOCAL, strict_congest
+
+#: 1.x spellings that 2.0 removed; each must now fail to bind.
+REMOVED_SPELLINGS = {
+    "run-schedule": lambda g: run(
+        GreedyMISAlgorithm(), g, schedule="quiescent"
+    ),
+    "runconfig-schedule": lambda g: RunConfig(schedule="quiescent"),
+    "run-crash-rounds": lambda g: run(
+        GreedyMISAlgorithm(), g, crash_rounds={1: 1}
+    ),
+    "engine-crash-rounds": lambda g: SyncEngine(
+        g, lambda node: GreedyMISAlgorithm().build_program(),
+        crash_rounds={1: 1},
+    ),
+    "engine-phi": lambda g: SyncEngine(
+        g, lambda node: GreedyMISAlgorithm().build_program(), phi=2
+    ),
+}
 
 
 class TestRunner:
@@ -51,16 +72,12 @@ class TestRunner:
     def test_run_without_trace_has_no_recorder(self, path5):
         assert run(GreedyMISAlgorithm(), path5).trace is None
 
-    def test_run_with_trace_deprecated_wrapper(self, path5):
-        with pytest.warns(DeprecationWarning, match="trace=True"):
-            result, trace = run_with_trace(GreedyMISAlgorithm(), path5)
-        assert trace is result.trace
-        assert trace.termination_rounds()
-
-    def test_run_with_trace_requires_predictions_too(self, path5):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                run_with_trace(mis_simple(), path5)
+    @pytest.mark.parametrize("spelling", sorted(REMOVED_SPELLINGS))
+    def test_removed_1x_spellings_are_refused(self, path5, spelling):
+        with pytest.raises(TypeError):
+            REMOVED_SPELLINGS[spelling](path5)
+        assert "run_with_trace" not in repro.__all__
+        assert not hasattr(repro.core, "run_with_trace")
 
     def test_run_config_is_single_entrypoint(self, path5):
         by_config = run(

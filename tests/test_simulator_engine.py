@@ -5,6 +5,7 @@ import pytest
 from repro.faults import FaultPlan
 from repro.graphs import line, ring, star
 from repro.simulator import (
+    ExecutionPolicy,
     NodeProgram,
     RoundLimitExceeded,
     SyncEngine,
@@ -206,7 +207,7 @@ class TestMetricsAndModels:
         with pytest.raises(BandwidthExceeded, match="in round 1 "):
             SyncEngine(
                 line(3), lambda v: Wide(), model=strict_congest(2),
-                schedule=schedule,
+                policy=ExecutionPolicy(schedule=schedule),
             ).run()
 
     def test_non_strict_model_records_violations(self):

@@ -144,7 +144,7 @@ class TestSchedules:
 
 
 # ----------------------------------------------------------------------
-# ExecutionPolicy and the deprecation shim
+# ExecutionPolicy: the one execution surface
 # ----------------------------------------------------------------------
 class TestExecutionPolicy:
     def test_policy_is_hashable_and_validated(self):
@@ -155,23 +155,20 @@ class TestExecutionPolicy:
             ExecutionPolicy(schedule="vectorized", fallback="nope")
         with pytest.raises(ValueError, match="vectorized"):
             ExecutionPolicy(schedule="eager", fallback="interpret")
+        # Range checks run when the policy is built, on every schedule,
+        # not when an async run first binds its retry policy.
+        with pytest.raises(ValueError, match="send_timeout"):
+            ExecutionPolicy(schedule="async", send_timeout=0)
+        with pytest.raises(ValueError, match="max_retries"):
+            ExecutionPolicy(schedule="async", max_retries=-1)
+        with pytest.raises(ValueError, match="max_retries"):
+            ExecutionPolicy(max_retries=-1)
 
     def test_runconfig_exposes_policy_fields(self):
         config = RunConfig(policy=ExecutionPolicy(schedule="async", phi=2))
-        assert config.schedule == "async"
-        assert config.phi == 2
+        assert config.policy.schedule == "async"
         assert config.policy.phi == 2
-
-    def test_flat_kwargs_warn_on_runconfig(self):
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            config = RunConfig(schedule="quiescent")
-        assert config.policy == ExecutionPolicy(schedule="quiescent")
-
-    def test_flat_kwargs_warn_on_run(self):
-        graph = line(6)
-        with pytest.warns(DeprecationWarning, match="ExecutionPolicy"):
-            result = run(GreedyMISAlgorithm(), graph, schedule="quiescent")
-        assert result.all_terminated
+        assert not hasattr(config, "schedule")  # one spelling: config.policy
 
     def test_policy_kwarg_does_not_warn(self):
         graph = line(6)
@@ -185,10 +182,12 @@ class TestExecutionPolicy:
         config = RunConfig(seed=1)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            updated = config.with_overrides(schedule="vectorized", seed=2)
-        assert updated.schedule == "vectorized"
+            updated = config.with_overrides(policy=VECTORIZED, seed=2)
+        assert updated.policy is VECTORIZED
         assert updated.seed == 2
-        assert config.schedule == "eager"  # frozen original untouched
+        assert config.policy == ExecutionPolicy()  # frozen original untouched
+        with pytest.raises(TypeError):
+            config.with_overrides(schedule="vectorized")  # no flat folding
 
 
 # ----------------------------------------------------------------------
