@@ -121,7 +121,12 @@ def test_e28_round_loop_speedup(once):
 
 def test_e28_million_node_scaling(once):
     """The headline scale: greedy MIS on a random tree at REPRO_E28_N
-    (10^6 by default) end to end through run(), with a scaling table."""
+    (10^6 by default) end to end through run(), with a scaling table.
+
+    Each size is verified right after its own run and only its numbers
+    are kept, so no smaller size's graph or result is alive while the
+    next size is timed.
+    """
     sizes = [max(N // 100, 1000), max(N // 10, 10_000), N]
 
     def execute():
@@ -132,18 +137,18 @@ def test_e28_million_node_scaling(once):
             result = run(GreedyMISAlgorithm(), graph, fast=True,
                          policy=VECTORIZED)
             elapsed = time.perf_counter() - start
-            rows.append((n, graph, result, elapsed))
+            assert result.kernel == "greedy-mis"
+            assert result.all_terminated
+            assert not MIS.verify_solution(graph, result.outputs)
+            rows.append((n, result.rounds, result.message_count, elapsed))
+            del graph, result
         return rows
 
     rows = once(execute)
     print(f"\nE28 scaling (greedy-mis/random-tree, schedule=vectorized):")
     print(f"{'n':>9}  {'rounds':>6}  {'messages':>9}  {'run s':>8}  {'nodes/s':>10}")
-    for n, graph, result, elapsed in rows:
+    for n, rounds, messages, elapsed in rows:
         print(
-            f"{n:>9}  {result.rounds:>6}  {result.message_count:>9}  "
+            f"{n:>9}  {rounds:>6}  {messages:>9}  "
             f"{elapsed:>8.3f}  {n / elapsed if elapsed else 0:>10.0f}"
         )
-    for n, graph, result, elapsed in rows:
-        assert result.kernel == "greedy-mis"
-        assert result.all_terminated
-        assert not MIS.verify_solution(graph, result.outputs)

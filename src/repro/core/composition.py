@@ -113,6 +113,8 @@ class SubContext:
         return self._base.crashed_neighbors
 
     def is_local_maximum(self) -> bool:
+        if self._neighbor_filter is None:
+            return self._base.is_local_maximum()
         return all(other < self.node_id for other in self.active_neighbors)
 
     # -- quiescence scheduling ----------------------------------------

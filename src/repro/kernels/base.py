@@ -15,9 +15,10 @@ bit-identical, so the accounting helpers here mirror
 :meth:`repro.simulator.transport.Transport.account` in batch form.
 
 Per-node results are buffered in flat arrays during the run and written
-back into ``result.records``/``result.outputs`` once, in :meth:`flush`
-(called from the scheduler's ``finish`` hook) — at n≈10⁶ the round loop
-never touches a Python object per node.
+back into the result's termination column and ``result.outputs`` once, in
+:meth:`flush` (called from the scheduler's ``finish`` hook) — at n≈10⁶
+the round loop never touches a Python object per node, and no
+:class:`~repro.simulator.metrics.NodeRecord` is ever built.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ class FrontierKernel:
     # Binding
     # ------------------------------------------------------------------
     def bind(self, rt: Any) -> None:
-        """Attach the engine and materialize the CSR array views."""
+        """Attach the engine (a weak proxy) and materialize the CSR
+        array views."""
         self.rt = rt
         self.result = rt.result
         self.model = rt.model
@@ -219,19 +221,15 @@ class FrontierKernel:
         self._flushed = True
         result = self.result
         result.kernel = self.name
-        records = result.records
-        outputs = result.outputs
         done = np.flatnonzero(self.term_round >= 0)
         node_ids = self.ids[done].tolist()
-        rounds = self.term_round[done].tolist()
-        for index, node, round_index in zip(
-            done.tolist(), node_ids, rounds
-        ):
-            value = self.output_value(index)
-            record = records[node]
-            record.output = value
-            record.termination_round = round_index
-            outputs[node] = value
+        result.records.termination_rounds.update(
+            zip(node_ids, self.term_round[done].tolist())
+        )
+        outputs = result.outputs
+        output_value = self.output_value
+        for index, node in zip(done.tolist(), node_ids):
+            outputs[node] = output_value(index)
 
     def stuck_report(self, round_index: int, reason: str) -> StuckReport:
         """Diagnose a cut-short run from the kernel's arrays."""

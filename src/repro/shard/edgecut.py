@@ -53,7 +53,7 @@ from typing import (
 from repro.graphs.graph import DistGraph
 from repro.shard.plan import EdgecutView, edgecut_bounds
 from repro.simulator.engine import RoundLimitExceeded, SyncEngine
-from repro.simulator.metrics import RunResult, StuckReport
+from repro.simulator.metrics import NodeRecords, RunResult, StuckReport
 from repro.simulator.transport import BoundaryTransport, bandwidth_error
 
 if TYPE_CHECKING:  # lazy at runtime: repro.exec imports this module.
@@ -378,12 +378,16 @@ def _apply_remote_events(engine: SyncEngine, events: Sequence[tuple]) -> None:
     contexts = engine.contexts
     scheduler = engine._scheduler
     neighbors_of = engine.graph.neighbors
+    gone = engine._gone
     for kind, node, output in events:
         owned = [v for v in neighbors_of(node) if v in contexts]
         if kind == "terminate":
+            gone.add(node)
             for neighbor in owned:
                 ctx = contexts[neighbor]
-                ctx.active_neighbors.discard(node)
+                active = ctx._active
+                if active is not None:
+                    active.discard(node)
                 ctx.neighbor_outputs[node] = output
             scheduler.on_terminated(node, owned)
         else:
@@ -391,6 +395,7 @@ def _apply_remote_events(engine: SyncEngine, events: Sequence[tuple]) -> None:
                 ctx = contexts[neighbor]
                 ctx.active_neighbors.discard(node)
                 ctx.crashed_neighbors.add(node)
+            gone.add(node)
             scheduler.on_crashed(node, owned)
 
 
@@ -426,14 +431,7 @@ def _drive(engine: SyncEngine, coordinator: Any) -> Tuple[str, Any, int]:
         scheduler.run_round(round_index)
     scheduler.finish()
     result.rounds_executed = round_index
-    result.rounds = max(
-        (
-            record.termination_round
-            for record in result.records.values()
-            if record.termination_round is not None
-        ),
-        default=0,
-    )
+    result.rounds = max(result.records.termination_rounds.values(), default=0)
     if command == "deadline":
         result.stuck = engine._build_stuck_report(round_index, reason="deadline")
     elif command == "round-limit-partial":
@@ -562,12 +560,18 @@ def run_edgecut(
     plan.raise_for(command, extra)
 
     merged = RunResult(model=model)
+    # Shards own ascending id blocks in shard order, so concatenating
+    # their columns keeps the merged records in ascending id order.
+    # Edge-cut runs refuse fault plans: no crash or recovery columns.
+    ids: List[int] = []
+    termination_rounds: Dict[int, int] = {}
     stuck_reports: List[StuckReport] = []
     rounds = 0
     for engine in engines:
         result = engine.result
         merged.outputs.update(result.outputs)
-        merged.records.update(result.records)
+        ids.extend(result.records.ids)
+        termination_rounds.update(result.records.termination_rounds)
         merged.message_count += result.message_count
         merged.total_bits += result.total_bits
         merged.bandwidth_violations += result.bandwidth_violations
@@ -577,6 +581,7 @@ def run_edgecut(
             rounds = result.rounds
         if result.stuck is not None:
             stuck_reports.append(result.stuck)
+    merged.records = NodeRecords(tuple(ids), merged.outputs, termination_rounds)
     merged.rounds = rounds
     merged.rounds_executed = round_index
     if stuck_reports:

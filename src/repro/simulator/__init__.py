@@ -40,6 +40,7 @@ from repro.simulator.lifecycle import NodeLifecycle
 from repro.simulator.message import estimate_bits
 from repro.simulator.metrics import (
     NodeRecord,
+    NodeRecords,
     NodeSnapshot,
     RunResult,
     StuckReport,
@@ -74,6 +75,7 @@ __all__ = [
     "NodeLifecycle",
     "NodeProgram",
     "NodeRecord",
+    "NodeRecords",
     "NodeSnapshot",
     "ObsDispatch",
     "QuiescenceViolation",

@@ -12,7 +12,7 @@ paper's convention that nodes announce their outputs before terminating.
 from __future__ import annotations
 
 import random
-from typing import Any, Dict, FrozenSet, Mapping, Optional
+from typing import AbstractSet, Any, Dict, FrozenSet, Mapping, Optional, Set
 
 _UNSET = object()
 
@@ -56,7 +56,38 @@ class NodeContext:
             (e.g. the sliced templates) stretch their round bounds by
             ``1 + phi`` so that slice boundaries outlast the slowest
             message.
+
+    The class is slotted, and its neighbor sets are built on first use:
+    an engine passes ``gone``, the one set of nodes whose termination or
+    crash it has published, and a context that no program asked for its
+    ``active_neighbors`` holds no set of its own.  A context built alone
+    starts with every neighbor active.
     """
+
+    __slots__ = (
+        "node_id",
+        "neighbors",
+        "n",
+        "d",
+        "delta",
+        "prediction",
+        "attrs",
+        "round",
+        "neighbor_outputs",
+        "phi",
+        "terminated",
+        "termination_round",
+        "_seed",
+        "_rng",
+        "_send_timeout",
+        "_output",
+        "_output_parts",
+        "_terminate_requested",
+        "_wake_request",
+        "_active",
+        "_crashed",
+        "_gone",
+    )
 
     def __init__(
         self,
@@ -69,6 +100,7 @@ class NodeContext:
         attrs: Optional[Mapping[str, Any]] = None,
         seed: int = 0,
         phi: int = 0,
+        gone: AbstractSet[int] = frozenset(),
     ) -> None:
         self.node_id = node_id
         self.neighbors = frozenset(neighbors)
@@ -76,11 +108,9 @@ class NodeContext:
         self.d = d
         self.delta = delta
         self.prediction = prediction
-        self.attrs: Dict[str, Any] = dict(attrs or {})
+        self.attrs: Dict[str, Any] = dict(attrs) if attrs else {}
         self.round = 0
-        self.active_neighbors = set(self.neighbors)
         self.neighbor_outputs: Dict[int, Any] = {}
-        self.crashed_neighbors: set = set()
         self.phi = phi
         self._seed = seed
         self._rng: Optional[random.Random] = None
@@ -90,17 +120,23 @@ class NodeContext:
         self._send_timeout: Optional[int] = None
 
         self._output: Any = _UNSET
-        self._output_parts: Dict[Any, Any] = {}
+        #: Per-part outputs, created by the first :meth:`set_output_part`.
+        self._output_parts: Optional[Dict[Any, Any]] = None
         self._terminate_requested = False
         self.terminated = False
         self.termination_round: Optional[int] = None
         #: Earliest round this node asked to be woken in (engine-owned;
         #: ``None`` when no timed wakeup is pending).  See :meth:`wake_at`.
         self._wake_request: Optional[int] = None
-        #: Neighbors sorted descending, built lazily on the first
-        #: :meth:`is_local_maximum` call (non-dominance algorithms never
-        #: pay for the sort).
-        self._neighbors_desc: Optional[list] = None
+        #: The active-neighbor set once built (see :attr:`active_neighbors`).
+        self._active: Optional[Set[int]] = None
+        #: The crashed-neighbor set once written (see
+        #: :attr:`crashed_neighbors`).
+        self._crashed: Optional[Set[int]] = None
+        #: The engine's set of nodes whose termination or crash has been
+        #: published (shared by every context of a run); an unbuilt
+        #: active set is ``neighbors`` minus these.
+        self._gone = gone
 
     @property
     def rng(self) -> random.Random:
@@ -123,25 +159,60 @@ class NodeContext:
         """Number of neighbors in the original graph."""
         return len(self.neighbors)
 
+    @property
+    def active_neighbors(self) -> Set[int]:
+        """Neighbors that have neither terminated nor crashed.
+
+        Built on first read as ``neighbors`` minus the nodes whose
+        termination or crash the engine has published; from then on the
+        engine keeps it up to date.  Copying ``neighbors`` and discarding
+        one node at a time gives the same hash-table layout, and so the
+        same iteration order, as a set maintained since setup.
+        """
+        active = self._active
+        if active is None:
+            neighbors = self.neighbors
+            active = self._active = set(neighbors)
+            gone = self._gone
+            if gone:
+                for other in neighbors:
+                    if other in gone:
+                        active.discard(other)
+        return active
+
+    @active_neighbors.setter
+    def active_neighbors(self, value: Set[int]) -> None:
+        self._active = value
+
+    @property
+    def crashed_neighbors(self) -> Set[int]:
+        """Neighbors removed by fault injection (created on first use)."""
+        crashed = self._crashed
+        if crashed is None:
+            crashed = self._crashed = set()
+        return crashed
+
     def is_local_maximum(self) -> bool:
         """Whether this node's id exceeds every *active* neighbor's id.
 
         This is the symmetry-breaking test used throughout the paper's
-        measure-uniform algorithms (Algorithm 1 and its relatives).
-        Scanning neighbors in descending id order stops at the first id
-        below our own — only the (typically few) higher-id neighbors need
-        an activity check, instead of sweeping the whole active set.
+        measure-uniform algorithms (Algorithm 1 and its relatives).  Only
+        higher-id neighbors need an activity check, and the scan stops at
+        the first active one.  It reads the active set only if a program
+        already built it, and the engine's published departures
+        otherwise, so the test allocates nothing.
         """
-        desc = self._neighbors_desc
-        if desc is None:
-            desc = self._neighbors_desc = sorted(self.neighbors, reverse=True)
         node_id = self.node_id
-        active = self.active_neighbors
-        for other in desc:
-            if other < node_id:
-                return True
-            if other in active:
-                return False
+        active = self._active
+        if active is None:
+            gone = self._gone
+            for other in self.neighbors:
+                if other > node_id and other not in gone:
+                    return False
+        else:
+            for other in self.neighbors:
+                if other > node_id and other in active:
+                    return False
         return True
 
     # ------------------------------------------------------------------
@@ -184,15 +255,19 @@ class NodeContext:
             raise OutputAlreadySet(
                 f"node {self.node_id} already has a scalar output"
             )
-        if key in self._output_parts:
+        parts = self._output_parts
+        if parts is None:
+            parts = self._output_parts = {}
+        elif key in parts:
             raise OutputAlreadySet(
                 f"node {self.node_id} output part {key!r} already set"
             )
-        self._output_parts[key] = value
+        parts[key] = value
 
     def output_part(self, key: Any, default: Any = None) -> Any:
         """Read back a previously assigned output part."""
-        return self._output_parts.get(key, default)
+        parts = self._output_parts
+        return default if parts is None else parts.get(key, default)
 
     def terminate(self) -> None:
         """Request termination at the end of the current round.

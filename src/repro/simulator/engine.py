@@ -23,14 +23,18 @@ async through one shared round loop, or vectorized kernels),
 ``NodeLifecycle`` (terminations, crashes, recoveries, stuck reports) and
 ``ObsDispatch`` (event fan-out + round profile).  The engine wires the
 stages and owns the run loop; it contains no scheduling policy and no
-message-path code.  ``on_round_limit="partial"`` turns a blown round
-budget into a partial result carrying a ``StuckReport`` instead of an
-exception, so benchmarks under faults can *measure* degradation.
+message-path code.  The stages hold the engine through a weak proxy, so
+an engine and its per-node state are freed by reference counting as soon
+as the last user reference goes.  ``on_round_limit="partial"`` turns a
+blown round budget into a partial result carrying a ``StuckReport``
+instead of an exception, so benchmarks under faults can *measure*
+degradation.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import replace
 from time import perf_counter
 from typing import (
@@ -41,6 +45,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Union,
 )
 
@@ -48,7 +53,7 @@ from repro.obs.profile import RoundProfile
 from repro.simulator.context import NodeContext
 from repro.simulator.interpose import FaultInterposer
 from repro.simulator.lifecycle import NodeLifecycle
-from repro.simulator.metrics import NodeRecord, RunResult, StuckReport
+from repro.simulator.metrics import NodeRecords, RunResult, StuckReport
 from repro.simulator.models import LOCAL, ExecutionModel
 from repro.simulator.obs_dispatch import ObsDispatch
 from repro.simulator.program import NodeProgram
@@ -241,26 +246,29 @@ class SyncEngine:
                 )
                 self._scheduler = SCHEDULERS["quiescent"]()
 
+        order = sorted(graph.nodes)
+        #: Nodes whose termination or crash has been published to their
+        #: neighbors; every context reads its unbuilt active set off it.
+        self._gone: Set[int] = set()
         self.programs: Dict[int, NodeProgram] = {}
         self.contexts: Dict[int, NodeContext] = {}
         if self._kernel is None:
             # The kernel path never touches per-node programs/contexts/
             # inboxes; skipping them keeps construction O(1) per node in
             # arrays rather than Python objects at n ≈ 10⁶.
-            for node in sorted(graph.nodes):
-                if callable(programs):
-                    program = programs(node)
-                else:
-                    program = programs[node]
-                self.programs[node] = program
-                self.contexts[node] = self._build_context(node)
+            program_of = programs if callable(programs) else programs.__getitem__
+            build_context = self._build_context
+            for node in order:
+                self.programs[node] = program_of(node)
+                self.contexts[node] = build_context(node)
 
-        self._active = set(self.graph.nodes)
+        self._active = set(order)
         #: Sorted view of ``_active``, rebuilt only when membership changes
         #: (terminations, crashes, recoveries) instead of thrice per round.
-        self._active_order: List[int] = sorted(self._active)
-        for node in self.graph.nodes:
-            self.result.records[node] = NodeRecord(node_id=node)
+        self._active_order: List[int] = order
+        #: Per-node outcomes as columns; ``result.records`` builds a
+        #: :class:`NodeRecord` only when one is read.
+        self.result.records = NodeRecords(tuple(order), self.result.outputs)
         #: The transport stage: mailboxes, delivery and bit accounting.
         #: Injected — :class:`~repro.simulator.transport.LocalTransport`
         #: unless the caller (e.g. the edge-cut shard driver) provides a
@@ -274,21 +282,29 @@ class SyncEngine:
             graph.n,
             fast,
         )
+        # The stages reach the engine through a weak proxy, so no stage
+        # holds it in a reference cycle: an engine dies with its last
+        # outside reference instead of waiting for the cyclic collector.
+        runtime = weakref.proxy(self)
         #: The lifecycle stage: terminations, crashes, recoveries.
-        self._lifecycle = NodeLifecycle(self)
-        self._scheduler.bind(self)
+        self._lifecycle = NodeLifecycle(runtime)
+        self._scheduler.bind(runtime)
 
     def _build_context(self, node: int) -> NodeContext:
+        # Positional arguments: this runs once per node, and passing ten
+        # keywords costs about as much as building the context itself.
+        graph = self.graph
         return NodeContext(
-            node_id=node,
-            neighbors=frozenset(self.graph.neighbors(node)),
-            n=self.graph.n,
-            d=self.graph.d,
-            delta=self.graph.delta,
-            prediction=self._predictions.get(node),
-            attrs=self.graph.node_attrs(node),
-            seed=self._seed,
-            phi=self.policy.phi,
+            node,
+            graph.neighbors(node),
+            graph.n,
+            graph.d,
+            graph.delta,
+            self._predictions.get(node),
+            graph.node_attrs(node),
+            self._seed,
+            self.policy.phi,
+            self._gone,
         )
 
     # ------------------------------------------------------------------
@@ -376,14 +392,8 @@ class SyncEngine:
         # already wrote through and this is a no-op.
         self._scheduler.finish()
         result.rounds_executed = round_index
-        result.rounds = max(
-            (
-                record.termination_round
-                for record in result.records.values()
-                if record.termination_round is not None
-            ),
-            default=0,
-        )
+        termination_rounds = result.records.termination_rounds
+        result.rounds = max(termination_rounds.values(), default=0)
         result.profile = profile
         if obs:
             obs.run_end(
@@ -392,11 +402,7 @@ class SyncEngine:
                     "rounds_executed": result.rounds_executed,
                     "messages": result.message_count,
                     "dropped": result.dropped_messages,
-                    "terminated": sum(
-                        1
-                        for record in result.records.values()
-                        if record.termination_round is not None
-                    ),
+                    "terminated": len(termination_rounds),
                     "stuck": result.stuck is not None,
                 }
             )

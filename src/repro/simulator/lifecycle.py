@@ -9,11 +9,18 @@ the start of one, and snapshots live nodes into a
 budget under ``on_round_limit="partial"``.
 
 It is bound to the engine runtime (the same ``rt`` handle the schedulers
-drive) and is the only layer that mutates ``rt._active`` /
-``rt._active_order`` or writes termination/crash fields of the
-:class:`~repro.simulator.metrics.RunResult` records.  Schedulers reach it
+drive, a weak proxy of the engine) and is the only layer that mutates
+``rt._active`` / ``rt._active_order`` / ``rt._gone`` or writes the
+termination/crash columns of the result's
+:class:`~repro.simulator.metrics.NodeRecords`.  Schedulers reach it
 through the engine's ``finalize_round`` / ``apply_recoveries`` delegators,
 so scheduling policy and lifecycle bookkeeping stay decoupled.
+
+Publishing a departure adds the node to ``rt._gone`` and discards it from
+the neighbor contexts whose active set exists; an unbuilt set is derived
+from ``rt._gone`` when first read.  A crash builds its neighbors' sets
+before discarding, so a later recovery re-adds the node into the same
+set layout an eagerly maintained set has.
 """
 
 from __future__ import annotations
@@ -72,29 +79,32 @@ class NodeLifecycle:
         else:
             crashed = []
 
+        if not terminated and not crashed:
+            return
         obs = rt.obs
         result = rt.result
+        records = result.records
+        termination_rounds = records.termination_rounds
+        outputs = result.outputs
+        active = rt._active
         for node in terminated:
             ctx = contexts[node]
             ctx.terminated = True
             ctx.termination_round = round_index
-            record = result.records[node]
-            record.output = ctx.output
-            record.termination_round = round_index
-            result.outputs[node] = ctx.output
-            rt._active.discard(node)
+            termination_rounds[node] = round_index
+            outputs[node] = ctx.output
+            active.discard(node)
             if obs:
                 obs.emit(round_index, "output", node, {"value": ctx.output})
                 obs.emit(round_index, "terminate", node)
 
         for node in crashed:
-            result.records[node].crashed = True
-            rt._active.discard(node)
+            records.crashed.add(node)
+            active.discard(node)
             if obs:
                 obs.emit(round_index, "crash", node)
 
-        if terminated or crashed:
-            rt._active_order = sorted(rt._active)
+        rt._active_order = sorted(active)
 
         # Neighbors observe terminations/crashes from the next round on —
         # the same timing as the paper's explicit final-round notification.
@@ -114,12 +124,16 @@ class NodeLifecycle:
             for node in crashed:
                 transport.export_event("crash", node, None)
             return
+        gone = rt._gone
         for node in terminated:
             output = contexts[node].output
             neighbors = contexts[node].neighbors
+            gone.add(node)
             for neighbor in neighbors:
                 neighbor_ctx = contexts[neighbor]
-                neighbor_ctx.active_neighbors.discard(node)
+                neighbor_active = neighbor_ctx._active
+                if neighbor_active is not None:
+                    neighbor_active.discard(node)
                 neighbor_ctx.neighbor_outputs[node] = output
             scheduler.on_terminated(node, neighbors)
         for node in crashed:
@@ -128,6 +142,7 @@ class NodeLifecycle:
                 neighbor_ctx = contexts[neighbor]
                 neighbor_ctx.active_neighbors.discard(node)
                 neighbor_ctx.crashed_neighbors.add(node)
+            gone.add(node)
             scheduler.on_crashed(node, neighbors)
 
     def apply_recoveries(self, round_index: int) -> None:
@@ -137,10 +152,15 @@ class NodeLifecycle:
             return
         scheduler = rt._scheduler
         result = rt.result
+        records = result.records
+        crashed = records.crashed
+        termination_rounds = records.termination_rounds
+        outputs = result.outputs
+        contexts = rt.contexts
+        gone = rt._gone
         rejoined = False
         for node in rt.interposer.recoveries_at(round_index):
-            record = result.records.get(node)
-            if record is None or not record.crashed:
+            if node not in crashed:
                 continue  # never crashed (or already back): nothing to do
             if callable(rt._program_source):
                 rt.programs[node] = rt._program_source(node)
@@ -152,17 +172,17 @@ class NodeLifecycle:
                 other for other in ctx.neighbors if other in rt._active
             }
             for other in ctx.neighbors:
-                other_record = result.records[other]
-                if other_record.termination_round is not None:
-                    ctx.neighbor_outputs[other] = other_record.output
-                elif other_record.crashed:
+                if other in termination_rounds:
+                    ctx.neighbor_outputs[other] = outputs[other]
+                elif other in crashed:
                     ctx.crashed_neighbors.add(other)
-            rt.contexts[node] = ctx
+            contexts[node] = ctx
             rt._active.add(node)
-            record.crashed = False
-            record.recovery_round = round_index
+            crashed.discard(node)
+            records.recovery_rounds[node] = round_index
+            gone.discard(node)
             for other in ctx.neighbors:
-                neighbor_ctx = rt.contexts[other]
+                neighbor_ctx = contexts[other]
                 neighbor_ctx.active_neighbors.add(node)
                 neighbor_ctx.crashed_neighbors.discard(node)
             rt.programs[node].setup(ctx)
@@ -179,12 +199,12 @@ class NodeLifecycle:
                 # second time.
                 ctx.terminated = True
                 ctx.termination_round = round_index
-                record.output = ctx.output
-                record.termination_round = round_index
-                result.outputs[node] = ctx.output
+                termination_rounds[node] = round_index
+                outputs[node] = ctx.output
                 rt._active.discard(node)
+                gone.add(node)
                 for other in ctx.neighbors:
-                    neighbor_ctx = rt.contexts[other]
+                    neighbor_ctx = contexts[other]
                     neighbor_ctx.active_neighbors.discard(node)
                     neighbor_ctx.neighbor_outputs[node] = ctx.output
                 scheduler.on_recovery_terminated(node)

@@ -9,8 +9,10 @@ checked against an actual execution.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.simulator.models import ExecutionModel
 
@@ -35,6 +37,83 @@ class NodeRecord:
     termination_round: Optional[int] = None
     crashed: bool = False
     recovery_round: Optional[int] = None
+
+
+class NodeRecords(Mapping):
+    """Read-only ``node -> NodeRecord`` mapping over a run's columns.
+
+    An engine keeps a run's per-node outcomes as columns instead of one
+    :class:`NodeRecord` object per node: ``termination_rounds`` (node ->
+    round, terminated nodes only), ``crashed`` (nodes crashed and not
+    recovered), ``recovery_rounds`` (node -> last rejoin round) and the
+    result's ``outputs``.  A record is built each time one is read, so
+    writing to a returned record changes nothing.  Iteration is in
+    ascending node id; ``repr`` and ``==`` are those of the equivalent
+    ``dict`` of records.
+
+    Attributes:
+        ids: Every node of the run, ascending.
+        outputs: The result's ``outputs`` dict (shared, not copied).
+        termination_rounds: Termination round per terminated node.
+        crashed: Nodes that crashed and have not recovered since.
+        recovery_rounds: Last recovery round per recovered node.
+    """
+
+    __slots__ = (
+        "ids",
+        "outputs",
+        "termination_rounds",
+        "crashed",
+        "recovery_rounds",
+    )
+
+    def __init__(
+        self,
+        ids: Sequence[int],
+        outputs: Dict[int, Any],
+        termination_rounds: Optional[Dict[int, int]] = None,
+    ) -> None:
+        self.ids = ids
+        self.outputs = outputs
+        self.termination_rounds: Dict[int, int] = (
+            {} if termination_rounds is None else termination_rounds
+        )
+        self.crashed: Set[int] = set()
+        self.recovery_rounds: Dict[int, int] = {}
+
+    def __contains__(self, node: object) -> bool:
+        ids = self.ids
+        try:
+            index = bisect_left(ids, node)
+        except TypeError:
+            return False
+        return index < len(ids) and ids[index] == node
+
+    def __getitem__(self, node: int) -> NodeRecord:
+        if node not in self:
+            raise KeyError(node)
+        return NodeRecord(
+            node_id=node,
+            output=self.outputs.get(node),
+            termination_round=self.termination_rounds.get(node),
+            crashed=node in self.crashed,
+            recovery_round=self.recovery_rounds.get(node),
+        )
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def all_terminated(self) -> bool:
+        """Whether every node terminated or crashed (columns only)."""
+        terminated = self.termination_rounds
+        crashed_live = sum(1 for node in self.crashed if node not in terminated)
+        return len(terminated) + crashed_live == len(self.ids)
 
 
 @dataclass
@@ -100,7 +179,10 @@ class RunResult:
 
     Attributes:
         outputs: Final output of every node that terminated.
-        records: Per-node :class:`NodeRecord`.
+        records: Per-node :class:`NodeRecord`.  An engine-built result
+            holds a read-only :class:`NodeRecords` mapping that builds
+            each record when it is read; a ``RunResult()`` built by hand
+            starts with a plain ``dict``.
         rounds: Number of rounds until all (non-crashed) nodes terminated —
             the paper's round complexity of the execution.  Under faults or
             partial runs this is the *last termination* round (0 when no
@@ -141,7 +223,7 @@ class RunResult:
     """
 
     outputs: Dict[int, Any] = field(default_factory=dict)
-    records: Dict[int, NodeRecord] = field(default_factory=dict)
+    records: Mapping[int, NodeRecord] = field(default_factory=dict)
     rounds: int = 0
     rounds_executed: int = 0
     message_count: int = 0
@@ -162,15 +244,21 @@ class RunResult:
 
     def termination_round(self, node_id: int) -> Optional[int]:
         """Round in which ``node_id`` terminated, or ``None``."""
-        record = self.records.get(node_id)
+        records = self.records
+        if isinstance(records, NodeRecords):
+            return records.termination_rounds.get(node_id)
+        record = records.get(node_id)
         return record.termination_round if record else None
 
     @property
     def all_terminated(self) -> bool:
         """Whether every non-crashed node produced an output and stopped."""
+        records = self.records
+        if isinstance(records, NodeRecords):
+            return records.all_terminated()
         return all(
             record.crashed or record.termination_round is not None
-            for record in self.records.values()
+            for record in records.values()
         )
 
     def congest_compatible(self, n: int) -> bool:

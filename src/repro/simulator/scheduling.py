@@ -124,7 +124,8 @@ class Scheduler:
         }
 
     def bind(self, rt: Any) -> None:
-        """Attach the runtime (the engine) this scheduler drives."""
+        """Attach the runtime this scheduler drives: a weak proxy of the
+        engine, so the scheduler never keeps its engine alive."""
         self.rt = rt
 
     # -- wake-condition hooks (no-ops for the eager policy) -------------
@@ -495,6 +496,10 @@ class AsyncScheduler(QuiescentScheduler):
         #: :meth:`before_compose` each tick.
         self._tick = 0
         self._process_set: set = set()
+        #: The run's transport and fault stage, bound once so the
+        #: per-message path never goes through the engine proxy.
+        self._transport: Any = None
+        self._interposer: Any = None
 
     def bind(self, rt: Any) -> None:
         super().bind(rt)
@@ -502,6 +507,8 @@ class AsyncScheduler(QuiescentScheduler):
         self._adversary = DelayAdversary(policy.phi, rt._seed)
         self._retry = RetryPolicy(policy.send_timeout, policy.max_retries)
         self._live = policy.phi > 0 or policy.send_timeout is not None
+        self._transport = rt.transport
+        self._interposer = rt.interposer
 
     # -- async bookkeeping ----------------------------------------------
     def _has_future_work(self, round_index: int) -> bool:
@@ -517,7 +524,7 @@ class AsyncScheduler(QuiescentScheduler):
     def _land(self, sender: int, receiver: int, payload: Any) -> None:
         """Deposit one message now: its receiver joins this tick's
         process phase and the next tick's wake-set."""
-        transport = self.rt.transport
+        transport = self._transport
         process_set = self._process_set
         if receiver not in process_set:
             transport.inboxes[receiver].clear()
@@ -536,13 +543,12 @@ class AsyncScheduler(QuiescentScheduler):
         of the *original* payload.
         """
         tick = self._tick
-        rt = self.rt
-        interposer = rt.interposer
+        interposer = self._interposer
         if interposer is not None:
             adjudicated = interposer.adjudicate(tick, sender, receiver, payload)
             if adjudicated is DROPPED:
                 self._next_wake.add(receiver)
-                ctx_timeout = rt.contexts[sender]._send_timeout
+                ctx_timeout = self.rt.contexts[sender]._send_timeout
                 timeout = (
                     ctx_timeout
                     if ctx_timeout is not None
@@ -558,6 +564,7 @@ class AsyncScheduler(QuiescentScheduler):
             payload = adjudicated
         delay = self._adversary.delay(tick, sender, receiver)
         if delay:
+            rt = self.rt
             rt.result.delayed_messages += 1
             if rt.obs:
                 rt.obs.emit(

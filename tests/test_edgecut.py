@@ -69,6 +69,7 @@ def _setup(factory, problem_name, needs_predictions, graph, seed):
 
 def _assert_identical(sharded, reference):
     assert sharded.outputs == reference.outputs
+    assert repr(sharded.records) == repr(reference.records)
     for name in OBSERVABLES:
         assert getattr(sharded, name) == getattr(reference, name), name
 
