@@ -17,7 +17,7 @@ Maximal Matching problem its own robustness crossover (benchmark E23).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.algorithms.edge_coloring.linegraph import (
     LineGraphColoringProgram,
@@ -87,23 +87,21 @@ class ColoredMatchingAlgorithm(DistributedAlgorithm):
         return line_graph_round_bound(d, delta) + max(1, 2 * delta - 1) + 1
 
     def build_program(self) -> NodeProgram:
-        from repro.core.composition import Slice, SlicedProgram
-        from repro.simulator.program import NodeProgram as IdleBase
+        from repro.core.composition import SlicedProgram
 
-        def schedule(ctx):
-            bound = line_graph_round_bound(ctx.d, ctx.delta or 0)
-            yield Slice(
-                "edge-color",
-                bound,
-                lambda host: IdleBase(),
-                parallel_builder=lambda host: LineGraphColoringProgram(),
-            )
-            yield Slice(
-                "sweep",
-                None,
-                lambda host: MatchingFromEdgeColorsProgram(
-                    host.last_parallel_result
-                ),
-            )
+        return SlicedProgram(ColoredMatchingAlgorithm._slice_schedule, self)
 
-        return SlicedProgram(schedule)
+    def _slice_schedule(self, knowledge: Any) -> Iterator[Any]:
+        from repro.core.composition import Slice
+
+        yield Slice(
+            "edge-color",
+            line_graph_round_bound(knowledge.d, knowledge.delta or 0),
+            lambda host: NodeProgram(),
+            parallel_builder=lambda host: LineGraphColoringProgram(),
+        )
+        yield Slice(
+            "sweep",
+            None,
+            lambda host: MatchingFromEdgeColorsProgram(host.last_parallel_result),
+        )

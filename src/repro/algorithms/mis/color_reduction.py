@@ -17,7 +17,7 @@ property that makes the Parallel Template η₂-degrading:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Iterator, Optional
 
 from repro.algorithms.coloring.linial import (
     LinialColoringProgram,
@@ -98,26 +98,26 @@ class LinialMISAlgorithm(DistributedAlgorithm):
         return linial_round_bound(d, delta) + delta + 3
 
     def build_program(self) -> NodeProgram:
-        from repro.core.composition import Slice, SlicedProgram
-        from repro.simulator.program import NodeProgram as IdleBase
+        from repro.core.composition import SlicedProgram
 
-        def schedule(ctx):
-            bound = linial_round_bound(ctx.d, ctx.delta or 0)
-            yield Slice(
-                "color",
-                bound,
-                lambda host: IdleBase(),
-                parallel_builder=lambda host: LinialColoringProgram(
-                    respect_neighbor_outputs=False
-                ),
-            )
-            yield Slice(
-                "sweep",
-                None,
-                lambda host: MISFromColoringProgram(host.last_parallel_result),
-            )
+        return SlicedProgram(LinialMISAlgorithm._slice_schedule, self)
 
-        return SlicedProgram(schedule)
+    def _slice_schedule(self, knowledge: Any) -> Iterator[Any]:
+        from repro.core.composition import Slice
+
+        yield Slice(
+            "color",
+            linial_round_bound(knowledge.d, knowledge.delta or 0),
+            lambda host: NodeProgram(),
+            parallel_builder=lambda host: LinialColoringProgram(
+                respect_neighbor_outputs=False
+            ),
+        )
+        yield Slice(
+            "sweep",
+            None,
+            lambda host: MISFromColoringProgram(host.last_parallel_result),
+        )
 
 
 class ColoringMISReference(TwoPartReference):

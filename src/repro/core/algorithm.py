@@ -18,7 +18,7 @@ reference algorithm with a fault-tolerant first part.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from repro.simulator.models import LOCAL, ExecutionModel
 from repro.simulator.program import NodeProgram
@@ -133,23 +133,24 @@ class PhasedAlgorithm(DistributedAlgorithm):
         The schedule is an infinite sequence of phase slices (progress per
         phase guarantees termination; extra slices beyond ``num_phases``
         are a safety net that never executes when the declared phase count
-        is honest).
+        is honest).  The nodes of a run share one plan of it.
         """
-        from repro.core.composition import Slice, SlicedProgram
+        from repro.core.composition import SlicedProgram
 
-        algorithm = self
+        return SlicedProgram(PhasedAlgorithm._slice_schedule, self)
 
-        def schedule(ctx):
-            phase = 0
-            while True:
-                phase += 1
-                yield Slice(
-                    f"phase{phase}",
-                    max(1, algorithm.phase_bound(phase, ctx.n, ctx.delta or 0, ctx.d)),
-                    lambda host, i=phase: algorithm.build_phase_program(i),
-                )
+    def _slice_schedule(self, knowledge: Any) -> Iterator[Any]:
+        from repro.core.composition import Slice
 
-        return SlicedProgram(schedule)
+        n, delta, d = knowledge.n, knowledge.delta or 0, knowledge.d
+        phase = 0
+        while True:
+            phase += 1
+            yield Slice(
+                f"phase{phase}",
+                max(1, self.phase_bound(phase, n, delta, d)),
+                lambda host, i=phase: self.build_phase_program(i),
+            )
 
 
 class TwoPartReference:

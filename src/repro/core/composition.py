@@ -14,11 +14,29 @@ node context: it keeps a private round counter (so a component paused and
 resumed by the Interleaved Template sees consecutive rounds) and can
 intercept outputs (so the Parallel Template's part-1 reference stores its
 results locally instead of producing real outputs — Algorithm 5).
+
+A :class:`SlicedProgram` is the per-node host that drives the
+components.  The schedule is the same at every node, so the hosts of a
+run share one :class:`SlicePlan`, materialized once per value of the
+shared :class:`Knowledge`; each host keeps only its slice index, its
+slice countdown and its components.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+import threading
+import weakref
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.simulator.context import NodeContext
 from repro.simulator.program import Inbox, NodeProgram, Outbox
@@ -29,13 +47,32 @@ _UNSET = object()
 class SubContext:
     """A component algorithm's view of its node's context.
 
-    Read-only knowledge (identifier, neighbors, ``n``, ``d``, ``Δ``,
-    prediction, attributes, active neighbors, neighbor outputs) is
-    delegated to the underlying :class:`NodeContext`; the round counter is
-    private to the component, and output calls are either passed through
-    (the component's outputs are the node's outputs) or intercepted and
-    stored locally (Parallel Template part 1).
+    The node's fixed knowledge (identifier, neighbors, ``n``, ``d``,
+    ``Δ``, prediction, attributes) is copied from the underlying context
+    when the view is built; the random stream, active and crashed
+    neighbors, neighbor outputs and termination are read through it.
+    The round counter is private to the component, and output calls are
+    either passed through (the component's outputs are the node's
+    outputs) or intercepted and stored locally (Parallel Template
+    part 1).
     """
+
+    __slots__ = (
+        "node_id",
+        "neighbors",
+        "n",
+        "d",
+        "delta",
+        "prediction",
+        "attrs",
+        "round",
+        "finished",
+        "_base",
+        "_intercept",
+        "_neighbor_filter",
+        "_stored",
+        "_stored_parts",
+    )
 
     def __init__(
         self,
@@ -44,49 +81,30 @@ class SubContext:
         neighbor_filter: Optional[Callable[[int], bool]] = None,
     ) -> None:
         self._base = base
+        self.node_id = base.node_id
+        self.neighbors = base.neighbors
+        self.n = base.n
+        self.d = base.d
+        self.delta = base.delta
+        self.prediction = base.prediction
+        self.attrs = base.attrs
         self._intercept = intercept_outputs
         self._neighbor_filter = neighbor_filter
         self.round = 0
         self.finished = False
         self._stored: Any = _UNSET
-        self._stored_parts: Dict[Any, Any] = {}
+        #: Intercepted per-part outputs, created by the first
+        #: :meth:`set_output_part`.
+        self._stored_parts: Optional[Dict[Any, Any]] = None
 
-    # -- delegated knowledge ------------------------------------------
-    @property
-    def node_id(self) -> int:
-        return self._base.node_id
-
-    @property
-    def neighbors(self):
-        return self._base.neighbors
-
-    @property
-    def n(self) -> int:
-        return self._base.n
-
-    @property
-    def d(self) -> int:
-        return self._base.d
-
-    @property
-    def delta(self):
-        return self._base.delta
-
-    @property
-    def prediction(self):
-        return self._base.prediction
-
-    @property
-    def attrs(self):
-        return self._base.attrs
-
+    # -- delegated state ----------------------------------------------
     @property
     def rng(self):
         return self._base.rng
 
     @property
     def degree(self) -> int:
-        return self._base.degree
+        return len(self.neighbors)
 
     @property
     def active_neighbors(self):
@@ -147,9 +165,7 @@ class SubContext:
     @property
     def output(self) -> Any:
         if self._intercept:
-            if self._stored is not _UNSET:
-                return self._stored
-            return dict(self._stored_parts) if self._stored_parts else None
+            return self.stored_result
         return self._base.output
 
     def set_output(self, value: Any) -> None:
@@ -160,13 +176,17 @@ class SubContext:
 
     def set_output_part(self, key: Any, value: Any) -> None:
         if self._intercept:
-            self._stored_parts[key] = value
+            parts = self._stored_parts
+            if parts is None:
+                parts = self._stored_parts = {}
+            parts[key] = value
         else:
             self._base.set_output_part(key, value)
 
     def output_part(self, key: Any, default: Any = None) -> Any:
         if self._intercept:
-            return self._stored_parts.get(key, default)
+            parts = self._stored_parts
+            return default if parts is None else parts.get(key, default)
         return self._base.output_part(key, default)
 
     def terminate(self) -> None:
@@ -231,31 +251,158 @@ class Slice:
         self.resume = resume
 
 
+class Knowledge(NamedTuple):
+    """The values every node knows alike: all a shared schedule may read.
+
+    Field names match :class:`~repro.simulator.context.NodeContext`, so
+    bound helpers written against a context accept a :class:`Knowledge`
+    too.  ``phi`` is the asynchronous delay bound (0 on every synchronous
+    schedule, and for a component, whose :class:`SubContext` carries
+    none).
+    """
+
+    n: int
+    delta: Optional[int]
+    d: int
+    phi: int
+
+
+class SlicePlan:
+    """A slice schedule, materialized slice by slice on first use.
+
+    :meth:`get` returns the schedule's ``index``-th :class:`Slice`, or
+    ``None`` past its end.  A host keeps only its index into the plan, so
+    a plan shared by the nodes of a run (see :class:`SlicedProgram`)
+    materializes each slice once.  Materializing takes a lock: edge-cut
+    shard threads may reach a new slice at the same time, and a schedule
+    may be an infinite generator, which two threads must not resume at
+    once.  A schedule that raised is restarted on the next request, so
+    every caller sees its exception rather than an exhausted generator.
+
+    Args:
+        schedule: The schedule function.
+        *args: Its arguments: ``(ctx,)`` for a per-node schedule,
+            ``(owner, knowledge)`` for a shared one.
+    """
+
+    __slots__ = ("_schedule", "_args", "_source", "_slices", "_lock", "__weakref__")
+
+    def __init__(self, schedule: Callable[..., Iterable[Slice]], *args: Any) -> None:
+        self._schedule = schedule
+        self._args = args
+        self._source: Optional[Iterator[Slice]] = None
+        self._slices: List[Slice] = []
+        self._lock = threading.Lock()
+
+    def get(self, index: int) -> Optional[Slice]:
+        """The ``index``-th slice (0-based), or ``None`` past the end."""
+        slices = self._slices
+        if index < len(slices):
+            return slices[index]
+        with self._lock:
+            while len(slices) <= index:
+                source = self._source
+                if source is None:
+                    source = iter(self._schedule(*self._args))
+                    for _ in slices:
+                        next(source)
+                    self._source = source
+                try:
+                    slices.append(next(source))
+                except StopIteration:
+                    return None
+                except BaseException:
+                    self._source = None
+                    raise
+            return slices[index]
+
+
+#: Shared plans by ``(schedule, id(owner), n, delta, d, phi)``, held
+#: weakly: a plan lives while some host reads it, so the hosts of one run
+#: share it and no plan outlives its last host.  A live plan holds its
+#: owner (in its arguments), so the ``id`` in a live key is never reused.
+_PLANS: "weakref.WeakValueDictionary[Tuple[Any, ...], SlicePlan]" = (
+    weakref.WeakValueDictionary()
+)
+_PLANS_LOCK = threading.Lock()
+
+
+def _shared_plan(
+    schedule: Callable[..., Iterable[Slice]], owner: Any, ctx: NodeContext
+) -> SlicePlan:
+    key = (schedule, id(owner), ctx.n, ctx.delta, ctx.d, getattr(ctx, "phi", 0))
+    plan = _PLANS.get(key)
+    if plan is None:
+        with _PLANS_LOCK:
+            plan = _PLANS.get(key)
+            if plan is None:
+                plan = _PLANS[key] = SlicePlan(schedule, owner, Knowledge(*key[2:]))
+    return plan
+
+
 class SlicedProgram(NodeProgram):
     """Drives component programs according to a slice schedule.
 
-    The schedule is produced per node from the context (all nodes compute
-    identical schedules because they compute them from the shared values
-    ``n``, ``Δ``, ``d``), and may be an infinite generator; the program
-    materializes slices on demand.
+    ``SlicedProgram(schedule)`` plans one node alone: its setup calls
+    ``schedule(ctx)``.  ``SlicedProgram(schedule, owner)`` shares a plan:
+    the schedule is called as ``schedule(owner, knowledge)``, may read
+    only the :class:`Knowledge` every node holds alike, and every host
+    built from the same ``schedule`` and ``owner`` that sees the same
+    knowledge reads one :class:`SlicePlan` — the paper's nodes all
+    compute the same switching rounds from ``n``, ``Δ`` and ``d``.  Every
+    algorithm in this package builds its hosts the shared way.
+
+    A schedule may be an infinite generator; the plan materializes
+    slices on demand.  A host keeps its slice index, the countdown of
+    the current slice and its components.
     """
+
+    __slots__ = (
+        "_schedule",
+        "_owner",
+        "_plan",
+        "_index",
+        "_rounds_left",
+        "_program",
+        "_subctx",
+        "_quiescent",
+        "_parallel_program",
+        "_parallel_subctx",
+        "_parallel_quiescent",
+        "_resumable",
+        "_last_round",
+        "last_parallel_result",
+    )
 
     #: Message tag used for the primary component in a parallel slice.
     PRIMARY = "u"
     #: Message tag used for the intercepted component in a parallel slice.
     SECONDARY = "r"
 
-    def __init__(self, schedule_factory: Callable[[NodeContext], Any]) -> None:
-        self._schedule_factory = schedule_factory
-        self._iterator = None
-        self._slice: Optional[Slice] = None
+    #: A sliced program is schedulable quiescently: while its current
+    #: component is not, it simply re-arms a next-round wakeup every round
+    #: (so it never actually sleeps), and it never sleeps past a slice
+    #: boundary thanks to the boundary wakeup in :meth:`process`.
+    quiescent_when_idle = True
+
+    def __init__(
+        self, schedule: Callable[..., Iterable[Slice]], owner: Any = None
+    ) -> None:
+        self._schedule = schedule
+        self._owner = owner
+        self._plan: Optional[SlicePlan] = None
+        self._index = -1
         self._rounds_left: Optional[int] = None
         self._program: Optional[NodeProgram] = None
         self._subctx: Optional[SubContext] = None
+        #: The components' ``quiescent_when_idle``, read once per slice.
+        self._quiescent = False
         self._parallel_program: Optional[NodeProgram] = None
         self._parallel_subctx: Optional[SubContext] = None
-        self._resumable: Dict[str, Any] = {}
-        self.last_parallel_result: Any = None
+        self._parallel_quiescent = False
+        #: Paused components by ``resume`` key, created by the first
+        #: resumable slice.
+        self._resumable: Optional[Dict[str, Any]] = None
         #: Last engine round this program ran in; the gap to ``ctx.round``
         #: is how many rounds the quiescence scheduler let the node sleep,
         #: which :meth:`_sync` credits to the slice clock on wake-up.
@@ -263,44 +410,50 @@ class SlicedProgram(NodeProgram):
         #: round 1, or a crash recovery in *any* later round — starts
         #: its slice clock at its own first round, never owing back-gap.
         self._last_round: Optional[int] = None
-        #: A sliced program is schedulable quiescently: while its current
-        #: component is not, it simply re-arms a next-round wakeup every
-        #: round (so it never actually sleeps), and it never sleeps past a
-        #: slice boundary thanks to the boundary wakeup in :meth:`process`.
-        self.quiescent_when_idle = True
+        self.last_parallel_result: Any = None
 
     # ------------------------------------------------------------------
     def setup(self, ctx: NodeContext) -> None:
-        self._iterator = iter(self._schedule_factory(ctx))
+        if self._owner is None:
+            self._plan = SlicePlan(self._schedule, ctx)
+        else:
+            self._plan = _shared_plan(self._schedule, self._owner, ctx)
         self._advance(ctx)
         # The first slice's component may terminate during setup (a
         # "0-round" action), which SubContext passes through to the engine.
 
     def _advance(self, ctx: NodeContext) -> None:
         """Move to the next slice and instantiate its program(s)."""
-        try:
-            next_slice = next(self._iterator)
-        except StopIteration:
+        index = self._index + 1
+        next_slice = self._plan.get(index)
+        if next_slice is None:
             raise RuntimeError(
                 f"node {ctx.node_id}: slice schedule exhausted while active"
             )
-        self._slice = next_slice
+        self._index = index
         self._rounds_left = next_slice.duration
-        if next_slice.resume is not None and next_slice.resume in self._resumable:
-            self._program, self._subctx = self._resumable[next_slice.resume]
-            needs_setup = False
+        resume = next_slice.resume
+        resumable = self._resumable
+        if resume is not None and resumable is not None and resume in resumable:
+            self._program, self._subctx = resumable[resume]
         else:
-            self._program = next_slice.builder(self)
-            self._subctx = SubContext(ctx)
-            needs_setup = True
-            if next_slice.resume is not None:
-                self._resumable[next_slice.resume] = (self._program, self._subctx)
-        if needs_setup:
-            self._program.setup(self._subctx)
+            program = self._program = next_slice.builder(self)
+            subctx = self._subctx = SubContext(ctx)
+            if resume is not None:
+                if resumable is None:
+                    resumable = self._resumable = {}
+                resumable[resume] = (program, subctx)
+            program.setup(subctx)
+        self._quiescent = getattr(self._program, "quiescent_when_idle", False)
         if next_slice.parallel_builder is not None:
-            self._parallel_program = next_slice.parallel_builder(self)
-            self._parallel_subctx = SubContext(ctx, intercept_outputs=True)
-            self._parallel_program.setup(self._parallel_subctx)
+            parallel = self._parallel_program = next_slice.parallel_builder(self)
+            parallel_subctx = self._parallel_subctx = SubContext(
+                ctx, intercept_outputs=True
+            )
+            parallel.setup(parallel_subctx)
+            self._parallel_quiescent = getattr(
+                parallel, "quiescent_when_idle", False
+            )
         else:
             self._parallel_program = None
             self._parallel_subctx = None
@@ -335,7 +488,7 @@ class SlicedProgram(NodeProgram):
         if delta <= 0:
             return
         self._last_round = ctx.round
-        if self._subctx is not None and not self._subctx.finished:
+        if not self._subctx.finished:
             self._subctx.round += delta
         if self._parallel_subctx is not None and not self._parallel_subctx.finished:
             self._parallel_subctx.round += delta
@@ -344,24 +497,33 @@ class SlicedProgram(NodeProgram):
             if skipped >= self._rounds_left:
                 raise RuntimeError(
                     f"node {ctx.node_id}: slept past the end of slice "
-                    f"{self._slice.key!r} ({skipped} rounds skipped with "
-                    f"{self._rounds_left} left) — scheduler bug"
+                    f"{self._plan.get(self._index).key!r} ({skipped} rounds "
+                    f"skipped with {self._rounds_left} left) — scheduler bug"
                 )
             self._rounds_left -= skipped
 
     def compose(self, ctx: NodeContext) -> Outbox:
-        if self._slice is None:
+        """The current components' messages.
+
+        Outside a parallel slice this is the component's own outbox,
+        passed through without a copy.
+        """
+        subctx = self._subctx
+        if subctx is None:
             return {}
-        self._sync(ctx)
-        outbox: Outbox = {}
-        primary_out: Outbox = {}
-        if not self._subctx.finished:
-            primary_out = self._program.compose(self._subctx) or {}
+        if self._last_round != ctx.round:
+            self._sync(ctx)
         if self._parallel_program is None:
-            return primary_out
+            if subctx.finished:
+                return {}
+            return self._program.compose(subctx)
+        primary_out: Outbox = {}
+        if not subctx.finished:
+            primary_out = self._program.compose(subctx) or {}
         secondary_out: Outbox = {}
         if not self._parallel_subctx.finished:
             secondary_out = self._parallel_program.compose(self._parallel_subctx) or {}
+        outbox: Outbox = {}
         for receiver in set(primary_out) | set(secondary_out):
             payload: Dict[str, Any] = {}
             if receiver in primary_out:
@@ -372,12 +534,14 @@ class SlicedProgram(NodeProgram):
         return outbox
 
     def process(self, ctx: NodeContext, inbox: Inbox) -> None:
-        if self._slice is None:
+        subctx = self._subctx
+        if subctx is None:
             return
-        self._sync(ctx)
+        if self._last_round != ctx.round:
+            self._sync(ctx)
         if self._parallel_program is None:
-            if not self._subctx.finished:
-                self._program.process(self._subctx, inbox)
+            if not subctx.finished:
+                self._program.process(subctx, inbox)
         else:
             primary_in = {
                 sender: payload[self.PRIMARY]
@@ -389,15 +553,16 @@ class SlicedProgram(NodeProgram):
                 for sender, payload in inbox.items()
                 if isinstance(payload, dict) and self.SECONDARY in payload
             }
-            if not self._subctx.finished:
-                self._program.process(self._subctx, primary_in)
+            if not subctx.finished:
+                self._program.process(subctx, primary_in)
             if not self._parallel_subctx.finished:
                 self._parallel_program.process(self._parallel_subctx, secondary_in)
         if ctx.terminate_requested:
             return
-        if self._rounds_left is not None:
-            self._rounds_left -= 1
-            if self._rounds_left == 0:
+        rounds_left = self._rounds_left
+        if rounds_left is not None:
+            rounds_left = self._rounds_left = rounds_left - 1
+            if rounds_left == 0:
                 self._finish_slice(ctx)
                 self._advance(ctx)
                 if not ctx.terminate_requested:
@@ -418,17 +583,13 @@ class SlicedProgram(NodeProgram):
         execute.  Under the eager schedule these requests are cheap
         no-ops.
         """
-        quiescent = True
-        if self._subctx is not None and not self._subctx.finished:
-            quiescent = getattr(self._program, "quiescent_when_idle", False)
+        quiescent = self._quiescent or self._subctx.finished
         if (
             quiescent
             and self._parallel_subctx is not None
             and not self._parallel_subctx.finished
         ):
-            quiescent = getattr(
-                self._parallel_program, "quiescent_when_idle", False
-            )
+            quiescent = self._parallel_quiescent
         if not quiescent:
             ctx.request_wakeup(1)
         elif self._rounds_left is not None:

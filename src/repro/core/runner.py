@@ -24,7 +24,7 @@ from repro.core.algorithm import DistributedAlgorithm
 from repro.graphs.graph import DistGraph
 from repro.simulator.engine import SyncEngine
 from repro.simulator.metrics import RunResult
-from repro.simulator.models import ExecutionModel
+from repro.simulator.models import LOCAL, ExecutionModel
 from repro.simulator.scheduling import ExecutionPolicy
 from repro.simulator.trace import TraceRecorder
 
@@ -37,7 +37,8 @@ class RunConfig:
     """Frozen description of one engine execution.
 
     Attributes:
-        model: Execution model override; ``None`` uses the algorithm's.
+        model: Execution model override; ``None`` uses the algorithm's
+            (see :meth:`model_for`).
         max_rounds: Round budget; ``None`` uses the engine default
             (``8 * n + 64``).
         seed: Seed for the per-node random streams.  ``None`` means
@@ -84,6 +85,12 @@ class RunConfig:
     def effective_seed(self) -> int:
         """The seed a single run uses: the configured one, else 0."""
         return 0 if self.seed is None else self.seed
+
+    def model_for(self, algorithm: Any) -> ExecutionModel:
+        """The model a run of ``algorithm`` uses: this config's, else the
+        algorithm's, else LOCAL (the engine's default) — also for an
+        algorithm that declares ``model = None``."""
+        return self.model or algorithm.model or LOCAL
 
     def with_overrides(self, **overrides: Any) -> "RunConfig":
         """A copy with the given (non-``_UNSET``) fields replaced."""
@@ -160,7 +167,7 @@ def run(
         graph,
         lambda node: algorithm.build_program(),
         predictions=predictions,
-        model=config.model or algorithm.model,
+        model=config.model_for(algorithm),
         max_rounds=config.max_rounds,
         seed=config.effective_seed,
         trace=recorder,

@@ -15,12 +15,14 @@ DistributedAlgorithm` with predictions:
   with the fault-tolerant part 1 of ``R`` (outputs stored locally), then
   ``C``, then part 2 of ``R``.
 
-All switching rounds are computed per node from the shared knowledge
-``(n, Δ, d)``, so every active node is always in the same slice.  Slice
-lengths are rounded up to the component's ``safe_pause_interval`` so that
-a component is only ever paused or cut at an extendable partial solution
-(the paper chooses its bounds even for the same reason, e.g. Corollaries
-10 and 12).
+All switching rounds are computed from the shared knowledge
+``(n, Δ, d)``, so every active node is always in the same slice; the
+schedule is planned once and shared by every node of a run (see
+:class:`~repro.core.composition.SlicePlan`).  Slice lengths are rounded
+up to the component's ``safe_pause_interval`` so that a component is
+only ever paused or cut at an extendable partial solution (the paper
+chooses its bounds even for the same reason, e.g. Corollaries 10 and
+12).
 
 Every template builds a :class:`~repro.core.composition.SlicedProgram`,
 which participates in quiescence-aware scheduling
@@ -41,8 +43,7 @@ from repro.core.algorithm import (
     PhasedAlgorithm,
     TwoPartReference,
 )
-from repro.core.composition import Slice, SlicedProgram
-from repro.simulator.context import NodeContext
+from repro.core.composition import Knowledge, Slice, SlicedProgram
 from repro.simulator.models import LOCAL
 from repro.simulator.program import NodeProgram
 
@@ -55,7 +56,7 @@ def _roundup(value: int, interval: int) -> int:
     return -(-value // interval) * interval
 
 
-def _stretch(ctx: NodeContext) -> int:
+def _stretch(knowledge: Knowledge) -> int:
     """Slice-duration stretch factor under the asynchronous model.
 
     A message sent in tick t arrives by tick ``t + phi`` under the async
@@ -65,17 +66,17 @@ def _stretch(ctx: NodeContext) -> int:
     stay aligned.  Under every synchronous schedule ``phi == 0`` and the
     factor is 1 — bounds are bit-identical to before.
     """
-    return 1 + max(0, getattr(ctx, "phi", 0))
+    return 1 + max(0, knowledge.phi)
 
 
-def _required_bound(algorithm: DistributedAlgorithm, ctx: NodeContext) -> int:
-    bound = algorithm.round_bound(ctx.n, ctx.delta or 0, ctx.d)
+def _required_bound(algorithm: DistributedAlgorithm, knowledge: Knowledge) -> int:
+    bound = algorithm.round_bound(knowledge.n, knowledge.delta or 0, knowledge.d)
     if bound is None:
         raise ValueError(
             f"{algorithm.name or type(algorithm).__name__} declares no round "
             "bound; templates need node-computable bounds to schedule around it"
         )
-    return bound * _stretch(ctx)
+    return bound * _stretch(knowledge)
 
 
 class _EmitStoredProgram(NodeProgram):
@@ -99,7 +100,11 @@ class _EmitStoredProgram(NodeProgram):
 
 
 class _TemplateBase(DistributedAlgorithm):
-    """Shared metadata handling for the four templates."""
+    """Shared metadata handling and host construction for the templates.
+
+    Each template implements :meth:`_slice_schedule`; every node's host
+    reads the one plan of it shared by the run.
+    """
 
     uses_predictions = True
 
@@ -126,6 +131,13 @@ class _TemplateBase(DistributedAlgorithm):
         assert bound is not None
         return bound
 
+    def build_program(self) -> NodeProgram:
+        return SlicedProgram(type(self)._slice_schedule, self)
+
+    def _slice_schedule(self, knowledge: Knowledge) -> Iterator[Slice]:
+        """The template's slices, computed from the shared knowledge."""
+        raise NotImplementedError
+
 
 class SimpleTemplate(_TemplateBase):
     """Algorithm 2: initialization, then the reference algorithm.
@@ -149,19 +161,15 @@ class SimpleTemplate(_TemplateBase):
         self.initialization = initialization
         self.reference = reference
 
-    def build_program(self) -> NodeProgram:
+    def _slice_schedule(self, knowledge: Knowledge) -> Iterator[Slice]:
         initialization = self.initialization
         reference = self.reference
-
-        def schedule(ctx: NodeContext) -> Iterator[Slice]:
-            yield Slice(
-                "B",
-                _required_bound(initialization, ctx),
-                lambda host: initialization.build_program(),
-            )
-            yield Slice("R", None, lambda host: reference.build_program())
-
-        return SlicedProgram(schedule)
+        yield Slice(
+            "B",
+            _required_bound(initialization, knowledge),
+            lambda host: initialization.build_program(),
+        )
+        yield Slice("R", None, lambda host: reference.build_program())
 
 
 class ConsecutiveTemplate(_TemplateBase):
@@ -196,32 +204,28 @@ class ConsecutiveTemplate(_TemplateBase):
         self.cleanup = cleanup
         self.reference = reference
 
-    def build_program(self) -> NodeProgram:
+    def _slice_schedule(self, knowledge: Knowledge) -> Iterator[Slice]:
         initialization = self.initialization
         measure_uniform = self.measure_uniform
         cleanup = self.cleanup
         reference = self.reference
-
-        def schedule(ctx: NodeContext) -> Iterator[Slice]:
-            reference_bound = _required_bound(reference, ctx)
-            cleanup_bound = _required_bound(cleanup, ctx)
-            yield Slice(
-                "B",
-                _required_bound(initialization, ctx),
-                lambda host: initialization.build_program(),
-            )
-            yield Slice(
-                "U",
-                _roundup(
-                    reference_bound + cleanup_bound,
-                    measure_uniform.safe_pause_interval,
-                ),
-                lambda host: measure_uniform.build_program(),
-            )
-            yield Slice("C", cleanup_bound, lambda host: cleanup.build_program())
-            yield Slice("R", None, lambda host: reference.build_program())
-
-        return SlicedProgram(schedule)
+        reference_bound = _required_bound(reference, knowledge)
+        cleanup_bound = _required_bound(cleanup, knowledge)
+        yield Slice(
+            "B",
+            _required_bound(initialization, knowledge),
+            lambda host: initialization.build_program(),
+        )
+        yield Slice(
+            "U",
+            _roundup(
+                reference_bound + cleanup_bound,
+                measure_uniform.safe_pause_interval,
+            ),
+            lambda host: measure_uniform.build_program(),
+        )
+        yield Slice("C", cleanup_bound, lambda host: cleanup.build_program())
+        yield Slice("R", None, lambda host: reference.build_program())
 
 
 class InterleavedTemplate(_TemplateBase):
@@ -259,38 +263,34 @@ class InterleavedTemplate(_TemplateBase):
         self.measure_uniform = measure_uniform
         self.reference = reference
 
-    def build_program(self) -> NodeProgram:
+    def _slice_schedule(self, knowledge: Knowledge) -> Iterator[Slice]:
         initialization = self.initialization
         measure_uniform = self.measure_uniform
         reference = self.reference
-
-        def schedule(ctx: NodeContext) -> Iterator[Slice]:
-            yield Slice(
-                "B",
-                _required_bound(initialization, ctx),
-                lambda host: initialization.build_program(),
+        n, delta, d = knowledge.n, knowledge.delta or 0, knowledge.d
+        yield Slice(
+            "B",
+            _required_bound(initialization, knowledge),
+            lambda host: initialization.build_program(),
+        )
+        phase = 0
+        while True:
+            phase += 1
+            bound = _roundup(
+                reference.phase_bound(phase, n, delta, d) * _stretch(knowledge),
+                measure_uniform.safe_pause_interval,
             )
-            phase = 0
-            while True:
-                phase += 1
-                bound = _roundup(
-                    reference.phase_bound(phase, ctx.n, ctx.delta or 0, ctx.d)
-                    * _stretch(ctx),
-                    measure_uniform.safe_pause_interval,
-                )
-                yield Slice(
-                    "U",
-                    bound,
-                    lambda host: measure_uniform.build_program(),
-                    resume="U",
-                )
-                yield Slice(
-                    f"R{phase}",
-                    bound,
-                    lambda host, i=phase: reference.build_phase_program(i),
-                )
-
-        return SlicedProgram(schedule)
+            yield Slice(
+                "U",
+                bound,
+                lambda host: measure_uniform.build_program(),
+                resume="U",
+            )
+            yield Slice(
+                f"R{phase}",
+                bound,
+                lambda host, i=phase: reference.build_phase_program(i),
+            )
 
 
 class HedgedConsecutiveTemplate(_TemplateBase):
@@ -342,32 +342,27 @@ class HedgedConsecutiveTemplate(_TemplateBase):
         self.reference = reference
         self.trust = trust
 
-    def build_program(self) -> NodeProgram:
+    def _slice_schedule(self, knowledge: Knowledge) -> Iterator[Slice]:
         initialization = self.initialization
         measure_uniform = self.measure_uniform
         cleanup = self.cleanup
         reference = self.reference
-        trust = self.trust
-
-        def schedule(ctx: NodeContext) -> Iterator[Slice]:
-            reference_bound = _required_bound(reference, ctx)
-            cleanup_bound = _required_bound(cleanup, ctx)
+        reference_bound = _required_bound(reference, knowledge)
+        cleanup_bound = _required_bound(cleanup, knowledge)
+        yield Slice(
+            "B",
+            _required_bound(initialization, knowledge),
+            lambda host: initialization.build_program(),
+        )
+        budget = int(round(self.trust * reference_bound))
+        if budget > 0:
             yield Slice(
-                "B",
-                _required_bound(initialization, ctx),
-                lambda host: initialization.build_program(),
+                "U",
+                _roundup(budget, measure_uniform.safe_pause_interval),
+                lambda host: measure_uniform.build_program(),
             )
-            budget = int(round(trust * reference_bound))
-            if budget > 0:
-                yield Slice(
-                    "U",
-                    _roundup(budget, measure_uniform.safe_pause_interval),
-                    lambda host: measure_uniform.build_program(),
-                )
-            yield Slice("C", cleanup_bound, lambda host: cleanup.build_program())
-            yield Slice("R", None, lambda host: reference.build_program())
-
-        return SlicedProgram(schedule)
+        yield Slice("C", cleanup_bound, lambda host: cleanup.build_program())
+        yield Slice("R", None, lambda host: reference.build_program())
 
 
 class ParallelTemplate(_TemplateBase):
@@ -407,46 +402,42 @@ class ParallelTemplate(_TemplateBase):
         self.reference = reference
         self.cleanup = cleanup
 
-    def build_program(self) -> NodeProgram:
+    def _slice_schedule(self, knowledge: Knowledge) -> Iterator[Slice]:
         initialization = self.initialization
         measure_uniform = self.measure_uniform
         reference = self.reference
         cleanup = self.cleanup
-
-        def schedule(ctx: NodeContext) -> Iterator[Slice]:
+        yield Slice(
+            "B",
+            _required_bound(initialization, knowledge),
+            lambda host: initialization.build_program(),
+        )
+        part1_bound = _roundup(
+            reference.part1_bound(knowledge.n, knowledge.delta or 0, knowledge.d)
+            * _stretch(knowledge),
+            measure_uniform.safe_pause_interval,
+        )
+        yield Slice(
+            "U||R1",
+            part1_bound,
+            lambda host: measure_uniform.build_program(),
+            parallel_builder=lambda host: reference.build_part1(),
+        )
+        if cleanup is not None:
             yield Slice(
-                "B",
-                _required_bound(initialization, ctx),
-                lambda host: initialization.build_program(),
+                "C",
+                _required_bound(cleanup, knowledge),
+                lambda host: cleanup.build_program(),
             )
-            part1_bound = _roundup(
-                reference.part1_bound(ctx.n, ctx.delta or 0, ctx.d)
-                * _stretch(ctx),
-                measure_uniform.safe_pause_interval,
-            )
+        if reference.part1_outputs_are_final:
             yield Slice(
-                "U||R1",
-                part1_bound,
-                lambda host: measure_uniform.build_program(),
-                parallel_builder=lambda host: reference.build_part1(),
+                "emit",
+                None,
+                lambda host: _EmitStoredProgram(host.last_parallel_result),
             )
-            if cleanup is not None:
-                yield Slice(
-                    "C",
-                    _required_bound(cleanup, ctx),
-                    lambda host: cleanup.build_program(),
-                )
-            if reference.part1_outputs_are_final:
-                yield Slice(
-                    "emit",
-                    None,
-                    lambda host: _EmitStoredProgram(host.last_parallel_result),
-                )
-            else:
-                yield Slice(
-                    "R2",
-                    None,
-                    lambda host: reference.build_part2(host.last_parallel_result),
-                )
-
-        return SlicedProgram(schedule)
+        else:
+            yield Slice(
+                "R2",
+                None,
+                lambda host: reference.build_part2(host.last_parallel_result),
+            )

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.graphs.churn import sample_non_edges
+from repro.graphs.csr import CSRTopology
 from repro.graphs.graph import DistGraph
 
 Edge = Tuple[int, int]
@@ -66,6 +67,11 @@ def apply_batch(graph: DistGraph, batch: EpochBatch, name: str = "") -> DistGrap
     allowed to be sloppy; the resulting instance is always well formed.
     ``d`` grows to cover added identifiers and never shrinks, so carried
     predictions stay inside the identifier bound.
+
+    The adjacency built here is symmetric and loop-free by construction,
+    so it becomes the new graph's topology directly, without a second
+    pass through the :class:`DistGraph` constructor; identifiers are
+    still checked to be positive.
     """
     removed = set(batch.remove_nodes)
     adjacency: Dict[int, Set[int]] = {
@@ -78,19 +84,19 @@ def apply_batch(graph: DistGraph, batch: EpochBatch, name: str = "") -> DistGrap
             adjacency[u].discard(v)
             adjacency[v].discard(u)
     for node in batch.add_nodes:
-        adjacency.setdefault(node, set())
+        adjacency.setdefault(int(node), set())
     for u, v in batch.insert_edges:
         if u in adjacency and v in adjacency and u != v:
             adjacency[u].add(v)
             adjacency[v].add(u)
     top = max(adjacency, default=0)
     attrs = {
-        node: dict(graph.node_attrs(node))
+        node: graph.node_attrs(node)
         for node in adjacency
         if node in graph and graph.node_attrs(node)
     }
-    return DistGraph(
-        {node: sorted(others) for node, others in adjacency.items()},
+    return DistGraph._from_csr(
+        CSRTopology.from_adjacency(adjacency),
         d=max(graph.d, top),
         attrs=attrs,
         name=name or graph.name,
@@ -163,10 +169,10 @@ class SyntheticChurnStream(EpochStream):
 
             clamp = max(0, len(nodes) - 1)
             departing = sorted(rng.sample(nodes, min(self.remove_nodes, clamp)))
-            survivors = [node for node in nodes if node not in set(departing)]
+            gone = set(departing)
+            survivors = [node for node in nodes if node not in gone]
             surviving_edges = {
-                (u, v) for u, v in edges
-                if u not in set(departing) and v not in set(departing)
+                (u, v) for u, v in edges if u not in gone and v not in gone
             }
 
             deletions = sorted(

@@ -356,7 +356,7 @@ def _build_shard_engine(
         view,
         lambda node: algorithm.build_program(),
         predictions=restricted,
-        model=config.model or algorithm.model,
+        model=config.model_for(algorithm),
         max_rounds=config.max_rounds,
         seed=config.effective_seed,
         on_round_limit=config.on_round_limit,
@@ -522,7 +522,7 @@ def run_edgecut(
         raise ValueError(
             f"{algorithm.name or type(algorithm).__name__} requires predictions"
         )
-    model = config.model or algorithm.model
+    model = config.model_for(algorithm)
     plan = _make_plan(config, graph, model, shard_count)
     if plan_out is not None:
         plan_out.append(plan)
@@ -844,7 +844,7 @@ def execute_edgecut_cell(
                 f"{algorithm.name or type(algorithm).__name__} "
                 "requires predictions"
             )
-        model = config.model or algorithm.model
+        model = config.model_for(algorithm)
         plan = _make_plan(config, graph, model, shard_count)
         merged = _run_edgecut_process(cell, config, shard_count, graph, plan)
         outputs = merged["outputs"]

@@ -256,6 +256,20 @@ class SyncEngine:
             # The kernel path never touches per-node programs/contexts/
             # inboxes; skipping them keeps construction O(1) per node in
             # arrays rather than Python objects at n ≈ 10⁶.
+            #: What building a node's context reads, looked up once per
+            #: run: the per-node lookups, then the values every context
+            #: shares (``n``, ``d``, ``delta``, the seed, ``phi``, ``gone``).
+            self._context_parts = (
+                graph.neighbors,
+                predictions.get,
+                graph.node_attrs,
+                graph.n,
+                graph.d,
+                graph.delta,
+                seed,
+                self.policy.phi,
+                self._gone,
+            )
             program_of = programs if callable(programs) else programs.__getitem__
             build_context = self._build_context
             for node in order:
@@ -293,18 +307,20 @@ class SyncEngine:
     def _build_context(self, node: int) -> NodeContext:
         # Positional arguments: this runs once per node, and passing ten
         # keywords costs about as much as building the context itself.
-        graph = self.graph
+        neighbors, prediction, attrs, n, d, delta, seed, phi, gone = (
+            self._context_parts
+        )
         return NodeContext(
             node,
-            graph.neighbors(node),
-            graph.n,
-            graph.d,
-            graph.delta,
-            self._predictions.get(node),
-            graph.node_attrs(node),
-            self._seed,
-            self.policy.phi,
-            self._gone,
+            neighbors(node),
+            n,
+            d,
+            delta,
+            prediction(node),
+            attrs(node),
+            seed,
+            phi,
+            gone,
         )
 
     # ------------------------------------------------------------------

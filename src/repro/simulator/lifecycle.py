@@ -29,6 +29,24 @@ from typing import Any, Dict, List, Optional
 
 from repro.simulator.metrics import NodeSnapshot, StuckReport
 
+_MISSING = object()
+
+
+def _attributes(program: Any) -> Dict[str, Any]:
+    """A program's attributes: its instance dict, or its filled slots."""
+    try:
+        return vars(program)
+    except TypeError:
+        pass
+    attributes = {}
+    for cls in type(program).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        for name in (slots,) if isinstance(slots, str) else slots:
+            value = getattr(program, name, _MISSING)
+            if value is not _MISSING and name != "__weakref__":
+                attributes[name] = value
+    return attributes
+
 
 class NodeLifecycle:
     """Applies node participation transitions for one engine run."""
@@ -241,7 +259,7 @@ class NodeLifecycle:
                 last_inbox=last_inbox,
                 state={
                     key: repr(value)
-                    for key, value in sorted(vars(rt.programs[node]).items())
+                    for key, value in sorted(_attributes(rt.programs[node]).items())
                 },
                 has_output=ctx.has_output,
             )

@@ -63,6 +63,15 @@ def estimate_bits(payload: Any) -> int:
     Unknown objects fall back to the size of their ``repr``; algorithms in
     this repository only ever send the types above.
     """
+    # Exact ints and strings — most payloads — skip the isinstance chain;
+    # ``bool`` and other subclasses take the chain below.
+    kind = type(payload)
+    if kind is int:
+        if payload < 0:
+            return (-payload).bit_length() + 1
+        return payload.bit_length() or 1
+    if kind is str:
+        return max(1, _BITS_PER_CHAR * len(payload))
     if payload is None or isinstance(payload, bool):
         return 1
     if isinstance(payload, int):

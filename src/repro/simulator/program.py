@@ -58,6 +58,11 @@ class NodeProgram:
     detected loudly by ``schedule="quiescent-debug"``.
     """
 
+    #: Empty, so a subclass that declares its own slots (the template
+    #: host, one per node) carries no instance dict; subclasses without
+    #: slots keep theirs.
+    __slots__ = ()
+
     #: Opt-in flag for the quiescence scheduler (see the class docstring).
     #: ``False`` keeps the node scheduled every round, which is always
     #: correct.

@@ -74,7 +74,7 @@ class Transport:
             is maintained.
     """
 
-    __slots__ = ("inboxes", "result", "model", "n", "fast", "round")
+    __slots__ = ("inboxes", "result", "model", "n", "fast", "round", "budget")
 
     #: Nodes whose mailboxes live on another shard.  Empty (falsy) for the
     #: local transport, so the schedulers' boundary branches cost a single
@@ -99,6 +99,9 @@ class Transport:
         #: Current round, stored by the scheduler at the top of each round
         #: so violations can name the round they happened in.
         self.round = 0
+        #: The model's per-message budget in bits for this ``n``, computed
+        #: once per run; ``None`` under LOCAL.
+        self.budget = model.bandwidth_bits(n)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -126,23 +129,18 @@ class Transport:
     def account(
         self, payload: Any, sender: int = -1, receiver: int = -1
     ) -> None:
-        """Charge one message's bits against the run and the model."""
+        """Charge one message's bits against the run and the budget."""
         bits = estimate_bits(payload)
         result = self.result
         result.message_count += 1
         result.total_bits += bits
         if bits > result.max_message_bits:
             result.max_message_bits = bits
-        if not self.model.allows(bits, self.n):
+        budget = self.budget
+        if budget is not None and bits > budget:
             result.bandwidth_violations += 1
             if self.model.strict:
-                raise bandwidth_error(
-                    bits,
-                    self.model.bandwidth_bits(self.n),
-                    sender,
-                    receiver,
-                    self.round,
-                )
+                raise bandwidth_error(bits, budget, sender, receiver, self.round)
 
     # ------------------------------------------------------------------
     # Boundary hooks (no-ops for a fully local run)
@@ -309,7 +307,8 @@ class BoundaryTransport(Transport):
         result.total_bits += bits
         if bits > result.max_message_bits:
             result.max_message_bits = bits
-        if not self.model.allows(bits, self.n):
+        budget = self.budget
+        if budget is not None and bits > budget:
             result.bandwidth_violations += 1
             if self.model.strict:
                 self.violations.append((sender, seq, receiver, bits))

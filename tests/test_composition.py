@@ -1,10 +1,27 @@
 """Tests for the composition machinery (SubContext, SlicedProgram)."""
 
+import pickle
+import sys
+import threading
+
 import pytest
 
-from repro.core.composition import Slice, SlicedProgram, SubContext
-from repro.graphs import line, ring
-from repro.simulator import NodeProgram, SyncEngine
+from repro.algorithms.mis.greedy import GreedyMISAlgorithm
+from repro.bench.algorithms import mis_interleaved, mis_parallel, mis_simple
+from repro.bench.workloads import corrupted_segment_mis
+from repro.core import run
+from repro.core.composition import (
+    Knowledge,
+    Slice,
+    SlicedProgram,
+    SubContext,
+    _shared_plan,
+)
+from repro.core.templates import SimpleTemplate
+from repro.graphs import erdos_renyi, line, ring, sorted_path_ids
+from repro.predictions import noisy_predictions
+from repro.problems.mis import MIS
+from repro.simulator import ExecutionPolicy, NodeProgram, SyncEngine
 from repro.simulator.context import NodeContext
 
 
@@ -67,6 +84,20 @@ class TestSubContext:
         assert not sub.is_local_maximum()
         base.active_neighbors.discard(9)
         assert sub.is_local_maximum()
+
+    def test_copies_fixed_knowledge_and_reads_the_rest_through(self):
+        base = make_context(prediction=1, attrs={"pos": (0, 1)})
+        sub = SubContext(base)
+        assert sub.attrs is base.attrs
+        assert sub.active_neighbors is base.active_neighbors
+        assert sub.neighbor_outputs is base.neighbor_outputs
+        assert sub.rng is base.rng
+        base.neighbor_outputs[2] = 0
+        assert sub.neighbor_outputs == {2: 0}
+        with pytest.raises(AttributeError):
+            sub.phi  # components see no delay bound, as before
+        with pytest.raises(AttributeError):
+            sub.unknown = 1
 
 
 class _Counter(NodeProgram):
@@ -180,6 +211,138 @@ class TestSlicedProgram:
         assert result.outputs[1] == "early"
         assert result.rounds == 1
         assert log == []
+
+
+def _observables(result):
+    return (
+        result.outputs,
+        repr(result.records),
+        result.rounds,
+        result.rounds_executed,
+        result.message_count,
+        result.total_bits,
+    )
+
+
+class TestSharedPlan:
+    """Every host of a run reads one plan of its template's schedule."""
+
+    def test_hosts_read_the_same_slices(self):
+        graph = erdos_renyi(40, 0.1, seed=2)
+        algorithm = mis_simple()
+        engine = SyncEngine(
+            graph,
+            lambda node: algorithm.build_program(),
+            predictions=noisy_predictions(MIS, graph, 0.3, seed=1),
+        )
+        engine.run(stop_after=1)
+        hosts = list(engine.programs.values())
+        first, second = hosts[0], hosts[-1]
+        assert first._plan is second._plan
+        assert first._plan.get(0) is second._plan.get(0)
+        assert first._plan.get(first._index) is second._plan.get(second._index)
+
+    def test_per_node_schedules_plan_each_node_alone(self):
+        def schedule(ctx):
+            yield Slice("a", None, lambda host: _FinishAt(1, ctx.node_id))
+
+        engine = SyncEngine(line(3), lambda v: SlicedProgram(schedule))
+        result = engine.run()
+        assert result.outputs == {1: 1, 2: 2, 3: 3}
+        plans = {id(host._plan) for host in engine.programs.values()}
+        assert len(plans) == 3
+
+    @pytest.mark.parametrize("factory", (mis_interleaved, mis_parallel))
+    def test_reused_instance_matches_fresh_instances(self, factory):
+        algorithm = factory()
+        for n in (50, 200, 50):
+            graph = sorted_path_ids(line(n))
+            predictions = corrupted_segment_mis(graph, n // 2, seed=n)
+            reused = run(algorithm, graph, predictions, seed=3)
+            fresh = run(factory(), graph, predictions, seed=3)
+            assert _observables(reused) == _observables(fresh), n
+
+    def test_reused_instance_follows_the_delay_bound(self):
+        algorithm = mis_interleaved()
+        graph = erdos_renyi(30, 0.15, seed=4)
+        predictions = noisy_predictions(MIS, graph, 0.4, seed=4)
+        for phi in (0, 2, 0):
+            policy = ExecutionPolicy(schedule="async", phi=phi)
+            reused = run(algorithm, graph, predictions, policy=policy, seed=1)
+            fresh = run(mis_interleaved(), graph, predictions, policy=policy, seed=1)
+            assert _observables(reused) == _observables(fresh), phi
+
+    def test_template_pickles_the_same_after_a_run(self):
+        algorithm = mis_interleaved()
+        before = pickle.dumps(algorithm, protocol=4)
+        graph = erdos_renyi(30, 0.15, seed=5)
+        predictions = noisy_predictions(MIS, graph, 0.4, seed=5)
+        engine = SyncEngine(
+            graph, lambda node: algorithm.build_program(), predictions=predictions
+        )
+        expected = engine.run()
+        # The run's plan is still alive (the engine holds its hosts).
+        assert pickle.dumps(algorithm, protocol=4) == before
+        clone = pickle.loads(before)
+        assert _observables(run(clone, graph, predictions)) == _observables(expected)
+
+    def test_a_failing_schedule_fails_every_run_alike(self):
+        # Greedy declares no round bound, so B cannot be scheduled.
+        algorithm = SimpleTemplate(GreedyMISAlgorithm(), GreedyMISAlgorithm())
+        graph = line(4)
+        predictions = {node: 0 for node in graph.nodes}
+        with pytest.raises(ValueError, match="declares no round bound") as first:
+            run(algorithm, graph, predictions)
+        # ``first`` keeps the failed run's hosts, and so its plan, alive.
+        with pytest.raises(ValueError, match="declares no round bound"):
+            run(algorithm, graph, predictions)
+        assert first.value is not None
+
+    def test_concurrent_first_use_shares_one_plan_and_its_slices(self):
+        def schedule(owner, knowledge):
+            phase = 0
+            while True:
+                phase += 1
+                # Hand the interpreter to another thread mid-step: without
+                # the plan's lock a second thread would resume the running
+                # generator and raise ValueError.
+                threading.Event().wait(0.0001)
+                yield Slice(f"s{phase}", phase, lambda host: NodeProgram())
+
+        owner = object()
+        ctx = make_context(n=10, d=10, delta=2)
+        seen = []
+        errors = []
+        workers = 8
+        start = threading.Barrier(workers)
+
+        def reader():
+            start.wait()
+            try:
+                plan = _shared_plan(schedule, owner, ctx)
+                seen.append((plan, [plan.get(index) for index in range(60)]))
+            except Exception as exc:  # the failure this test guards against
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(seen) == workers
+        plan, slices = seen[0]
+        assert plan._args == (owner, Knowledge(10, 2, 10, 0))
+        for other_plan, other_slices in seen:
+            assert other_plan is plan
+            assert all(a is b for a, b in zip(other_slices, slices))
+        assert [entry.duration for entry in slices] == list(range(1, 61))
 
 
 class TestRoundupHelper:

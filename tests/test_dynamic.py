@@ -1,5 +1,6 @@
 """Tests for the dynamic epoch-stream pipeline (repro.dynamic)."""
 
+import random
 import subprocess
 import sys
 import warnings
@@ -71,6 +72,32 @@ class TestApplyBatch:
         updated = apply_batch(graph, EpochBatch(remove_nodes=(6,)))
         assert updated.d == graph.d
 
+    def test_non_positive_arrivals_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            apply_batch(line(3), EpochBatch(add_nodes=(0,)))
+
+    def test_same_graph_as_the_adjacency_constructor(self):
+        from repro.graphs import grid2d
+
+        graph = grid2d(5, 5)
+        batch = EpochBatch(
+            insert_edges=((1, 26), (3, 9)),
+            delete_edges=((1, 2),),
+            add_nodes=(26,),
+            remove_nodes=(13,),
+        )
+        updated = apply_batch(graph, batch, name="next")
+        adjacency = {node: updated.neighbors(node) for node in updated.nodes}
+        attrs = {node: updated.node_attrs(node) for node in updated.nodes}
+        rebuilt = DistGraph(adjacency, d=updated.d, attrs=attrs, name="next")
+        assert updated.nodes == rebuilt.nodes
+        assert updated.edges() == rebuilt.edges()
+        assert updated.csr.indptr == rebuilt.csr.indptr
+        assert updated.csr.indices == rebuilt.csr.indices
+        assert updated.node_attrs(1) == graph.node_attrs(1)
+        assert updated.node_attrs(1) is not graph.node_attrs(1)
+        assert not updated.node_attrs(26)
+
 
 class TestSyntheticChurnStream:
     def test_replayable(self):
@@ -118,6 +145,65 @@ class TestSyntheticChurnStream:
         a = list(SyntheticChurnStream(graph, 3, add=3, remove=3, seed=1).batches())
         b = list(SyntheticChurnStream(graph, 3, add=3, remove=3, seed=2).batches())
         assert a != b
+
+    def test_node_churn_matches_the_reference_schedule(self):
+        graph = erdos_renyi(120, 0.05, seed=8)
+        stream = SyntheticChurnStream(
+            graph, 6, add=4, remove=4, add_nodes=5, remove_nodes=7, seed=13
+        )
+        batches = list(stream.batches())
+        assert batches == list(_reference_batches(stream))
+        assert all(batch.remove_nodes and batch.add_nodes for batch in batches)
+
+
+def _reference_batches(stream):
+    """The plain form of ``SyntheticChurnStream.batches``, which rebuilds
+    the departing set at every membership test: a reference the stream
+    must match batch for batch."""
+    from repro.graphs.churn import sample_non_edges
+
+    def canonical(edges):
+        return tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+
+    nodes = list(stream.initial_graph.nodes)
+    edges = set(stream.initial_graph.edges())
+    next_id = (max(nodes) if nodes else 0) + 1
+    for t in range(1, stream.epochs + 1):
+        rng = random.Random(f"{stream.seed}:epoch:{t}")
+        clamp = max(0, len(nodes) - 1)
+        departing = sorted(rng.sample(nodes, min(stream.remove_nodes, clamp)))
+        survivors = [node for node in nodes if node not in set(departing)]
+        surviving_edges = {
+            (u, v) for u, v in edges
+            if u not in set(departing) and v not in set(departing)
+        }
+        deletions = sorted(
+            rng.sample(
+                sorted(surviving_edges), min(stream.remove, len(surviving_edges))
+            )
+        )
+        remaining = surviving_edges - set(deletions)
+        arrivals = list(range(next_id, next_id + stream.add_nodes))
+        next_id += stream.add_nodes
+        attach = []
+        pool = list(survivors)
+        for node in arrivals:
+            targets = (
+                rng.sample(pool, min(stream.attach_degree, len(pool))) if pool else []
+            )
+            attach.extend((min(node, v), max(node, v)) for v in targets)
+            pool.append(node)
+        additions = sample_non_edges(
+            survivors, remaining | set(deletions), stream.add, rng
+        )
+        yield EpochBatch(
+            insert_edges=canonical(additions + attach),
+            delete_edges=canonical(deletions),
+            add_nodes=tuple(arrivals),
+            remove_nodes=tuple(departing),
+        )
+        nodes = survivors + arrivals
+        edges = remaining | set(additions) | set(attach)
 
 
 class TestTemporalStream:

@@ -20,6 +20,10 @@ from repro.bench.algorithms import (
     coloring_simple,
     greedy_mis_reference,
     matching_simple,
+    mis_consecutive,
+    mis_interleaved,
+    mis_parallel,
+    mis_simple,
 )
 from repro.core import RunConfig, run
 from repro.core.runner import ExecutionPolicy
@@ -30,8 +34,9 @@ from repro.graphs import (
     preorder_kary_tree,
 )
 from repro.kernels import UnsupportedScheduleError
-from repro.predictions import perfect_predictions
+from repro.predictions import noisy_predictions, perfect_predictions
 from repro.problems import PROBLEMS
+from repro.problems.mis import MIS
 from repro.shard import EdgecutView, edgecut_bounds, run_edgecut
 from repro.simulator.engine import RoundLimitExceeded
 from repro.simulator.models import strict_congest
@@ -166,6 +171,30 @@ class TestDifferentialFuzz:
             greedy_mis_reference(), graph, config=RunConfig(seed=9), shard_count=3
         )
         _assert_identical(sharded, reference)
+
+
+class TestTemplatesOnShardThreads:
+    """The MIS templates with one instance shared by every shard thread
+    and reused across runs.  The shards' hosts read one slice plan, and
+    the Interleaved and Parallel schedules run past initialization on
+    noisy predictions — the Interleaved one is an infinite generator,
+    which two threads must never resume at once."""
+
+    @pytest.mark.parametrize(
+        "factory", (mis_simple, mis_consecutive, mis_interleaved, mis_parallel)
+    )
+    def test_reused_instance_matches_unsharded(self, factory):
+        algorithm = factory()
+        config = RunConfig(seed=4, policy=ExecutionPolicy(schedule="quiescent"))
+        for seed in (31, 32):
+            graph = _fuzz_graph(seed)
+            predictions = noisy_predictions(MIS, graph, 0.3, seed=seed)
+            reference = run(factory(), graph, predictions, config=config)
+            for shards in (2, 3, 4):
+                sharded = run_edgecut(
+                    algorithm, graph, predictions, config=config, shard_count=shards
+                )
+                _assert_identical(sharded, reference)
 
 
 # ----------------------------------------------------------------------

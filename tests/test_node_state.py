@@ -20,7 +20,7 @@ from repro.bench.algorithms import mis_simple
 from repro.core import run
 from repro.faults import FaultPlan
 from repro.graphs import erdos_renyi, preorder_kary_tree, random_tree
-from repro.predictions import perfect_predictions
+from repro.predictions import noisy_predictions, perfect_predictions
 from repro.problems.mis import MIS
 from repro.shard.edgecut import run_edgecut
 from repro.simulator import (
@@ -182,6 +182,61 @@ class TestTrackedObjectsPerNode:
     def test_vectorized_adds_nothing_per_node(self):
         per_node, top = self._growth_per_node("vectorized", run=True)
         assert per_node < 0.01, top
+
+
+class TestTemplateTrackedObjectsPerNode:
+    """A template node holds its context, its host, and the current
+    component with its sub-context; the slice schedule is one plan
+    shared by the run, not a closure, generator and slices per node.
+
+    ``mis_simple`` on G(n, 6/(n-1)) with noisy predictions, counted by
+    the slope between two sizes as above.
+    """
+
+    SIZES = (1000, 3000)
+
+    @staticmethod
+    def _instance(n):
+        graph = erdos_renyi(n, 6 / (n - 1), seed=3)
+        for node in graph.nodes:
+            graph.neighbors(node)  # cache the neighbor frozensets
+        return graph, noisy_predictions(MIS, graph, 0.2, seed=1)
+
+    def _growth_per_node(self, stage):
+        def grown(n):
+            graph, predictions = self._instance(n)
+            algorithm = mis_simple()
+            with _CollectorOff():
+                before = _tracked_by_type()
+                engine = SyncEngine(
+                    graph,
+                    lambda node: algorithm.build_program(),
+                    predictions=predictions,
+                )
+                if stage == "setup":
+                    engine._setup_phase()
+                elif stage == "run":
+                    engine.run()
+                after = _tracked_by_type()
+                assert engine.graph is graph  # alive while counting
+            return after - before
+
+        grown(50)  # pays for lazy imports
+        small, large = (grown(n) for n in self.SIZES)
+        per_node = Counter(
+            {
+                name: (large[name] - small[name]) / (self.SIZES[1] - self.SIZES[0])
+                for name in large
+            }
+        )
+        return sum(per_node.values()), per_node.most_common(6)
+
+    @pytest.mark.parametrize(
+        "stage,bound", (("construction", 2.0), ("setup", 4.0), ("run", 5.0))
+    )
+    def test_template_engine(self, stage, bound):
+        per_node, top = self._growth_per_node(stage)
+        assert per_node <= bound, top
 
 
 class TestRecordsContract:

@@ -25,7 +25,7 @@ from repro.core import RunConfig, run
 from repro.graphs import erdos_renyi, line, random_rooted_tree
 from repro.predictions import noisy_predictions
 from repro.problems import EDGE_COLORING, MATCHING, MIS, VERTEX_COLORING
-from repro.simulator import SyncEngine
+from repro.simulator import ExecutionPolicy, SyncEngine
 from repro.simulator.models import LOCAL, strict_congest
 
 #: 1.x spellings that 2.0 removed; each must now fail to bind.
@@ -63,6 +63,27 @@ class TestRunner:
     def test_default_model_from_algorithm(self, path5):
         result = run(GreedyMISAlgorithm(), path5)
         assert result.model is LOCAL
+
+    @pytest.mark.parametrize(
+        "schedule,fast", (("eager", False), ("vectorized", True))
+    )
+    def test_algorithm_without_a_model_runs_under_local(self, schedule, fast):
+        class Modelless(GreedyMISAlgorithm):
+            model = None
+
+        graph = erdos_renyi(60, 0.08, seed=2)
+        config = RunConfig(seed=1, fast=fast, policy=ExecutionPolicy(schedule=schedule))
+        modelless = run(Modelless(), graph, config=config)
+        local = run(GreedyMISAlgorithm(), graph, config=config)
+        assert modelless.model is LOCAL
+        assert modelless.outputs == local.outputs
+        assert repr(modelless.records) == repr(local.records)
+        assert (modelless.rounds, modelless.message_count, modelless.total_bits) == (
+            local.rounds,
+            local.message_count,
+            local.total_bits,
+        )
+        assert modelless.message_count > 0
 
     def test_run_trace_flag_attaches_recorder(self, path5):
         result = run(GreedyMISAlgorithm(), path5, trace=True)

@@ -62,6 +62,19 @@ class TestComposites:
         longer = estimate_bits(values + [0])
         assert longer > estimate_bits(values) or not values
 
+    def test_int_and_str_subclasses_cost_like_their_values(self):
+        import enum
+
+        class Level(enum.IntEnum):
+            HIGH = 5
+
+        class Tag(str):
+            pass
+
+        assert estimate_bits(Level.HIGH) == estimate_bits(5) == 3
+        assert estimate_bits(Tag("in")) == estimate_bits("in") == 16
+        assert estimate_bits(-(2**70)) == 72
+
     def test_unknown_objects_fall_back_to_repr(self):
         class Strange:
             def __repr__(self):
