@@ -12,6 +12,10 @@ the genuine staleness produced by churn.  Three measured claims:
   fewer total rounds than the same instances solved from scratch with
   default predictions (and at zero churn the repair cost collapses to
   the consistency floor);
+* **warm epochs interpret only the undecided nodes**: each warm run's
+  one engine holds exactly the nodes the MIS Initialization Algorithm
+  leaves undecided (checked against an interpreted run of the bare
+  initialization), and the others are decided by index;
 * **temporal streams are reproducible offline**: the timestamp-bucketed
   dataset loader falls back to a deterministic synthetic event stream
   (no downloads), its sliding window produces genuine deletions, and
@@ -26,12 +30,19 @@ throughput).
 """
 
 import os
+import time
 import warnings
+from unittest import mock
 
+from repro.algorithms.mis.initialization import MISInitializationProgram
 from repro.bench.algorithms import mis_simple
+from repro.core import run
 from repro.dynamic import DynamicRunner, SyntheticChurnStream, temporal_stream
+from repro.dynamic.stream import apply_batch
 from repro.graphs import erdos_renyi
+from repro.predictions import carry_predictions, default_predictions
 from repro.problems import MIS
+from repro.simulator import SyncEngine
 
 #: Base-graph size (expected degree stays ~6 as this scales).
 N = int(os.environ.get("REPRO_E29_N", "120"))
@@ -140,4 +151,76 @@ def test_e29_temporal_fallback_determinism(once):
         f"recourse={[row.recourse for row in result_a.rows]} "
         f"warm={[row.rounds for row in result_a.rows]} "
         f"scratch={[row.scratch_rounds for row in result_a.rows]}"
+    )
+
+
+def _undecided(graph, predictions):
+    """The nodes the bare MIS Initialization program leaves undecided."""
+    decided = SyncEngine(
+        graph,
+        lambda node: MISInitializationProgram(),
+        predictions=predictions,
+    ).run(stop_after=3).outputs
+    return tuple(node for node in graph.nodes if node not in decided)
+
+
+def test_e29_warm_epochs_interpret_only_the_undecided(once):
+    """Each warm epoch builds one engine, over exactly the undecided nodes.
+
+    The check is a count (and the node set), not a time; the warm runs'
+    wall time is printed next to a full interpreted run of the same
+    epochs for EXPERIMENTS.md, and asserted nothing about.
+    """
+    churn = CHURN_LEVELS[-2]
+
+    def execute():
+        graph = erdos_renyi(N, EDGE_P, seed=9)
+        stream = SyntheticChurnStream(graph, EPOCHS, add=churn, remove=churn, seed=0)
+        outputs = run(mis_simple(), graph, default_predictions(MIS, graph)).outputs
+        built = []
+        construct = SyncEngine.__init__
+
+        def recording(engine, view, *args, **kwargs):
+            construct(engine, view, *args, **kwargs)
+            built.append(tuple(view.nodes))
+
+        epochs = []
+        for epoch, batch in enumerate(stream.batches(), start=1):
+            graph = apply_batch(graph, batch)
+            predictions = carry_predictions(MIS, outputs, graph)
+            undecided = _undecided(graph, predictions)
+            built.clear()
+            with mock.patch.object(SyncEngine, "__init__", recording):
+                started = time.perf_counter()
+                result = run(mis_simple(), graph, predictions, seed=epoch)
+                warm = time.perf_counter() - started
+            algorithm = mis_simple()
+            started = time.perf_counter()
+            full = SyncEngine(
+                graph,
+                lambda node: algorithm.build_program(),
+                predictions=predictions,
+                seed=epoch,
+            ).run()
+            interpreted = time.perf_counter() - started
+            assert result.outputs == full.outputs
+            epochs.append(
+                (graph.n, built[:], undecided, result.init_decided, warm, interpreted)
+            )
+            outputs = result.outputs
+        return epochs
+
+    epochs = once(execute)
+    for n, built, undecided, init_decided, _, _ in epochs:
+        assert built == [undecided], "the warm engine must hold the undecided nodes"
+        assert init_decided == n - len(undecided)
+    total_n = sum(epoch[0] for epoch in epochs)
+    total_undecided = sum(len(epoch[2]) for epoch in epochs)
+    warm = sum(epoch[4] for epoch in epochs)
+    interpreted = sum(epoch[5] for epoch in epochs)
+    print(
+        f"\nE29 warm epochs (mis/simple, gnp n={N}, churn={churn}, "
+        f"epochs={EPOCHS}): interpreted {total_undecided} of {total_n} "
+        f"node-epochs; warm {warm * 1e3:.2f} ms vs full interpretation "
+        f"{interpreted * 1e3:.2f} ms"
     )

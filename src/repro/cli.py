@@ -236,8 +236,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"async      : phi={args.phi} delayed={result.delayed_messages} "
               f"retried={result.retried_messages} "
               f"pulses={result.recovery_pulses}")
-    if result.kernel:
-        print(f"kernel     : {result.kernel}")
+    _print_path(result, graph)
     if result.stuck is not None:
         print(f"stuck      : {result.stuck.summary()}")
     print(f"max msg    : {result.max_message_bits} bits "
@@ -248,6 +247,18 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"  ! {violation}")
         return 1
     return 0
+
+
+def _print_path(result, graph) -> None:
+    """Which fast path ran: the compiled kernel, or the by-index
+    initialization pass (and how many nodes it decided)."""
+    if result.kernel:
+        print(f"kernel     : {result.kernel}")
+    if result.init_decided:
+        print(
+            f"init pass  : {result.init_decided} of {graph.n} node(s) "
+            "decided by index"
+        )
 
 
 def _predictions_for_args(problem, graph, args: argparse.Namespace):
@@ -281,6 +292,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     print(f"algorithm  : {algorithm.name}")
     print(f"rounds     : {result.rounds}")
     print(f"messages   : {result.message_count}")
+    _print_path(result, graph)
     print(f"valid      : {not violations}")
     print()
     print(result.profile.table())

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional
 
 from repro.core.algorithm import DistributedAlgorithm
+from repro.core.initpass import run_initialized
 from repro.graphs.graph import DistGraph
 from repro.simulator.engine import SyncEngine
 from repro.simulator.metrics import RunResult
@@ -143,6 +144,13 @@ def run(
             frozen config: sinks hold live resources such as open
             files).
 
+    A template whose initialization has a registered by-index pass runs
+    only the nodes that initialization leaves undecided through the
+    interpreter, with the same result (see :mod:`repro.core.initpass`;
+    ``result.init_decided`` counts the others).  Runs with faults,
+    traces, sinks, a deadline or a schedule other than eager or
+    quiescent interpret every node.
+
     Returns:
         The :class:`RunResult`; when tracing was requested its ``trace``
         attribute holds the :class:`TraceRecorder`.
@@ -163,6 +171,10 @@ def run(
         policy=_UNSET if policy is None else policy,
     )
     recorder = TraceRecorder() if config.trace else None
+    if recorder is None and not sinks:
+        result = run_initialized(algorithm, graph, predictions, config)
+        if result is not None:
+            return result
     engine = SyncEngine(
         graph,
         lambda node: algorithm.build_program(),

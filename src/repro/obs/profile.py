@@ -89,7 +89,9 @@ class RoundProfile:
 
     Filled by the schedulers' round loops; read via ``result.
     profile``.  ``setup`` is the seconds spent in the setup phase
-    (round 0), which has no per-phase breakdown.
+    (round 0), which has no per-phase breakdown; on a template run whose
+    initialization was computed by index (:mod:`repro.core.initpass`)
+    it includes that pass.
     """
 
     samples: List[RoundSample] = field(default_factory=list)

@@ -54,7 +54,11 @@ from repro.graphs.graph import DistGraph
 from repro.shard.plan import EdgecutView, edgecut_bounds
 from repro.simulator.engine import RoundLimitExceeded, SyncEngine
 from repro.simulator.metrics import NodeRecords, RunResult, StuckReport
-from repro.simulator.transport import BoundaryTransport, bandwidth_error
+from repro.simulator.transport import (
+    BoundaryTransport,
+    bandwidth_error,
+    event_order,
+)
 
 if TYPE_CHECKING:  # lazy at runtime: repro.exec imports this module.
     from repro.exec.plan import Cell
@@ -100,9 +104,11 @@ class EdgecutPlan:
     ) -> None:
         self.graph = graph
         self.shard_count = shard_count
-        bounds = edgecut_bounds(len(graph.nodes), shard_count)
-        #: First owned identifier of each shard, for owner lookup.
-        self._starts = [graph.nodes[b] for b in bounds[:-1]]
+        nodes = graph.nodes
+        bounds = edgecut_bounds(len(nodes), shard_count)
+        #: First owned identifier of each shard, for owner lookup (none
+        #: on an empty graph, where no owner is ever looked up).
+        self._starts = [nodes[b] for b in bounds[:-1] if b < len(nodes)]
         self.max_rounds = max_rounds
         self.on_round_limit = on_round_limit
         self.deadline = (
@@ -172,7 +178,7 @@ class EdgecutPlan:
             violations.extend(shard_violations)
             total_active += active
             preview.extend(shard_preview)
-        events.sort(key=lambda event: (event[0] != "terminate", event[1]))
+        events.sort(key=event_order)
 
         command = "continue"
         extra: Any = None
@@ -366,39 +372,6 @@ def _build_shard_engine(
     )
 
 
-def _apply_remote_events(engine: SyncEngine, events: Sequence[tuple]) -> None:
-    """Apply one round's globally ordered termination/crash events.
-
-    The mirror of the publication loop in
-    :meth:`~repro.simulator.lifecycle.NodeLifecycle.finalize_round`,
-    restricted to the neighbors this shard owns.
-    """
-    if not events:
-        return
-    contexts = engine.contexts
-    scheduler = engine._scheduler
-    neighbors_of = engine.graph.neighbors
-    gone = engine._gone
-    for kind, node, output in events:
-        owned = [v for v in neighbors_of(node) if v in contexts]
-        if kind == "terminate":
-            gone.add(node)
-            for neighbor in owned:
-                ctx = contexts[neighbor]
-                active = ctx._active
-                if active is not None:
-                    active.discard(node)
-                ctx.neighbor_outputs[node] = output
-            scheduler.on_terminated(node, owned)
-        else:
-            for neighbor in owned:
-                ctx = contexts[neighbor]
-                ctx.active_neighbors.discard(node)
-                ctx.crashed_neighbors.add(node)
-            gone.add(node)
-            scheduler.on_crashed(node, owned)
-
-
 def _drive(engine: SyncEngine, coordinator: Any) -> Tuple[str, Any, int]:
     """Run one shard to the global stop decision.
 
@@ -424,7 +397,7 @@ def _drive(engine: SyncEngine, coordinator: Any) -> Tuple[str, Any, int]:
                 transport.take_violations(),
             ),
         )
-        _apply_remote_events(engine, events)
+        engine._lifecycle.publish(events)
         if command != "continue":
             break
         round_index += 1

@@ -34,6 +34,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.runner import run
 from repro.graphs.graph import DistGraph
+from repro.graphs.window import GraphWindow
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.exec imports this
     # module (via the backends), so a module-level import would cycle.
@@ -140,20 +141,20 @@ def edgecut_node_ids(
     return list(nodes[bounds[shard] : bounds[shard + 1]])
 
 
-class EdgecutView:
+class EdgecutView(GraphWindow):
     """One edge-cut shard's window onto the *full* parent graph.
 
-    Unlike :func:`shard_view` (components), no subgraph is built: an
-    owned node keeps its complete adjacency — including neighbors whose
-    mailboxes live on other shards — because the paper's algorithms act
-    on full local views and only the *delivery* of cut messages moves to
-    the :class:`~repro.simulator.transport.BoundaryTransport`.  ``nodes``
-    is the owned contiguous block; every ambient quantity (``n``, ``d``,
+    Unlike :func:`shard_view` (components), no subgraph is built (see
+    :class:`~repro.graphs.window.GraphWindow`): an owned node keeps its
+    complete adjacency, including neighbors whose mailboxes live on
+    other shards, and only the *delivery* of cut messages moves to the
+    :class:`~repro.simulator.transport.BoundaryTransport`.  ``nodes`` is
+    the owned contiguous block; every ambient quantity (``n``, ``d``,
     ``Δ``, attrs) delegates to the parent, so round budgets, CONGEST
     bandwidth and palette sizes match the unsharded run exactly.
     """
 
-    __slots__ = ("parent", "shard", "shard_count", "nodes")
+    __slots__ = ("shard", "shard_count")
 
     #: Marker the kernel resolver checks: compiled whole-frontier kernels
     #: index dense per-node arrays and have no halo exchange, so they
@@ -167,10 +168,9 @@ class EdgecutView:
             raise ValueError(
                 f"shard must be in [0, {shard_count}), got {shard}"
             )
-        self.parent = parent
+        super().__init__(parent, edgecut_node_ids(parent, shard, shard_count))
         self.shard = shard
         self.shard_count = shard_count
-        self.nodes = tuple(edgecut_node_ids(parent, shard, shard_count))
 
     def __reduce__(self) -> tuple:
         # Rebuild from the parent (which ships zero-copy under an active
@@ -178,28 +178,10 @@ class EdgecutView:
         return (type(self), (self.parent, self.shard, self.shard_count))
 
     @property
-    def n(self) -> int:
-        return self.parent.n
-
-    @property
-    def d(self) -> int:
-        return self.parent.d
-
-    @property
-    def delta(self) -> Optional[int]:
-        return self.parent.delta
-
-    @property
     def name(self) -> str:
         return (
             f"{self.parent.name}[edgecut {self.shard}/{self.shard_count}]"
         )
-
-    def neighbors(self, node: int):
-        return self.parent.neighbors(node)
-
-    def node_attrs(self, node: int):
-        return self.parent.node_attrs(node)
 
 
 def execute_shard(

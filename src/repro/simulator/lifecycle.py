@@ -25,7 +25,7 @@ set layout an eagerly maintained set has.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.simulator.metrics import NodeSnapshot, StuckReport
 
@@ -97,7 +97,11 @@ class NodeLifecycle:
         else:
             crashed = []
 
+        transport = rt.transport
         if not terminated and not crashed:
+            if transport.remote:
+                # The far side of the boundary may still have departures.
+                self.publish(transport.boundary_events(round_index, []))
             return
         obs = rt.obs
         result = rt.result
@@ -128,20 +132,20 @@ class NodeLifecycle:
         # the same timing as the paper's explicit final-round notification.
         # Under quiescent scheduling that observation is a wake condition
         # (the scheduler hooks; no-ops under the eager policy).
-        scheduler = rt._scheduler
-        transport = rt.transport
         if transport.remote:
-            # Edge-cut shard: publication is deferred to the round barrier,
-            # where the driver applies every shard's events in one global
-            # ascending order — the same per-round ``neighbor_outputs``
-            # insertion order an unsharded run produces (some neighbors
-            # live on other shards, so no context exists for them here;
-            # see :mod:`repro.shard.edgecut`).
-            for node in terminated:
-                transport.export_event("terminate", node, contexts[node].output)
-            for node in crashed:
-                transport.export_event("crash", node, None)
+            # A boundary run (edge-cut shard, initialization window): the
+            # transport merges this round's events with the far side's
+            # into one global ascending order — the same per-round
+            # ``neighbor_outputs`` insertion order an unsharded run
+            # produces — and hands back what to publish now.  An edge-cut
+            # shard defers all of it to the driver's barrier.
+            events = [
+                ("terminate", node, contexts[node].output) for node in terminated
+            ]
+            events.extend(("crash", node, None) for node in crashed)
+            self.publish(transport.boundary_events(round_index, events))
             return
+        scheduler = rt._scheduler
         gone = rt._gone
         for node in terminated:
             output = contexts[node].output
@@ -162,6 +166,41 @@ class NodeLifecycle:
                 neighbor_ctx.crashed_neighbors.add(node)
             gone.add(node)
             scheduler.on_crashed(node, neighbors)
+
+    def publish(self, events: Sequence[Tuple[str, int, Any]]) -> None:
+        """Publish ordered ``(kind, node, output)`` departures to the
+        owned neighbors.
+
+        The mirror of :meth:`finalize_round`'s local publication for a
+        run that owns only part of the graph (an edge-cut shard, an
+        initialization window): ``node`` may be unowned, and only the
+        neighbors with a context here observe it.
+        """
+        if not events:
+            return
+        rt = self.rt
+        contexts = rt.contexts
+        scheduler = rt._scheduler
+        neighbors_of = rt.graph.neighbors
+        gone = rt._gone
+        for kind, node, output in events:
+            owned = [v for v in neighbors_of(node) if v in contexts]
+            if kind == "terminate":
+                gone.add(node)
+                for neighbor in owned:
+                    ctx = contexts[neighbor]
+                    active = ctx._active
+                    if active is not None:
+                        active.discard(node)
+                    ctx.neighbor_outputs[node] = output
+                scheduler.on_terminated(node, owned)
+            else:
+                for neighbor in owned:
+                    ctx = contexts[neighbor]
+                    ctx.active_neighbors.discard(node)
+                    ctx.crashed_neighbors.add(node)
+                gone.add(node)
+                scheduler.on_crashed(node, owned)
 
     def apply_recoveries(self, round_index: int) -> None:
         """Rejoin crash-with-recovery nodes at the start of this round."""

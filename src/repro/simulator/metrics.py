@@ -220,6 +220,10 @@ class RunResult:
             ``"greedy-mis"``), else ``None`` — including when a
             ``fallback="interpret"`` run downgraded to an interpreted
             schedule.
+        init_decided: Nodes whose share of a template's initialization
+            was computed by index instead of interpreted (see
+            :mod:`repro.core.initpass`); 0 when every node was
+            interpreted.
     """
 
     outputs: Dict[int, Any] = field(default_factory=dict)
@@ -241,6 +245,7 @@ class RunResult:
     trace: Optional[Any] = None
     profile: Optional[Any] = None
     kernel: Optional[str] = None
+    init_decided: int = 0
 
     def termination_round(self, node_id: int) -> Optional[int]:
         """Round in which ``node_id`` terminated, or ``None``."""

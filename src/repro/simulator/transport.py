@@ -17,6 +17,9 @@ messages that cross the cut through a per-round coordinator barrier (see
 :mod:`repro.shard.edgecut`), reproducing the unsharded run bit for bit:
 same ascending-sender inbox order, same CONGEST accounting at the
 receiving shard, same drop-unaccounted rule for terminated receivers.
+:class:`WindowTransport` is the same boundary with its far side known in
+advance: the nodes a template's initialization decided, computed by index
+(:mod:`repro.core.initpass`), whose messages and terminations it replays.
 
 Inboxes are allocated once and cleared between rounds rather than
 reallocated: programs consume their inbox during ``process`` and never
@@ -26,7 +29,17 @@ churn.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.simulator.message import estimate_bits
 from repro.simulator.metrics import RunResult
@@ -57,7 +70,7 @@ class Transport:
 
     This base class *is* the protocol: the engine and schedulers program
     against its surface (``inboxes``/``deposit``/``clear_inbox`` plus the
-    boundary hooks ``remote``/``export``/``export_event``/``sync``) and the
+    boundary hooks ``remote``/``export``/``boundary_events``/``sync``) and the
     engine injects a concrete transport at construction.  The base
     behavior is fully local; :class:`LocalTransport` is its alias-like
     subclass, and :class:`BoundaryTransport` overrides the hooks to speak
@@ -156,10 +169,19 @@ class Transport:
             "no remote nodes"
         )
 
-    def export_event(self, kind: str, node: int, output: Any) -> None:
-        """Announce a local termination/crash to remote neighbors."""
+    def boundary_events(
+        self, round_index: int, events: List[Tuple[str, int, Any]]
+    ) -> Sequence[Tuple[str, int, Any]]:
+        """Hand a round's local terminations/crashes to the boundary.
+
+        ``events`` are ``(kind, node, output)`` tuples, terminations
+        ascending then crashes ascending.  Returns the events to publish
+        to the owned nodes now, in publication order; the lifecycle
+        publishes them.  Never reached locally: the lifecycle publishes
+        a local run's events itself.
+        """
         raise RuntimeError(
-            f"local transport cannot export {kind} event for node {node}"
+            f"local transport has no boundary for round {round_index}"
         )
 
     def sync(
@@ -174,6 +196,47 @@ class Transport:
         A local run has no boundary; the hook exists so schedulers can
         call it unconditionally.
         """
+
+    def _land(
+        self,
+        inbound: Sequence[Tuple[int, int, int, Any]],
+        active: Set[int],
+        process_set: Optional[Set[int]],
+        wake: Optional[Set[int]],
+        charge: Optional[Callable[[Any, int, int, int], None]],
+    ) -> None:
+        """Merge boundary messages ``(sender, seq, receiver, payload)``
+        into the owned inboxes at the round barrier.
+
+        Each lands exactly as a local send would have: dropped
+        unaccounted if the receiver already terminated, lazily clearing a
+        sleeping receiver's inbox and waking it under the quiescent
+        schedule, and passed to ``charge(payload, sender, receiver,
+        seq)`` unless it was accounted already.  Every touched inbox is
+        then re-sorted by sender, the order in which the unsharded
+        compose loop fills it.
+        """
+        inboxes = self.inboxes
+        touched = set()
+        for sender, seq, receiver, payload in inbound:
+            if receiver not in active:
+                continue
+            inbox = inboxes[receiver]
+            if process_set is not None and receiver not in process_set:
+                inbox.clear()
+                process_set.add(receiver)
+            if wake is not None:
+                wake.add(receiver)
+            if charge is not None:
+                charge(payload, sender, receiver, seq)
+            inbox[sender] = payload
+            touched.add(receiver)
+        for receiver in touched:
+            inbox = inboxes[receiver]
+            if len(inbox) > 1:
+                entries = sorted(inbox.items())
+                inbox.clear()
+                inbox.update(entries)
 
 
 class LocalTransport(Transport):
@@ -279,8 +342,12 @@ class BoundaryTransport(Transport):
         self._seq += 1
         self.outbound.append((sender, self._seq, receiver, payload))
 
-    def export_event(self, kind: str, node: int, output: Any) -> None:
-        self.events.append((kind, node, output))
+    def boundary_events(
+        self, round_index: int, events: List[Tuple[str, int, Any]]
+    ) -> Sequence[Tuple[str, int, Any]]:
+        # Published at the barrier, in one global order across shards.
+        self.events.extend(events)
+        return ()
 
     def take_events(self) -> List[Tuple[str, int, Any]]:
         """Drain the pending boundary events (driver, at the barrier)."""
@@ -333,28 +400,92 @@ class BoundaryTransport(Transport):
         inbound = self.coordinator.exchange_messages(
             self.shard, round_index, outbound
         )
-        if not inbound:
-            return
-        inboxes = self.inboxes
-        touched = set()
-        for sender, seq, receiver, payload in inbound:
-            if receiver not in active:
-                continue
-            inbox = inboxes[receiver]
-            if process_set is not None and receiver not in process_set:
-                inbox.clear()
-                process_set.add(receiver)
-            if wake is not None:
-                wake.add(receiver)
+        if inbound:
+            self._land(inbound, active, process_set, wake, self._charge)
+
+    def _charge(self, payload: Any, sender: int, receiver: int, seq: int) -> None:
+        """Account one inbound cut message at this (receiving) shard."""
+        if self.fast:
+            self.result.message_count += 1
+        else:
+            self._account_deferred(payload, sender, receiver, seq)
+
+
+def event_order(event: Tuple[str, int, Any]) -> Tuple[bool, int]:
+    """Sort key of one round's published events: terminations before
+    crashes, each ascending by node — the unsharded publication order."""
+    return (event[0] != "terminate", event[1])
+
+
+class WindowTransport(Transport):
+    """Transport of an initialization window: a boundary known in advance.
+
+    The engine interprets only the nodes a template's initialization
+    leaves undecided (:mod:`repro.core.initpass`); the decided region's
+    share of the initialization was computed by index before the run, so
+    its traffic reaches this transport as a script rather than through a
+    coordinator:
+
+    * ``inbound`` — round -> the decided region's messages to owned
+      nodes, ``(sender, 0, receiver, payload)``.  They land at the round
+      barrier as cut messages do (ascending sender per inbox), already
+      accounted by the pass.
+    * ``events`` — round -> the decided region's terminations that owned
+      nodes observe, ascending.  :meth:`boundary_events` merges them with
+      the round's local terminations into one ascending publication, as
+      the edge-cut coordinator merges its shards' events.
+    * ``departures`` — decided boundary node -> its termination round.
+      A send into the decided region is accounted while the receiver is
+      active (up to and including that round) and dropped unaccounted
+      afterwards, as in an unsharded run.
+    """
+
+    __slots__ = ("remote", "_inbound", "_events", "_departures")
+
+    def __init__(
+        self,
+        nodes: Iterable[int],
+        result: RunResult,
+        model: ExecutionModel,
+        n: int,
+        fast: bool,
+        *,
+        owned: Any,
+        inbound: Dict[int, List[Tuple[int, int, int, Any]]],
+        events: Dict[int, List[Tuple[str, int, Any]]],
+        departures: Dict[int, int],
+    ) -> None:
+        super().__init__(nodes, result, model, n, fast)
+        self.remote = _RemoteSet(owned)
+        self._inbound = inbound
+        self._events = events
+        self._departures = departures
+
+    def export(self, sender: int, receiver: int, payload: Any) -> None:
+        # Strict violations raise here, in compose order: the pass refused
+        # runs where a decided node's own message is over budget, so the
+        # first violation of any round is an owned sender's.
+        if self.round <= self._departures[receiver]:
             if self.fast:
                 self.result.message_count += 1
             else:
-                self._account_deferred(payload, sender, receiver, seq)
-            inbox[sender] = payload
-            touched.add(receiver)
-        for receiver in touched:
-            inbox = inboxes[receiver]
-            if len(inbox) > 1:
-                entries = sorted(inbox.items())
-                inbox.clear()
-                inbox.update(entries)
+                self.account(payload, sender, receiver)
+
+    def boundary_events(
+        self, round_index: int, events: List[Tuple[str, int, Any]]
+    ) -> Sequence[Tuple[str, int, Any]]:
+        decided = self._events.get(round_index)
+        if not decided:
+            return events
+        return sorted(events + decided, key=event_order)
+
+    def sync(
+        self,
+        round_index: int,
+        active: Set[int],
+        process_set: Optional[Set[int]] = None,
+        wake: Optional[Set[int]] = None,
+    ) -> None:
+        inbound = self._inbound.get(round_index)
+        if inbound:
+            self._land(inbound, active, process_set, wake, None)

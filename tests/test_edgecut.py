@@ -29,6 +29,7 @@ from repro.core import RunConfig, run
 from repro.core.runner import ExecutionPolicy
 from repro.exec import GraphSpec, Sweep
 from repro.graphs import (
+    DistGraph,
     complete_kary_tree,
     connected_erdos_renyi,
     preorder_kary_tree,
@@ -152,6 +153,19 @@ class TestDifferentialFuzz:
                 shard_count=shards,
             )
             _assert_identical(sharded, reference)
+
+    @pytest.mark.parametrize("n", (0, 1))
+    def test_empty_and_single_node_graphs(self, n):
+        """Shards owning no node at all: the empty graph (every shard
+        empty) and one node on two shards."""
+        graph = DistGraph({node: () for node in range(1, n + 1)})
+        config = RunConfig(seed=2, policy=ExecutionPolicy(schedule="quiescent"))
+        reference = run(greedy_mis_reference(), graph, config=config)
+        sharded = run_edgecut(
+            greedy_mis_reference(), graph, config=config, shard_count=2
+        )
+        _assert_identical(sharded, reference)
+        assert list(sharded.outputs.items()) == list(reference.outputs.items())
 
     def test_preorder_tree_round_count_is_depth_bounded(self):
         graph = preorder_kary_tree(3, 5)

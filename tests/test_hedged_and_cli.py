@@ -148,6 +148,21 @@ class TestCLI:
         assert code == 0
         assert "valid      : True" in out
 
+    @pytest.mark.parametrize("command", ("run", "profile"))
+    def test_reports_the_initialization_pass(self, command, capsys):
+        """A noisy MIS template decides most nodes by index; the greedy
+        algorithm (no template) interprets every node and says nothing."""
+        from repro.cli import main
+
+        graph = ["--problem", "mis", "--graph", "gnp:30:0.1:2", "--noise", "0.2"]
+        assert main([command, "--template", "simple", *graph]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        line = next(line for line in lines if line.startswith("init pass  : "))
+        decided = int(line.split(":")[1].split()[0])
+        assert 0 < decided <= 30 and line.endswith("of 30 node(s) decided by index")
+        assert main([command, "--template", "greedy", *graph]) == 0
+        assert "init pass" not in capsys.readouterr().out
+
     def test_sweep_csv(self, tmp_path, capsys):
         from repro.cli import main
 
