@@ -12,132 +12,123 @@ compute the same partial solutions as the message-passing implementations
 in :mod:`repro.algorithms` (a property the test suite checks), but without
 simulation, so error measures are cheap to evaluate inside sweeps.
 
-For the three node problems each base algorithm is one pass over the CSR
-topology (``graph.csr``) that writes a per-index "decided" flag.  Both
-the public ``*_base_partial`` dicts and the error components derive from
-that flag: the components are :meth:`CSRTopology.components` under the
-mask of undecided indices, so no subgraph is built.  Passes index by
-``csr.n``/``csr.ids`` (a shard view's ``graph.n`` is its parent's) and
-take the palette size from ``graph.delta``.
+For the three node problems each base algorithm is one array program
+over the topology's array view (``graph.csr.arrays``) that yields a
+per-index "decided" array.  Only reading the predictions is per value: a
+decode applies the base algorithm's own comparisons (``== 1``, ``== 0``,
+``index_of.get``, ``isinstance(…, int)``) to each value once, so every
+value decides exactly as it always has.  Both the public
+``*_base_partial`` dicts and the error components derive from the
+decided array: the components are labelled under the mask of undecided
+indices, so no subgraph is built.  Passes index by ``csr.n``/``csr.ids``
+(a shard view's ``graph.n`` is its parent's) and take the palette size
+from ``graph.delta``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Tuple
 
+import numpy as np
+
 from repro.graphs.csr import CSRTopology
 from repro.graphs.graph import DistGraph
-from repro.problems.base import Outputs
+from repro.problems.base import Outputs, lookup
 from repro.problems.matching import UNMATCHED
+from repro.problems.mis import ONE, ZERO, bit_codes
 
 Predictions = Mapping[int, Any]
 
-#: Per-index codes of the MIS pass.  A prediction code says whether the
-#: prediction equals 1 or 0 (0 for anything else); a decided code says
-#: whether the node outputs 1 (it is in ``I``) or 0 (a neighbor of ``I``),
-#: or stays active (0).
-_ONE = 1
-_ZERO = 2
-
-#: ``bytes.translate`` table turning decided flags into the mask of the
-#: nodes still active: 1 where the flag is 0, else 0.
-_ACTIVE = bytes([1]) + bytes(255)
-
 
 # ----------------------------------------------------------------------
-# One pass per node problem: the base algorithm's decided flags
+# One array program per node problem: the base algorithm's decisions
 # ----------------------------------------------------------------------
 def _mis_pass(
     graph: DistGraph, predictions: Predictions
-) -> Tuple[bytearray, bytearray]:
-    """The MIS Base Algorithm: ``(prediction codes, decided codes)``."""
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The MIS Base Algorithm: ``(prediction codes, decided codes)``.
+
+    A prediction code is :data:`~repro.problems.mis.ONE` or ``ZERO`` when
+    the prediction equals 1 or 0 (else 0); a decided code says whether
+    the node outputs 1 (it is in ``I``) or 0 (a neighbor of ``I``), or
+    stays active (0).
+    """
     csr = graph.csr
-    indptr = csr.indptr
-    indices = csr.indices
-    predicted = bytearray(csr.n)
-    for index, value in enumerate(map(predictions.get, csr.ids)):
-        if value == 1:
-            predicted[index] = _ONE
-        elif value == 0:
-            predicted[index] = _ZERO
-    decided = bytearray(csr.n)
-    for index, code in enumerate(predicted):
-        if code != _ONE:
-            continue
-        lo = indptr[index]
-        hi = indptr[index + 1]
-        for position in range(lo, hi):
-            if predicted[indices[position]] != _ZERO:
-                break
-        else:
-            decided[index] = _ONE
-            for position in range(lo, hi):
-                decided[indices[position]] = _ZERO
+    arrays = csr.arrays
+    predicted = bit_codes(map(predictions.get, csr.ids))
+    # ``I``: predicted 1 with every neighbor predicted 0.  Members of
+    # ``I`` and their neighbors are disjoint (the neighbors are predicted
+    # 0), so the two writes never collide.
+    chosen = (predicted == ONE) & ~arrays.segment_any(
+        predicted[arrays.indices] != ZERO
+    )
+    decided = np.zeros(csr.n, dtype=np.int8)
+    decided[arrays.segment_any(chosen[arrays.indices])] = ZERO
+    decided[chosen] = ONE
     return predicted, decided
 
 
 def _matching_pass(
     graph: DistGraph, predictions: Predictions
-) -> Tuple[List[Any], bytearray]:
+) -> Tuple[List[Any], np.ndarray]:
     """The Maximal Matching Base Algorithm: ``(predictions by index,
-    decided flags)``."""
+    decided flags)``.
+
+    Each prediction names a partner through ``index_of.get`` (None, ⊥
+    and unhashable values name none).  A pair is matched when each names
+    the other and they are adjacent; pairs are disjoint, so this is the
+    pairwise rule.  Comparing decoded partners agrees with comparing the
+    partner's prediction to the node's id for every value that hashes
+    like what it equals, as Python requires of hashable values.  A node
+    predicted ⊥ is decided when every neighbor is matched: a ⊥ node
+    decided by the rule can have no ⊥ neighbor decided by it, so the rule
+    reads the matched flags only.
+    """
     csr = graph.csr
-    ids = csr.ids
-    index_of = csr.index_of
-    values = list(map(predictions.get, ids))
-    decided = bytearray(csr.n)
-    for index, partner in enumerate(values):
-        if decided[index]:
-            continue  # matched from its partner's side
-        try:
-            # None, ⊥ and other non-identifiers name no node.
-            other = index_of.get(partner)
-        except TypeError:  # an unhashable prediction names no partner
-            continue
-        if (
-            other is not None
-            and values[other] == ids[index]
-            and csr.adjacent(index, other)
-        ):
-            decided[index] = 1
-            decided[other] = 1
-    indptr = csr.indptr
-    indices = csr.indices
-    for index, value in enumerate(values):
-        if decided[index] or value != UNMATCHED:
-            continue
-        for position in range(indptr[index], indptr[index + 1]):
-            if not decided[indices[position]]:
-                break
-        else:
-            decided[index] = 1
+    arrays = csr.arrays
+    values = list(map(predictions.get, csr.ids))
+    partner = np.array(lookup(csr.index_of, values, -1), dtype=np.int64)
+    named = partner >= 0
+    adjacent = arrays.segment_any(partner[arrays.sources] == arrays.indices)
+    back = partner[np.where(named, partner, 0)]
+    matched = named & adjacent & (back == np.arange(csr.n))
+    # Only a value that names no node can be ⊥.
+    bottom = np.zeros(csr.n, dtype=bool)
+    unnamed = np.flatnonzero(~named)
+    bottom[unnamed] = [not (values[index] != UNMATCHED) for index in unnamed.tolist()]
+    decided = matched | (
+        bottom & ~matched & ~arrays.segment_any(~matched[arrays.indices])
+    )
     return values, decided
 
 
 def _coloring_pass(
     graph: DistGraph, predictions: Predictions
-) -> Tuple[List[Any], bytearray]:
+) -> Tuple[List[Any], np.ndarray]:
     """The (Δ+1)-Vertex Coloring Base Algorithm: ``(predictions by
-    index, decided flags)``."""
+    index, decided flags)``.
+
+    A legal prediction (an ``int`` in ``1..Δ+1``) is kept unless a
+    neighbor's prediction equals it.  Each prediction's code is the
+    palette color it equals (0 for none), so comparing codes is comparing
+    a legal color with the neighbor's value.
+    """
     csr = graph.csr
-    indptr = csr.indptr
-    indices = csr.indices
+    arrays = csr.arrays
     palette_size = graph.delta + 1
     values = list(map(predictions.get, csr.ids))
-    decided = bytearray(csr.n)
-    for index, color in enumerate(values):
-        if not isinstance(color, int) or not 1 <= color <= palette_size:
-            continue
-        for position in range(indptr[index], indptr[index + 1]):
-            if values[indices[position]] == color:
-                break
-        else:
-            decided[index] = 1
-    return values, decided
+    legal = np.array(
+        [isinstance(color, int) and 1 <= color <= palette_size for color in values],
+        dtype=bool,
+    )
+    palette = {color: color for color in range(1, palette_size + 1)}
+    codes = np.array(lookup(palette, values, 0), dtype=np.int64)
+    clashes = arrays.segment_any(codes[arrays.indices] == codes[arrays.sources])
+    return values, legal & ~clashes
 
 
-#: Each node problem's pass; the second item is its decided flags.
-_PASSES: Dict[str, Callable[[DistGraph, Predictions], Tuple[Any, bytearray]]] = {
+#: Each node problem's pass; the second item is its decided array.
+_PASSES: Dict[str, Callable[[DistGraph, Predictions], Tuple[Any, np.ndarray]]] = {
     "mis": _mis_pass,
     "matching": _matching_pass,
     "vertex-coloring": _coloring_pass,
@@ -156,11 +147,21 @@ def mis_base_partial(graph: DistGraph, predictions: Predictions) -> Outputs:
     """
     ids = graph.csr.ids
     _, decided = _mis_pass(graph, predictions)
-    return {
-        ids[index]: 1 if code == _ONE else 0
-        for index, code in enumerate(decided)
-        if code
-    }
+    done = np.flatnonzero(decided)
+    return dict(
+        zip(
+            map(ids.__getitem__, done.tolist()),
+            (decided[done] == ONE).astype(np.int64).tolist(),
+        )
+    )
+
+
+def _decided_values(
+    graph: DistGraph, values: List[Any], decided: np.ndarray
+) -> Outputs:
+    """``id -> prediction`` for the decided indices, ascending."""
+    ids = graph.csr.ids
+    return {ids[index]: values[index] for index in np.flatnonzero(decided).tolist()}
 
 
 def matching_base_partial(graph: DistGraph, predictions: Predictions) -> Outputs:
@@ -170,9 +171,7 @@ def matching_base_partial(graph: DistGraph, predictions: Predictions) -> Outputs
     neighbors are all matched outputs ⊥.  A prediction that cannot name a
     node (e.g. an unhashable value) names no partner.
     """
-    ids = graph.csr.ids
-    values, decided = _matching_pass(graph, predictions)
-    return {ids[index]: values[index] for index, flag in enumerate(decided) if flag}
+    return _decided_values(graph, *_matching_pass(graph, predictions))
 
 
 def vertex_coloring_base_partial(
@@ -183,9 +182,7 @@ def vertex_coloring_base_partial(
     A node outputs its predicted color when it is a legal color that
     differs from every neighbor's prediction (Section 8.2).
     """
-    ids = graph.csr.ids
-    values, decided = _coloring_pass(graph, predictions)
-    return {ids[index]: values[index] for index, flag in enumerate(decided) if flag}
+    return _decided_values(graph, *_coloring_pass(graph, predictions))
 
 
 def edge_coloring_base_partial(
@@ -233,13 +230,13 @@ def edge_coloring_base_partial(
 # ----------------------------------------------------------------------
 def active_mask(
     problem_name: str, graph: DistGraph, predictions: Predictions
-) -> bytearray:
-    """Per CSR index of ``graph``, 1 where a node problem's base algorithm
-    leaves the node active (no output), else 0."""
+) -> np.ndarray:
+    """Per CSR index of ``graph``, True where a node problem's base
+    algorithm leaves the node active (no output)."""
     if problem_name not in _PASSES:
         raise ValueError(f"unknown node problem {problem_name!r}")
     _, decided = _PASSES[problem_name](graph, predictions)
-    return decided.translate(_ACTIVE)
+    return decided == 0
 
 
 def _id_sets(
@@ -308,15 +305,9 @@ def black_white_components(
     """
     csr = graph.csr
     predicted, decided = _mis_pass(graph, predictions)
-    black = bytearray(csr.n)
-    white = bytearray(csr.n)
-    for index, code in enumerate(decided):
-        if code:
-            continue
-        if predicted[index] == _ONE:
-            black[index] = 1
-        else:
-            white[index] = 1
+    active = decided == 0
+    black = active & (predicted == ONE)
+    white = active & (predicted != ONE)
     return (
         _id_sets(csr, csr.components(black)),
         _id_sets(csr, csr.components(white)),

@@ -124,15 +124,14 @@ def eta1(
 ) -> int:
     """η₁ = max μ₁(S) over the error components (0 when predictions are correct).
 
-    For the node problems this sizes the index components of the active
-    mask directly; no identifier sets are built.
+    For the node problems this counts the component labels of the active
+    mask directly; no component is built.
     """
     if problem_name == "edge-coloring":
         components = error_components(problem_name, graph, predictions)
-    else:
-        mask = active_mask(problem_name, graph, predictions)
-        components = graph.csr.components(mask)
-    return max(map(len, components), default=0)
+        return max(map(len, components), default=0)
+    mask = active_mask(problem_name, graph, predictions)
+    return graph.csr.largest_component(mask)
 
 
 def eta2(

@@ -24,6 +24,13 @@ Design points:
 * **Immutable.**  Every derived quantity (edge list, degrees, maximum
   degree) is computed once and cached; a "changed" graph is a *new*
   topology, never a mutated one, so cached views can never go stale.
+* **One array view.**  :attr:`CSRTopology.arrays` is a
+  :class:`CSRArrays`: the buffers as NumPy arrays plus the segment
+  reductions every array program over the rows uses (the compiled
+  kernels, the validators, the base passes and the component labels).
+  It is built on first use, never pickled, and dropped with
+  :meth:`CSRTopology.drop_arrays` before a shared-memory segment under
+  the buffers is released.
 """
 
 from __future__ import annotations
@@ -43,9 +50,7 @@ from typing import (
     Tuple,
 )
 
-#: ``bytes.translate`` table turning a component mask into the walk's
-#: initial ``seen`` flags: indices whose mask entry is 0 start seen.
-_MASKED_OUT = bytes([1]) + bytes(255)
+import numpy as np
 
 #: Optional hook consulted by :meth:`CSRTopology.__reduce__`.  When a
 #: :class:`repro.shard.store.SharedCSRStore` is active it installs a
@@ -109,6 +114,7 @@ class CSRTopology:
         "_max_degree",
         "_edges",
         "_components",
+        "_arrays",
     )
 
     def __init__(
@@ -123,6 +129,7 @@ class CSRTopology:
         self._max_degree: Optional[int] = None
         self._edges: Optional[Tuple[Tuple[int, int], ...]] = None
         self._components: Optional[Tuple[Tuple[int, ...], ...]] = None
+        self._arrays: Optional[CSRArrays] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -264,6 +271,30 @@ class CSRTopology:
         indptr = self.indptr
         return [indptr[i + 1] - indptr[i] for i in range(self.n)]
 
+    # ------------------------------------------------------------------
+    # The array view and the components it labels
+    # ------------------------------------------------------------------
+    @property
+    def arrays(self) -> "CSRArrays":
+        """The NumPy view of the buffers (built on first use, cached)."""
+        arrays = self._arrays
+        if arrays is None:
+            arrays = self._arrays = CSRArrays(self)
+        return arrays
+
+    def drop_arrays(self) -> None:
+        """Forget the array view, whose arrays export the buffers.
+
+        A buffer over a shared-memory segment cannot be released while
+        an export is alive, so the store calls this before it detaches.
+        """
+        self._arrays = None
+
+    def _inside(self, mask: Sequence[int]) -> np.ndarray:
+        if len(mask) != self.n:
+            raise ValueError(f"mask has {len(mask)} entries for {self.n} nodes")
+        return np.asarray(mask, dtype=bool)
+
     def components(
         self, mask: Optional[Sequence[int]] = None
     ) -> Tuple[Tuple[int, ...], ...]:
@@ -274,44 +305,42 @@ class CSRTopology:
         indices, is also ascending-min-identifier order.
 
         With ``mask`` (one entry per index, e.g. a ``bytearray`` of 0/1
-        flags), the components of the subgraph induced by the indices
-        whose entry is nonzero: the same answer, indices for identifiers,
-        as ``subgraph(...).components()`` without building the subgraph.
-        Only the unmasked answer is cached (the shard planner asks per
-        shard task; workers that attach the same shared topology share
-        it).
+        flags or a boolean array), the components of the subgraph induced
+        by the indices whose entry is nonzero: the same answer, indices for
+        identifiers, as ``subgraph(...).components()`` without building the
+        subgraph.  Only the unmasked answer is cached (the shard planner
+        asks per shard task; workers that attach the same shared topology
+        share it).
         """
+        if mask is None and self._components is not None:
+            return self._components
         if mask is None:
-            if self._components is not None:
-                return self._components
-            seen = bytearray(self.n)
-        elif len(mask) == self.n:
-            seen = bytearray(mask).translate(_MASKED_OUT)
+            members = np.arange(self.n, dtype=np.int64)
+            labels = self.arrays.component_labels()
         else:
-            raise ValueError(f"mask has {len(mask)} entries for {self.n} nodes")
-        indptr = self.indptr
-        indices = self.indices
-        parts: List[Tuple[int, ...]] = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            seen[start] = 1
-            stack = [start]
-            members = [start]
-            while stack:
-                index = stack.pop()
-                for position in range(indptr[index], indptr[index + 1]):
-                    other = indices[position]
-                    if not seen[other]:
-                        seen[other] = 1
-                        members.append(other)
-                        stack.append(other)
-            members.sort()
-            parts.append(tuple(members))
-        if mask is not None:
-            return tuple(parts)
-        self._components = tuple(parts)
-        return self._components
+            inside = self._inside(mask)
+            members = np.flatnonzero(inside)
+            labels = self.arrays.component_labels(inside)[members]
+        # Labels are smallest member indices: a stable sort by label
+        # groups each component, ascending inside, in min-index order.
+        order = np.argsort(labels, kind="stable")
+        labels = labels[order]
+        flat = members[order].tolist()
+        cuts = [0, *(np.flatnonzero(labels[1:] != labels[:-1]) + 1).tolist()]
+        cuts.append(len(flat))
+        parts = tuple(tuple(flat[lo:hi]) for lo, hi in zip(cuts, cuts[1:]) if hi > lo)
+        if mask is None:
+            self._components = parts
+        return parts
+
+    def largest_component(self, mask: Sequence[int]) -> int:
+        """Size of the largest component under ``mask`` (0 when empty),
+        read off the component labels without building any tuple."""
+        inside = self._inside(mask)
+        if not inside.any():
+            return 0
+        labels = self.arrays.component_labels(inside)[inside]
+        return int(np.bincount(labels).max())
 
     # ------------------------------------------------------------------
     # Pickling (process-pool sweeps ship topologies to workers)
@@ -343,6 +372,7 @@ class CSRTopology:
         self._max_degree = None
         self._edges = None
         self._components = None
+        self._arrays = None
 
     def __reduce__(self):
         reducer = _SHARED_REDUCER
@@ -354,6 +384,105 @@ class CSRTopology:
 
     def __repr__(self) -> str:
         return f"<CSRTopology n={self.n} m={self.m}>"
+
+
+class CSRArrays:
+    """The NumPy view of one :class:`CSRTopology`.
+
+    ``indptr`` and ``indices`` are zero-copy int64 views of the
+    topology's buffers; the rest is derived once, when the view is built.
+
+    Attributes:
+        n: Number of nodes.
+        indptr: Row pointers, length ``n + 1``.
+        indices: Neighbor index of every entry, rows ascending.
+        degrees: Degree per index.
+        sources: Source row (the node) of every entry.
+        higher: Per entry, whether the neighbor has the larger index.
+        ids: Identifier per index (int64; object dtype for identifiers
+            past int64).
+    """
+
+    __slots__ = (
+        "n",
+        "indptr",
+        "indices",
+        "degrees",
+        "sources",
+        "higher",
+        "ids",
+    )
+
+    def __init__(self, csr: CSRTopology) -> None:
+        n = csr.n
+        self.n = n
+        self.indptr = np.frombuffer(csr.indptr, dtype=np.int64)
+        self.indices = np.frombuffer(csr.indices, dtype=np.int64)
+        self.degrees = np.diff(self.indptr)
+        self.sources = np.repeat(np.arange(n, dtype=np.int64), self.degrees)
+        self.higher = self.indices > self.sources
+        try:
+            self.ids = np.array(csr.ids, dtype=np.int64)
+        except OverflowError:
+            self.ids = np.array(csr.ids, dtype=object)
+
+    # ------------------------------------------------------------------
+    # Segment reductions over the rows
+    # ------------------------------------------------------------------
+    def segment_any(self, entry_flags: np.ndarray) -> np.ndarray:
+        """Per-node OR of a boolean entry array (False for empty rows)."""
+        out = np.zeros(self.n, dtype=bool)
+        out[self.sources[entry_flags]] = True
+        return out
+
+    def segment_count(self, entry_flags: np.ndarray) -> np.ndarray:
+        """Per-node count of set flags in a boolean entry array."""
+        return np.bincount(self.sources[entry_flags], minlength=self.n)
+
+    def segment_min(self, entry_values: np.ndarray, default: int) -> np.ndarray:
+        """Per-node minimum of an integer entry array, where ``default``
+        is at least every entry (``default`` for an empty row)."""
+        out = np.full(self.n, default, dtype=np.int64)
+        np.minimum.at(out, self.sources, entry_values)
+        return out
+
+    # ------------------------------------------------------------------
+    # Components
+    # ------------------------------------------------------------------
+    def component_labels(self, inside: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per index, the smallest index of its component.
+
+        With ``inside`` (a boolean array), the components of the subgraph
+        induced by the indices it flags; other indices keep their own
+        index as label.  Hook and shortcut: every edge whose endpoints
+        carry different labels hooks the larger label's root under the
+        smaller one, then pointer jumping makes every label a root again.
+        Labels only ever decrease, so no cycle can form and each root is
+        its component's smallest index.
+        """
+        labels = np.arange(self.n, dtype=np.int64)
+        keep = self.higher
+        if inside is not None:
+            keep = keep & inside[self.sources] & inside[self.indices]
+        lo = self.sources[keep]
+        hi = self.indices[keep]
+        while lo.size:
+            left = labels[lo]
+            right = labels[hi]
+            live = left != right
+            if not live.any():
+                break
+            lo = lo[live]
+            hi = hi[live]
+            left = left[live]
+            right = right[live]
+            np.minimum.at(labels, np.maximum(left, right), np.minimum(left, right))
+            while True:
+                jumped = labels[labels]
+                if np.array_equal(jumped, labels):
+                    break
+                labels = jumped
+        return labels
 
 
 def _rebuild_csr(

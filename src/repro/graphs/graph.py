@@ -137,8 +137,9 @@ class DistGraph:
         """The neighbor set of ``node``."""
         cached = self._neighbor_cache.get(node)
         if cached is None:
+            csr = self._csr
             cached = self._neighbor_cache[node] = frozenset(
-                self._csr.neighbor_ids(node)
+                map(csr.ids.__getitem__, csr.row(csr.index_of[node]))
             )
         return cached
 

@@ -15,10 +15,12 @@ bit-identical, so the accounting helpers here mirror
 :meth:`repro.simulator.transport.Transport.account` in batch form.
 
 Per-node results are buffered in flat arrays during the run and written
-back into the result's termination column and ``result.outputs`` once, in
-:meth:`flush` (called from the scheduler's ``finish`` hook) — at n≈10⁶
-the round loop never touches a Python object per node, and no
-:class:`~repro.simulator.metrics.NodeRecord` is ever built.
+back into the result's termination column and ``result.outputs`` in one
+bulk update each, in :meth:`flush` (called from the scheduler's
+``finish`` hook): each kernel turns its output array into the Python
+values of the terminated nodes at once (:meth:`output_values`), so at
+n≈10⁶ neither the round loop nor the write-back calls Python code per
+node, and no :class:`~repro.simulator.metrics.NodeRecord` is ever built.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ from repro.simulator.transport import BandwidthExceeded
 
 
 class FrontierKernel:
-    """Base class: CSR views, segment reductions, batched accounting.
+    """Base class: the topology's array view, batched accounting and
+    the bulk result write-back.
 
     Subclasses set :attr:`name` (the template name the registry is keyed
     by) and :attr:`program_class` (the exact per-node program class the
     kernel replaces), and implement :meth:`run_round`,
-    :meth:`output_value` and :meth:`state_snapshot`.
+    :meth:`output_values` and :meth:`state_snapshot`.
     """
 
     name: str = ""
@@ -48,8 +51,7 @@ class FrontierKernel:
     # Binding
     # ------------------------------------------------------------------
     def bind(self, rt: Any) -> None:
-        """Attach the engine (a weak proxy) and materialize the CSR
-        array views."""
+        """Attach the engine (a weak proxy) and the topology's array view."""
         self.rt = rt
         self.result = rt.result
         self.model = rt.model
@@ -57,60 +59,23 @@ class FrontierKernel:
         csr = ensure_topology(rt.graph)
         self.csr = csr
         self.n = csr.n
+        arrays = csr.arrays
+        #: The topology's :class:`~repro.graphs.csr.CSRArrays`: shared
+        #: buffers and the segment reductions over its rows.
+        self.arrays = arrays
         #: External node ids by internal index (ascending, so id order
         #: and index order agree — ``is_local_maximum`` comparisons can
         #: use indices directly).
-        self.ids = np.asarray(csr.ids, dtype=np.int64)
-        self.indptr = np.frombuffer(csr.indptr, dtype=np.int64)
+        self.ids = arrays.ids
         #: Neighbor *internal indices*, row-sorted ascending.
-        self.nbr = np.frombuffer(csr.indices, dtype=np.int64)
-        self.deg = self.indptr[1:] - self.indptr[:-1]
-        #: Source node (internal index) of every CSR entry.
-        self.edge_src = np.repeat(np.arange(self.n, dtype=np.int64), self.deg)
-        #: Edge mask: the neighbor has the larger identifier.
-        self.higher = self.nbr > self.edge_src
-        nonempty = self.deg > 0
-        self._nonempty = nonempty
-        self._row_starts = self.indptr[:-1][nonempty]
+        self.nbr = arrays.indices
+        self.deg = arrays.degrees
         #: CONGEST budget in bits, or ``None`` under LOCAL.
         self.bits_budget = self.model.bandwidth_bits(self.n)
         self.active = np.ones(self.n, dtype=bool)
         #: Termination round per node, -1 while still running.
         self.term_round = np.full(self.n, -1, dtype=np.int64)
         self._flushed = False
-
-    # ------------------------------------------------------------------
-    # Segment reductions over CSR rows
-    # ------------------------------------------------------------------
-    def segment_any(self, edge_flags: np.ndarray) -> np.ndarray:
-        """Per-node OR of a boolean edge array (False for empty rows)."""
-        out = np.zeros(self.n, dtype=bool)
-        if edge_flags.size:
-            out[self._nonempty] = np.logical_or.reduceat(
-                edge_flags, self._row_starts
-            )
-        return out
-
-    def segment_count(self, edge_flags: np.ndarray) -> np.ndarray:
-        """Per-node count of set flags in a boolean edge array."""
-        out = np.zeros(self.n, dtype=np.int64)
-        if edge_flags.size:
-            out[self._nonempty] = np.add.reduceat(
-                edge_flags.astype(np.int64), self._row_starts
-            )
-        return out
-
-    def segment_min(
-        self, edge_values: np.ndarray, default: int
-    ) -> np.ndarray:
-        """Per-node minimum of an integer edge array (``default`` when
-        the row is empty or every entry was masked to ``default``)."""
-        out = np.full(self.n, default, dtype=np.int64)
-        if edge_values.size:
-            out[self._nonempty] = np.minimum.reduceat(
-                edge_values, self._row_starts
-            )
-        return out
 
     def active_neighbor_flags(self) -> np.ndarray:
         """Edge mask: the neighbor endpoint is still active."""
@@ -122,7 +87,8 @@ class FrontierKernel:
         Vacuously true for isolated/orphaned active nodes — matching
         :meth:`NodeContext.is_local_maximum`.
         """
-        return self.active & ~self.segment_any(nb_act & self.higher)
+        arrays = self.arrays
+        return self.active & ~arrays.segment_any(nb_act & arrays.higher)
 
     # ------------------------------------------------------------------
     # Termination
@@ -199,8 +165,10 @@ class FrontierKernel:
         """Execute one whole-frontier round; return nodes that acted."""
         raise NotImplementedError
 
-    def output_value(self, index: int) -> Any:
-        """The final output of a terminated node (internal ``index``)."""
+    def output_values(self, done: np.ndarray) -> List[Any]:
+        """Final outputs of the terminated nodes ``done`` (internal
+        indices, ascending), as the Python values the interpreted
+        programs output."""
         raise NotImplementedError
 
     def state_snapshot(self, index: int) -> Dict[str, str]:
@@ -226,10 +194,7 @@ class FrontierKernel:
         result.records.termination_rounds.update(
             zip(node_ids, self.term_round[done].tolist())
         )
-        outputs = result.outputs
-        output_value = self.output_value
-        for index, node in zip(done.tolist(), node_ids):
-            outputs[node] = output_value(index)
+        result.outputs.update(zip(node_ids, self.output_values(done)))
 
     def stuck_report(self, round_index: int, reason: str) -> StuckReport:
         """Diagnose a cut-short run from the kernel's arrays."""
@@ -264,5 +229,5 @@ class EmptyGraphKernel(FrontierKernel):
     def run_round(self, round_index: int) -> int:  # pragma: no cover
         return 0
 
-    def output_value(self, index: int) -> Any:  # pragma: no cover
-        return None
+    def output_values(self, done: np.ndarray) -> List[Any]:
+        return []

@@ -16,7 +16,7 @@ costs ``c.bit_length()`` bits (computed for the whole frontier via the
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, List
 
 import numpy as np
 
@@ -61,7 +61,7 @@ class GreedyColoringKernel(FrontierKernel):
                 f"node {int(self.ids[widx[first]])}: palette exhausted "
                 f"(choice {int(choice[first])} > {palette_size})"
             )
-        act_deg = self.segment_count(nb_act)
+        act_deg = self.arrays.segment_count(nb_act)
         bits = np.frexp(choice.astype(np.float64))[1].astype(np.int64)
         self.account_varying(act_deg[widx], bits)
         self.color[widx] = choice
@@ -74,12 +74,12 @@ class GreedyColoringKernel(FrontierKernel):
         # mex ≤ deg+1, so colors ≥ width can never block it and the
         # argmax below always finds an unused column within the matrix.
         width = int(wdeg.max()) + 2 if widx.size else 2
-        winner_edges = winners[self.edge_src]
+        winner_edges = winners[self.arrays.sources]
         seen_colors = self.color[self.nbr[winner_edges]]
         # Compressed row index per winner edge; non-decreasing because
         # CSR edges are grouped by source row.
         rank = np.cumsum(winners) - 1
-        rows = rank[self.edge_src[winner_edges]]
+        rows = rank[self.arrays.sources[winner_edges]]
         choice = np.empty(widx.size, dtype=np.int64)
         rows_per_chunk = max(1, _CHUNK_CELLS // width)
         for lo in range(0, widx.size, rows_per_chunk):
@@ -92,5 +92,5 @@ class GreedyColoringKernel(FrontierKernel):
             choice[lo:hi] = np.argmax(~used[:, 1:], axis=1) + 1
         return choice
 
-    def output_value(self, index: int) -> Any:
-        return int(self.color[index])
+    def output_values(self, done: np.ndarray) -> List[int]:
+        return self.color[done].tolist()

@@ -23,7 +23,7 @@ MATCHED are 56-bit string payloads, ACCEPT is 48 bits.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -63,13 +63,13 @@ class GreedyMatchingKernel(FrontierKernel):
 
     def _propose(self, round_index: int) -> int:
         nb_act = self.active_neighbor_flags()
-        act_deg = self.segment_count(nb_act)
+        act_deg = self.arrays.segment_count(nb_act)
         proposers = self.local_maxima(nb_act) & (act_deg > 0)
         pidx = np.flatnonzero(proposers)
         if pidx.size == 0:
             return 0
         nb_or_sentinel = np.where(nb_act, self.nbr, self.n)
-        min_active_nb = self.segment_min(nb_or_sentinel, self.n)
+        min_active_nb = self.arrays.segment_min(nb_or_sentinel, self.n)
         targets = min_active_nb[pidx]
         self.proposed_to[pidx] = targets
         self.proposed_round[pidx] = round_index
@@ -101,7 +101,7 @@ class GreedyMatchingKernel(FrontierKernel):
         midx = np.flatnonzero(matched)
         nb_act = self.active_neighbor_flags()
         if midx.size:
-            act_deg = self.segment_count(nb_act)
+            act_deg = self.arrays.segment_count(nb_act)
             # MATCHED goes to every active neighbor except the partner,
             # who is itself matched and active this round.
             self.account_uniform(
@@ -109,7 +109,7 @@ class GreedyMatchingKernel(FrontierKernel):
             )
         # An unmatched node terminates when every active neighbor matched
         # this group (vacuously true once its neighborhood emptied).
-        has_unmatched_nb = self.segment_any(nb_act & ~matched[self.nbr])
+        has_unmatched_nb = self.arrays.segment_any(nb_act & ~matched[self.nbr])
         finishers = np.flatnonzero(
             active & (self.partner < 0) & ~has_unmatched_nb
         )
@@ -117,11 +117,12 @@ class GreedyMatchingKernel(FrontierKernel):
         self.retire(finishers, round_index)
         return int(midx.size + finishers.size)
 
-    def output_value(self, index: int) -> Any:
-        partner = self.partner[index]
-        if partner < 0:
-            return UNMATCHED
-        return int(self.ids[partner])
+    def output_values(self, done: np.ndarray) -> List[Any]:
+        partners = self.partner[done]
+        values = self.ids[partners].tolist()
+        for position in np.flatnonzero(partners < 0).tolist():
+            values[position] = UNMATCHED
+        return values
 
     def state_snapshot(self, index: int) -> Dict[str, str]:
         def id_or_none(value: int) -> str:

@@ -12,7 +12,7 @@ maxima, one scatter for the dominated set.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, List
 
 import numpy as np
 
@@ -41,11 +41,11 @@ class GreedyMISKernel(FrontierKernel):
             widx = np.flatnonzero(winners)
             if widx.size == 0:
                 return 0
-            act_deg = self.segment_count(nb_act)
+            act_deg = self.arrays.segment_count(nb_act)
             self.account_uniform(int(act_deg[widx].sum()), self.join_bits)
             # Every active node adjacent to a winner received a JOIN this
             # round; winners themselves cannot (winners are independent).
-            hit = active & self.segment_any(winners[self.nbr])
+            hit = active & self.arrays.segment_any(winners[self.nbr])
             np.logical_or(self.dominated, hit, out=self.dominated)
             self.in_set[widx] = True
             self.retire(widx, round_index)
@@ -54,8 +54,8 @@ class GreedyMISKernel(FrontierKernel):
         self.retire(out, round_index)
         return int(out.size)
 
-    def output_value(self, index: int) -> Any:
-        return 1 if self.in_set[index] else 0
+    def output_values(self, done: np.ndarray) -> List[int]:
+        return self.in_set[done].astype(np.int64).tolist()
 
     def state_snapshot(self, index: int) -> Dict[str, str]:
         return {"_dominated": repr(bool(self.dominated[index]))}

@@ -11,8 +11,11 @@ problem sequentially (to manufacture perfect predictions).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
+import numpy as np
+
+from repro.graphs.csr import CSRTopology
 from repro.graphs.graph import DistGraph
 
 #: A (possibly partial) assignment of outputs: node id -> output value.
@@ -85,6 +88,39 @@ class GraphProblem(ABC):
         if missing:
             return [f"missing outputs for nodes {missing[:10]}"]
         return []
+
+
+def lookup(table: Mapping[Any, Any], values: List[Any], default: Any) -> List[Any]:
+    """``table.get(value, default)`` per value; an unhashable value,
+    which can equal no key, gets ``default``."""
+    get = table.get
+    try:
+        return [get(value, default) for value in values]
+    except TypeError:
+        pass
+    found = []
+    for value in values:
+        try:
+            found.append(get(value, default))
+        except TypeError:
+            found.append(default)
+    return found
+
+
+def output_indices(csr: CSRTopology, outputs: Outputs) -> Optional[np.ndarray]:
+    """CSR indices of the keys of ``outputs`` in iteration order, or
+    ``None`` when a key is not a node of ``csr``.
+
+    The validators' array checks start here: they only accept, so a key
+    outside the graph sends the outputs to the per-index report, which
+    raises or reports it as it always has.
+    """
+    try:
+        return np.fromiter(
+            map(csr.index_of.__getitem__, outputs), dtype=np.int64, count=len(outputs)
+        )
+    except KeyError:
+        return None
 
 
 def clashing_neighbors(

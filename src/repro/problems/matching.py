@@ -10,8 +10,16 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from repro.graphs.graph import DistGraph
-from repro.problems.base import GraphProblem, Outputs, clashing_neighbors
+from repro.problems.base import (
+    GraphProblem,
+    Outputs,
+    clashing_neighbors,
+    lookup,
+    output_indices,
+)
 
 #: The ⊥ output: the node ends up unmatched.
 UNMATCHED = "unmatched"
@@ -35,6 +43,44 @@ class MaximalMatchingProblem(GraphProblem):
 
     def _check_consistency(self, graph: DistGraph, outputs: Outputs) -> List[str]:
         """Matched pairs are mutual edges; no two ⊥-nodes are adjacent.
+
+        An array check accepts consistent outputs; only outputs it rejects
+        are walked by :meth:`_report`, which finds the violations.
+        """
+        if self._accepts(graph, outputs):
+            return []
+        return self._report(graph, outputs)
+
+    def _accepts(self, graph: DistGraph, outputs: Outputs) -> bool:
+        """Whether every output at a node of the graph names a neighbor
+        that names it back, or is ⊥ with no ⊥ neighbor."""
+        csr = graph.csr
+        index = output_indices(csr, outputs)
+        if index is None:
+            return False
+        values = list(outputs.values())
+        named = np.array(lookup(csr.index_of, values, -1), dtype=np.int64)
+        # A value naming no node must be ⊥.  Only a ``str`` counts here,
+        # so no other type's ``==`` runs before the report's.
+        for position in np.flatnonzero(named < 0).tolist():
+            value = values[position]
+            if type(value) is not str or value != UNMATCHED:
+                return False
+        arrays = csr.arrays
+        partner = np.full(csr.n, -1, dtype=np.int64)
+        partner[index] = named
+        bottom = np.zeros(csr.n, dtype=bool)
+        bottom[index[named < 0]] = True
+        matched = index[named >= 0]
+        adjacent = arrays.segment_any(partner[arrays.sources] == arrays.indices)
+        return (
+            bool(adjacent[matched].all())
+            and bool((partner[partner[matched]] == matched).all())
+            and not arrays.segment_any(bottom[arrays.indices])[bottom].any()
+        )
+
+    def _report(self, graph: DistGraph, outputs: Outputs) -> List[str]:
+        """Every violation, by CSR index.
 
         Walks the decided nodes by CSR index in ascending id order; the
         adjacent ⊥-nodes of one node come out in the order of

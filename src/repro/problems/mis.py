@@ -9,10 +9,26 @@ predicted 0 (not maximal).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Set
+from typing import Any, Iterable, List, Optional, Sequence, Set
+
+import numpy as np
 
 from repro.graphs.graph import DistGraph
-from repro.problems.base import GraphProblem, Outputs
+from repro.problems.base import GraphProblem, Outputs, output_indices
+
+#: Codes of :func:`bit_codes`: the value equals 1, or equals 0.
+ONE = 1
+ZERO = 2
+
+
+def bit_codes(values: Iterable[Any]) -> np.ndarray:
+    """Per value, :data:`ONE` if it equals 1, :data:`ZERO` if it equals 0,
+    else 0 — the comparisons, in the order, that the MIS checks and the
+    MIS Base Algorithm apply to one output or prediction."""
+    return np.array(
+        [ONE if value == 1 else ZERO if value == 0 else 0 for value in values],
+        dtype=np.int8,
+    )
 
 
 class MaximalIndependentSetProblem(GraphProblem):
@@ -30,6 +46,33 @@ class MaximalIndependentSetProblem(GraphProblem):
 
     def verify_partial(self, graph: DistGraph, outputs: Outputs) -> List[str]:
         """MIS conditions on the subgraph induced by the decided nodes.
+
+        An array check accepts valid outputs; only outputs it rejects are
+        walked by :meth:`_report`, which finds the violations.
+        """
+        if self._accepts(graph, outputs):
+            return []
+        return self._report(graph, outputs)
+
+    def _accepts(self, graph: DistGraph, outputs: Outputs) -> bool:
+        """Whether every output is 0 or 1 at a node of the graph, no two
+        1-nodes are adjacent and every 0-node has a 1-neighbor."""
+        csr = graph.csr
+        index = output_indices(csr, outputs)
+        if index is None:
+            return False
+        codes = bit_codes(outputs.values())
+        if not codes.all():
+            return False
+        arrays = csr.arrays
+        chosen = np.zeros(csr.n, dtype=bool)
+        chosen[index[codes == ONE]] = True
+        # A 1-node with a 1-neighbor is itself dominated.
+        dominated = arrays.segment_any(chosen[arrays.indices])
+        return not dominated[chosen].any() and bool(dominated[index[codes == ZERO]].all())
+
+    def _report(self, graph: DistGraph, outputs: Outputs) -> List[str]:
+        """Every violation, by CSR index.
 
         One pass over ``outputs`` flags the 1-nodes by CSR index; one walk
         over their rows reports adjacent 1-nodes (ascending ids) and marks

@@ -12,8 +12,15 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.graphs.graph import DistGraph
-from repro.problems.base import GraphProblem, Outputs, clashing_neighbors
+from repro.problems.base import (
+    GraphProblem,
+    Outputs,
+    clashing_neighbors,
+    output_indices,
+)
 
 
 class VertexColoringProblem(GraphProblem):
@@ -34,7 +41,40 @@ class VertexColoringProblem(GraphProblem):
         return problems
 
     def verify_partial(self, graph: DistGraph, outputs: Outputs) -> List[str]:
-        """Color range and properness of the decided nodes, by CSR index.
+        """Color range and properness of the decided nodes.
+
+        An array check accepts valid outputs; only outputs it rejects are
+        walked by :meth:`_report`, which finds the violations.
+        """
+        if self._accepts(graph, outputs):
+            return []
+        return self._report(graph, outputs)
+
+    def _accepts(self, graph: DistGraph, outputs: Outputs) -> bool:
+        """Whether every output is a plain ``int`` color in ``1..Δ+1`` at a
+        node of the graph and no two adjacent decided nodes share one."""
+        csr = graph.csr
+        index = output_indices(csr, outputs)
+        if index is None:
+            return False
+        colors = list(outputs.values())
+        if set(map(type, colors)) - {int}:  # e.g. bools: left to the report
+            return False
+        try:
+            chosen = np.array(colors, dtype=np.int64)
+        except OverflowError:
+            return False
+        if not ((chosen >= 1) & (chosen <= self.num_colors(graph))).all():
+            return False
+        arrays = csr.arrays
+        # 0 marks an undecided node; legal colors are at least 1.
+        color = np.zeros(csr.n, dtype=np.int64)
+        color[index] = chosen
+        own = color[arrays.sources]
+        return not ((own == color[arrays.indices]) & (own > 0)).any()
+
+    def _report(self, graph: DistGraph, outputs: Outputs) -> List[str]:
+        """Every violation, by CSR index.
 
         Violations come out by ascending node id; the clashes at one node
         in the order of :func:`~repro.problems.base.clashing_neighbors`.

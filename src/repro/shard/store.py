@@ -40,9 +40,10 @@ import mmap
 import os
 import tempfile
 import uuid
+import warnings
 from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.graphs.csr import CSRTopology, set_shared_reducer
 
@@ -82,6 +83,11 @@ class SharedCSRStoreError(RuntimeError):
 #: Shared across chunks so every cell referencing the same graph gets the
 #: same topology object (and its cached ``components()``/``max_degree``).
 _ATTACHED: Dict[str, Tuple[CSRTopology, Any]] = {}
+#: Detached attachments whose mapping an outliving export kept open, as
+#: ``(name, topology, closer)``: held so that garbage collection retries
+#: no close (a shm segment's finalizer would, and fail again), and
+#: closed by the next :func:`detach_all`.
+_UNCLOSED: List[Tuple[str, CSRTopology, Any]] = []
 _ATEXIT_REGISTERED = False
 
 
@@ -162,8 +168,10 @@ class _MappedFile:
         self.map = mmap.mmap(self._file.fileno(), 0, access=mmap.ACCESS_READ)
 
     def close(self) -> None:
-        self.map.close()
-        self._file.close()
+        try:
+            self.map.close()
+        finally:
+            self._file.close()
 
 
 def _attach_file(handle: SharedCSRHandle) -> Tuple[CSRTopology, Any]:
@@ -184,20 +192,33 @@ def _attach_file(handle: SharedCSRHandle) -> Tuple[CSRTopology, Any]:
 
 def detach_all() -> None:
     """Close every attachment this process holds (atexit hook; workers
-    borrow segments, so detaching never unlinks)."""
-    while _ATTACHED:
-        _name, (topology, closer) = _ATTACHED.popitem()
-        # Memoryviews over the segment must be released before the
-        # buffer can close; drop them from the (now dead) topology.
+    borrow segments, so detaching never unlinks).
+
+    A mapping cannot close while any buffer export of it is alive.  The
+    topology's array view is such an export, so it is dropped first; an
+    export held anywhere else (an array kept past its run) leaves that
+    segment's mapping open, with a ``ResourceWarning`` naming it, until a
+    later call finds the export gone.
+    """
+    pending = [*_UNCLOSED, *((name, *pair) for name, pair in _ATTACHED.items())]
+    _UNCLOSED.clear()
+    _ATTACHED.clear()
+    for name, topology, closer in pending:
+        topology.drop_arrays()
         try:
+            # The memoryviews over the segment go first: the mapping
+            # closes only once nothing exports it.
             topology.indptr.release()
             topology.indices.release()
-        except Exception:
-            pass
-        try:
             closer.close()
-        except Exception:
-            pass
+        except BufferError as error:
+            _UNCLOSED.append((name, topology, closer))
+            warnings.warn(
+                f"shared CSR segment {name!r} stays mapped: {error}; an "
+                "array over its buffers outlived the detach",
+                ResourceWarning,
+                stacklevel=2,
+            )
 
 
 def reset_worker_state() -> None:

@@ -12,6 +12,7 @@ ships them between interpreters.
 import pickle
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,7 @@ from repro.graphs import (
     path_forest,
     perturb_edges,
     perturb_nodes,
+    random_tree,
     ring,
     star,
     torus,
@@ -217,6 +219,67 @@ class TestMaskedComponents:
     def test_mask_length_must_match(self):
         with pytest.raises(ValueError, match="mask has 2 entries for 4 nodes"):
             line(4).csr.components(bytearray(2))
+
+
+def networkx_components(graph, mask):
+    """Components of the masked induced subgraph, by networkx: identifier
+    sets ordered by smallest identifier."""
+    nx_graph = nx.Graph()
+    nx_graph.add_nodes_from(graph.nodes)
+    nx_graph.add_edges_from(graph.edges())
+    kept = [node for node, flag in zip(graph.csr.ids, mask) if flag]
+    parts = nx.connected_components(nx_graph.subgraph(kept))
+    return sorted((frozenset(part) for part in parts), key=min)
+
+
+def id_sets(csr, parts):
+    return [frozenset(csr.ids[index] for index in part) for part in parts]
+
+
+class TestComponentsAgainstNetworkx:
+    """``CSRTopology.components`` checked by an independent implementation."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    @settings(max_examples=30, deadline=None)
+    def test_masked_random_graphs(self, seed):
+        rng = random.Random(f"{seed}:nx")
+        n = rng.randint(1, 60)
+        graph = rng.choice(
+            (
+                erdos_renyi(n, rng.choice([0.02, 0.08, 0.3]), seed=seed),
+                random_tree(n, seed=seed),
+                path_forest(rng.randint(1, 6), rng.randint(1, 10)),
+            )
+        )
+        csr = graph.csr
+        share = rng.random()
+        mask = [rng.random() < share for _ in range(csr.n)]
+        parts = csr.components(mask)
+        assert id_sets(csr, parts) == networkx_components(graph, mask)
+        assert all(list(part) == sorted(part) for part in parts)
+        full = [True] * csr.n
+        assert id_sets(csr, csr.components()) == networkx_components(graph, full)
+        largest = max(map(len, parts), default=0)
+        assert csr.largest_component(mask) == largest
+
+    def test_long_line_with_shuffled_ids(self):
+        """A 10⁵-node path whose ids are shuffled along it: the labels
+        need many hook rounds, not one."""
+        n = 100_000
+        rng = random.Random("shuffled-line")
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        adjacency = {node: [] for node in order}
+        for u, v in zip(order, order[1:]):
+            adjacency[u].append(v)
+        graph = DistGraph(adjacency)
+        csr = graph.csr
+        (whole,) = csr.components()
+        assert whole == tuple(range(n))
+        mask = [rng.random() < 0.9 for _ in range(n)]
+        parts = csr.components(mask)
+        assert id_sets(csr, parts) == networkx_components(graph, mask)
+        assert csr.largest_component(mask) == max(map(len, parts))
 
 
 class TestCSRPickling:

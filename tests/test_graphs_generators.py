@@ -132,9 +132,43 @@ class TestRandomFamilies:
             20, 0.3, seed=2
         ).edges()
 
+    @pytest.mark.parametrize("p", [0.0, 0.05, 0.3, 0.99, 1.0])
+    def test_erdos_renyi_is_networkx_sample(self, p):
+        """The native sampler draws exactly networkx's ``G(n, p)``."""
+        import networkx as nx
+
+        for n, seed in ((0, 0), (1, 3), (25, 4), (90, 5)):
+            expected = sorted(
+                (u + 1, v + 1)
+                for u, v in nx.gnp_random_graph(n, p, seed=seed).edges()
+            )
+            graph = erdos_renyi(n, p, seed=seed)
+            assert graph.nodes == tuple(range(1, n + 1))
+            assert graph.edges() == expected
+
     def test_connected_erdos_renyi_is_connected(self):
         for seed in range(5):
             assert connected_erdos_renyi(30, 0.05, seed=seed).is_connected()
+
+    def test_connected_erdos_renyi_is_networkx_patch(self):
+        """The patch links networkx's components, in its order, with the
+        same draws: the graphs equal the networkx-built ones."""
+        import random
+
+        import networkx as nx
+
+        for n, p, seed in ((1, 0.5, 0), (30, 0.05, 1), (60, 0.02, 2), (120, 0.01, 8)):
+            nx_graph = nx.gnp_random_graph(n, p, seed=seed)
+            rng = random.Random(f"{seed}:connect")
+            parts = [sorted(c) for c in nx.connected_components(nx_graph)]
+            for previous, current in zip(parts, parts[1:]):
+                nx_graph.add_edge(rng.choice(previous), rng.choice(current))
+            expected = sorted(
+                (min(u, v) + 1, max(u, v) + 1) for u, v in nx_graph.edges()
+            )
+            graph = connected_erdos_renyi(n, p, seed=seed)
+            assert graph.nodes == tuple(range(1, n + 1))
+            assert graph.edges() == expected
 
     def test_random_regular_degrees(self):
         graph = random_regular(16, 3, seed=2)

@@ -19,6 +19,8 @@ raises (``tests/test_garbage_predictions.py`` covers that case).
 
 import random
 
+import numpy
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -49,7 +51,9 @@ BASE_PARTIALS = {
 
 #: Hashable values no node problem outputs as given, or outputs only on
 #: some nodes: wrong types, out-of-range colors, bools that equal 0/1,
-#: floats that equal ints, and ⊥ where it is not a symbol.
+#: floats that equal ints, and ⊥ where it is not a symbol.  Ints past
+#: int64 and a NumPy integer that equals 1 are where an array decode
+#: could part from the Python comparison.
 JUNK = (
     None,
     "banana",
@@ -61,6 +65,10 @@ JUNK = (
     True,
     False,
     10**12,
+    2**63,
+    2**64,
+    -(2**63) - 1,
+    numpy.int64(1),
     -1,
     0,
     1,
@@ -239,3 +247,34 @@ class TestMeasuresMatchOracle:
             assert outcome(black_white_components, graph, predictions) == (
                 outcome(reference.black_white_components, graph, predictions)
             ), context
+
+
+class TestValidatorsAtScale:
+    """The fuzz draws at most 24 nodes; these graphs are large enough
+    that every array check runs over many rows."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [random_tree(3000, seed=11), erdos_renyi(2000, 0.003, seed=12)],
+        ids=["tree", "gnp"],
+    )
+    @pytest.mark.parametrize("problem_name", NODE_PROBLEMS)
+    def test_solutions_and_single_entry_perturbations(self, graph, problem_name):
+        rng = random.Random(f"{graph.name}:{problem_name}")
+        live = get_problem(problem_name)
+        oracle = reference.REFERENCE_PROBLEMS[problem_name]
+        solution = live.solve_sequential(graph, order=shuffled(rng, graph))
+        assert live.verify_solution(graph, solution) == []
+        assert live.verify_partial(graph, solution) == []
+        nodes = [graph.nodes[0], graph.nodes[-1], rng.choice(graph.nodes)]
+        for node in nodes:
+            other = rng.choice(sorted(graph.neighbors(node)) or graph.nodes)
+            replacements = (*JUNK, other, graph.d + 1)
+            variants = [{key: value for key, value in solution.items() if key != node}]
+            variants += [{**solution, node: value} for value in replacements]
+            variants.append({**solution, graph.d + 1: solution[node]})
+            for outputs in variants:
+                for method in ("verify_solution", "verify_partial"):
+                    expected = outcome(getattr(oracle, method), graph, outputs)
+                    actual = outcome(getattr(live, method), graph, outputs)
+                    assert actual == expected, (method, problem_name, node)

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import pickle
+import re
+import sys
 import warnings
+import weakref
 
 import pytest
 
+from repro import run
+from repro.algorithms.mis import GreedyMISAlgorithm
 from repro.core import RunConfig
 from repro.core.runner import ExecutionPolicy
+from repro.errors import eta1
 from repro.exec import ArtifactCache, FaultSpec, GraphSpec, Sweep
 from repro.graphs import DistGraph, path_forest, ring
 from repro.graphs.csr import plain_reduce
+from repro.problems import MIS
 from repro.shard import (
     SharedCSRStore,
     SharedCSRStoreError,
@@ -21,6 +29,7 @@ from repro.shard import (
     shard_node_ids,
     shard_view,
 )
+from repro.shard import store as store_module
 
 
 @pytest.fixture
@@ -212,6 +221,77 @@ class TestContentKeyStability:
         highest = pickle.dumps(forest, protocol=pickle.HIGHEST_PROTOCOL)
         clone = pickle.loads(highest)
         assert GraphSpec.literal(clone).key == key
+
+
+# ----------------------------------------------------------------------
+# Detaching attached topologies
+# ----------------------------------------------------------------------
+def _mapping_closed(closer):
+    """Whether an attachment's mapping is closed (shm or mmap'd file)."""
+    if isinstance(closer, store_module._MappedFile):
+        return closer.map.closed
+    # ``SharedMemory.close`` drops ``buf`` before closing the mmap, which
+    # an outliving export can still refuse.
+    return closer._mmap is None
+
+
+class TestDetach:
+    @pytest.mark.parametrize("backend", ["auto", "file"])
+    @pytest.mark.parametrize("use", ["eta1", "vectorized"])
+    def test_detach_closes_mapping_after_array_view(
+        self, forest, tmp_path, backend, use
+    ):
+        """The topology's array view exports the segment's buffers; the
+        detach drops it, so the mapping still closes."""
+        with SharedCSRStore(backend=backend, directory=str(tmp_path)) as store:
+            attached = pickle.loads(pickle.dumps(forest))
+            name = store.handle_for(forest.csr).name
+            if use == "eta1":
+                predictions = dict.fromkeys(attached.nodes, 1)
+                assert eta1(attached, predictions) == eta1(forest, predictions)
+            else:
+                result = run(
+                    GreedyMISAlgorithm(),
+                    attached,
+                    policy=ExecutionPolicy(schedule="vectorized"),
+                )
+                assert MIS.is_solution(attached, result.outputs)
+            assert attached.csr._arrays is not None
+            _topology, closer = store_module._ATTACHED[name]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                store_module.detach_all()
+            assert _mapping_closed(closer)
+            assert name not in store_module._ATTACHED
+
+    @pytest.mark.parametrize("backend", ["auto", "file"])
+    def test_export_outliving_detach_warns_with_segment_name(
+        self, forest, tmp_path, backend, monkeypatch
+    ):
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with SharedCSRStore(backend=backend, directory=str(tmp_path)) as store:
+            attached = pickle.loads(pickle.dumps(forest))
+            name = store.handle_for(forest.csr).name
+            closer = weakref.ref(store_module._ATTACHED[name][1])
+            held = attached.csr.arrays.indptr
+            with pytest.warns(ResourceWarning, match=re.escape(repr(name))):
+                store_module.detach_all()
+            assert not _mapping_closed(closer())
+            # The open mapping stays held, so collecting the graph runs
+            # no finalizer that would retry the close and fail.
+            del attached
+            gc.collect()
+            mapping = closer()
+            assert mapping is not None
+            assert unraisable == []
+            # Once the export is gone, the next detach closes it.
+            del held
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", ResourceWarning)
+                store_module.detach_all()
+            assert _mapping_closed(mapping)
+            assert store_module._UNCLOSED == []
 
 
 # ----------------------------------------------------------------------

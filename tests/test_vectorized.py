@@ -27,7 +27,7 @@ from repro.algorithms.mis import GreedyMISAlgorithm
 from repro.bench.algorithms import mis_simple
 from repro.graphs import erdos_renyi, line, random_tree
 from repro.predictions import noisy_predictions, perfect_predictions
-from repro.problems import MATCHING, MIS, VERTEX_COLORING
+from repro.problems import MATCHING, MIS, UNMATCHED, VERTEX_COLORING
 from repro.simulator import CONGEST, schedule_capabilities
 
 FAMILIES = [
@@ -115,6 +115,28 @@ class TestDifferentialFuzz:
     def test_isolated_and_empty_graphs(self):
         for graph in (erdos_renyi(20, 0.0, seed=0), erdos_renyi(0, 0.5, seed=0)):
             _assert_identical(GreedyMISAlgorithm, graph)
+
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
+    def test_bulk_write_back(self, family):
+        """The kernel writes outputs in ascending id order, as plain
+        ``int`` values (matching's ⊥ is the ``UNMATCHED`` object itself:
+        pickle memoizes by identity, so a digest of the outputs sees the
+        difference), and the interpreted run's termination rounds."""
+        _, problem, algorithm_cls, _ = family
+        graph = erdos_renyi(300, 0.02, seed=9)
+        predictions = noisy_predictions(problem, graph, 0.3, seed=9)
+        interpreted, vectorized = _assert_identical(
+            algorithm_cls, graph, predictions
+        )
+        assert list(vectorized.outputs) == sorted(vectorized.outputs)
+        for value in vectorized.outputs.values():
+            assert type(value) is int or value is UNMATCHED
+        if problem is MATCHING:
+            assert UNMATCHED in vectorized.outputs.values()
+        assert (
+            vectorized.records.termination_rounds
+            == interpreted.records.termination_rounds
+        )
 
 
 # ----------------------------------------------------------------------
