@@ -87,11 +87,11 @@ def schedules():
     """Capability map of every ``schedule=`` name, for introspection.
 
     Returns ``{name: {"quiescence": bool, "async": bool, "profile": bool,
-    "kernels": tuple}}`` — one entry per registered
-    :class:`~repro.simulator.scheduling.Scheduler`.  ``kernels`` lists
-    the compiled whole-frontier kernels a schedule can execute
-    (non-empty only for ``"vectorized"``, and only when numpy is
-    importable).  The CLI's ``--schedule`` choices and
+    "kernels": tuple, "paths": tuple}}`` — one entry per registered
+    :class:`~repro.simulator.scheduling.Scheduler`; ``paths`` names the
+    rows of :mod:`repro.simulator.capabilities` that accept it, and
+    ``kernels`` the compiled kernels it can run (numpy permitting).
+    The CLI's ``--schedule`` choices and
     :class:`ExecutionPolicy` validation are derived from the same
     registry, so this is the authoritative list::
 

@@ -51,8 +51,11 @@ from repro.algorithms.matching import GreedyMatchingAlgorithm
 from repro.algorithms.mis import GreedyMISAlgorithm
 from repro.core import ExecutionPolicy, run
 from repro.errors import eta1
-from repro.kernels import UnsupportedScheduleError
-from repro.simulator import schedule_capabilities
+from repro.simulator.capabilities import (
+    SHARDS,
+    UnsupportedScheduleError,
+    schedule_capabilities,
+)
 from repro.graphs import (
     DistGraph,
     clique,
@@ -109,14 +112,15 @@ TEMPLATES: Dict[str, Dict[str, Callable]] = {
     },
 }
 
+#: Example name -> its script in the checkout's ``examples/`` directory.
 EXAMPLES = {
-    "quickstart": "examples.quickstart",
-    "migration": "examples.network_migration",
-    "grid": "examples.grid_blackwhite",
-    "rooted": "examples.rooted_tree_forest",
-    "robustness": "examples.robustness_study",
-    "tradeoff": "examples.tradeoff_tuning",
-    "learned": "examples.learned_predictor",
+    "quickstart": "quickstart.py",
+    "migration": "network_migration.py",
+    "grid": "grid_blackwhite.py",
+    "rooted": "rooted_tree_forest.py",
+    "robustness": "robustness_study.py",
+    "tradeoff": "tradeoff_tuning.py",
+    "learned": "learned_predictor.py",
 }
 
 
@@ -173,14 +177,15 @@ def cmd_list(args: argparse.Namespace) -> int:
     print()
     print("schedules:")
     for name, caps in sorted(schedule_capabilities().items()):
-        kernels = ", ".join(caps["kernels"]) if caps.get("kernels") else "-"
-        print(f"  {name}: kernels={kernels}")
+        kernels = ", ".join(caps["kernels"]) or "-"
+        print(f"  {name}: paths={', '.join(caps['paths'])}; kernels={kernels}")
     print()
     print(f"examples: {', '.join(sorted(EXAMPLES))}")
     return 0
 
 
-def _build(args: argparse.Namespace):
+def _template(args: argparse.Namespace):
+    """The problem and algorithm factory the flags name."""
     problem = PROBLEMS.get(args.problem)
     if problem is None:
         raise SystemExit(f"unknown problem {args.problem!r}")
@@ -190,6 +195,11 @@ def _build(args: argparse.Namespace):
             f"unknown template {args.template!r} for {args.problem} "
             f"(choose from {sorted(TEMPLATES[args.problem])})"
         )
+    return problem, factory
+
+
+def _build(args: argparse.Namespace):
+    problem, factory = _template(args)
     return problem, factory(), parse_graph(args.graph)
 
 
@@ -212,18 +222,15 @@ def _policy_from_args(args: argparse.Namespace) -> ExecutionPolicy:
 def cmd_run(args: argparse.Namespace) -> int:
     problem, algorithm, graph = _build(args)
     predictions = _predictions_for_args(problem, graph, args)
-    try:
-        result = run(
-            algorithm,
-            graph,
-            predictions,
-            seed=args.seed,
-            max_rounds=args.max_rounds,
-            policy=_policy_from_args(args),
-            on_round_limit="partial" if args.schedule == "async" else "raise",
-        )
-    except UnsupportedScheduleError as exc:
-        raise SystemExit(f"{exc} (pass --fallback interpret to run anyway)")
+    result = run(
+        algorithm,
+        graph,
+        predictions,
+        seed=args.seed,
+        max_rounds=args.max_rounds,
+        policy=_policy_from_args(args),
+        on_round_limit="partial" if args.schedule == "async" else "raise",
+    )
     violations = problem.verify_solution(graph, result.outputs)
     error = eta1(graph, predictions, problem.name)
     print(f"instance   : {graph.name} (n={graph.n}, m={graph.num_edges})")
@@ -275,18 +282,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
     """Run one instance with round profiling and print the phase table."""
     problem, algorithm, graph = _build(args)
     predictions = _predictions_for_args(problem, graph, args)
-    try:
-        result = run(
-            algorithm,
-            graph,
-            predictions,
-            seed=args.seed,
-            max_rounds=args.max_rounds,
-            profile=True,
-            policy=_policy_from_args(args),
-        )
-    except UnsupportedScheduleError as exc:
-        raise SystemExit(f"{exc} (pass --fallback interpret to run anyway)")
+    result = run(
+        algorithm,
+        graph,
+        predictions,
+        seed=args.seed,
+        max_rounds=args.max_rounds,
+        profile=True,
+        policy=_policy_from_args(args),
+    )
     violations = problem.verify_solution(graph, result.outputs)
     print(f"instance   : {graph.name} (n={graph.n}, m={graph.num_edges})")
     print(f"algorithm  : {algorithm.name}")
@@ -318,19 +322,16 @@ def cmd_events(args: argparse.Namespace) -> int:
     problem, algorithm, graph = _build(args)
     predictions = _predictions_for_args(problem, graph, args)
     sink = MemoryEventSink()
-    try:
-        result = run(
-            algorithm,
-            graph,
-            predictions,
-            seed=args.seed,
-            max_rounds=args.max_rounds,
-            sinks=[sink],
-            policy=_policy_from_args(args),
-            on_round_limit="partial" if args.schedule == "async" else "raise",
-        )
-    except UnsupportedScheduleError as exc:
-        raise SystemExit(f"{exc} (pass --fallback interpret to run anyway)")
+    result = run(
+        algorithm,
+        graph,
+        predictions,
+        seed=args.seed,
+        max_rounds=args.max_rounds,
+        sinks=[sink],
+        policy=_policy_from_args(args),
+        on_round_limit="partial" if args.schedule == "async" else "raise",
+    )
     entries = sink.entries
     if args.kinds:
         wanted = set(args.kinds.split(","))
@@ -358,15 +359,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.core import RunConfig
     from repro.exec import FaultSpec, GraphSpec, PredictionSpec, Sweep
 
-    problem = PROBLEMS.get(args.problem)
-    if problem is None:
-        raise SystemExit(f"unknown problem {args.problem!r}")
-    factory = TEMPLATES[args.problem].get(args.template)
-    if factory is None:
-        raise SystemExit(
-            f"unknown template {args.template!r} for {args.problem} "
-            f"(choose from {sorted(TEMPLATES[args.problem])})"
-        )
+    problem, factory = _template(args)
     rates = [float(r) for r in args.rates.split(",")]
 
     # The graph comes from a parsed string spec, so it enters the sweep
@@ -488,15 +481,7 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
     from repro.core import RunConfig
     from repro.dynamic import DynamicRunner, SyntheticChurnStream, temporal_stream
 
-    problem = PROBLEMS.get(args.problem)
-    if problem is None:
-        raise SystemExit(f"unknown problem {args.problem!r}")
-    factory = TEMPLATES[args.problem].get(args.template)
-    if factory is None:
-        raise SystemExit(
-            f"unknown template {args.template!r} for {args.problem} "
-            f"(choose from {sorted(TEMPLATES[args.problem])})"
-        )
+    problem, factory = _template(args)
     if args.dataset:
         stream = temporal_stream(
             args.dataset,
@@ -528,10 +513,7 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
         scratch=not args.no_scratch,
         seed=args.seed,
     )
-    try:
-        result = runner.run()
-    except UnsupportedScheduleError as exc:
-        raise SystemExit(f"{exc} (pass --fallback interpret to run anyway)")
+    result = runner.run()
     print(f"stream     : {stream.name} (epochs={stream.epochs})")
     print(f"algorithm  : {args.problem}/{args.template}")
     print()
@@ -713,17 +695,18 @@ def cmd_datasets(args: argparse.Namespace) -> int:
 
 
 def cmd_example(args: argparse.Namespace) -> int:
-    module_name = EXAMPLES.get(args.name)
-    if module_name is None:
+    import runpy
+    from pathlib import Path
+
+    script = EXAMPLES.get(args.name)
+    if script is None:
         raise SystemExit(
             f"unknown example {args.name!r} (choose from {sorted(EXAMPLES)})"
         )
-    import importlib
-    import os
-
-    sys.path.insert(0, os.getcwd())
-    module = importlib.import_module(module_name)
-    module.main()
+    path = Path(__file__).resolve().parents[2] / "examples" / script
+    if not path.is_file():
+        raise SystemExit(f"no example script at {path} (a source checkout has it)")
+    runpy.run_path(str(path), run_name="__main__")
     return 0
 
 
@@ -827,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
         "instead of flat buffers per chunk",
     )
     sweep_parser.add_argument(
-        "--shard", choices=("components", "edgecut"), default=None,
+        "--shard", choices=SHARDS, default=None,
         help="split each cell's graph across workers and merge the shard "
         "results into one bit-identical row: 'components' farms out "
         "connected components independently; 'edgecut' block-partitions "
@@ -1001,7 +984,13 @@ def main(argv=None) -> int:
         "example": cmd_example,
         "reproduce": cmd_reproduce,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except UnsupportedScheduleError as exc:
+        hint = ""
+        if getattr(args, "schedule", None) == "vectorized" and not args.fallback:
+            hint = " (pass --fallback interpret to run anyway)"
+        raise SystemExit(f"repro {args.command}: {exc}{hint}")
 
 
 if __name__ == "__main__":

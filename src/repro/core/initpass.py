@@ -29,10 +29,10 @@ and bit counts are added to the window's, and the two outcomes merge in
 the full run's termination order, so the result is bit-identical to
 interpreting every node.
 
-**When.**  :func:`run_initialized` returns ``None`` — and ``run()``
-takes the full interpreted path, unchanged — unless every condition
-holds: no fault plan, trace or event sink; the eager or quiescent
-schedule without a deadline; a template host over a
+**When.**  ``run()`` asks where the ``"window"`` row of
+:mod:`repro.simulator.capabilities` allows, and :func:`run_initialized`
+returns ``None`` — ``run()`` then takes the full interpreted path,
+unchanged — unless the run has a template host over a
 :class:`~repro.graphs.graph.DistGraph`; a first slice that runs a
 registered initialization alone for at least the pass's rounds; a round
 budget that covers the slice; no decided node's message over a strict
@@ -100,10 +100,6 @@ InitPass = Callable[[CSRTopology, Mapping[int, Any]], Optional[Decided]]
 #: decided nodes terminate).
 _PASSES: Dict[type, Tuple[InitPass, int]] = {}
 
-#: Schedules the window reproduces: the shared synchronous round loop
-#: without a debug or asynchronous policy.
-_SCHEDULES = ("eager", "quiescent")
-
 
 def init_pass(
     program_class: type, *, rounds: int
@@ -136,17 +132,14 @@ def run_initialized(
 ) -> Optional[RunResult]:
     """Run ``algorithm`` with its initialization decided by index.
 
-    ``config`` is the run's :class:`~repro.core.runner.RunConfig`; the
-    caller has ruled out traces and sinks.  Returns the run's result,
+    ``config`` is the run's :class:`~repro.core.runner.RunConfig`, which
+    the window row accepts.  Returns the run's result,
     bit-identical to a full interpreted run, or ``None`` when the run is
     not eligible (see the module docstring).
     """
     policy = config.policy
     if (
-        config.faults is not None
-        or policy.schedule not in _SCHEDULES
-        or policy.deadline_s is not None
-        or predictions is None
+        predictions is None
         or not isinstance(algorithm, _TemplateBase)
         or type(algorithm).build_program is not _TemplateBase.build_program
         or not isinstance(graph, DistGraph)

@@ -23,6 +23,7 @@ from typing import Any, Mapping, Optional
 from repro.core.algorithm import DistributedAlgorithm
 from repro.core.initpass import run_initialized
 from repro.graphs.graph import DistGraph
+from repro.simulator.capabilities import refusal
 from repro.simulator.engine import SyncEngine
 from repro.simulator.metrics import RunResult
 from repro.simulator.models import LOCAL, ExecutionModel
@@ -144,12 +145,11 @@ def run(
             frozen config: sinks hold live resources such as open
             files).
 
-    A template whose initialization has a registered by-index pass runs
-    only the nodes that initialization leaves undecided through the
-    interpreter, with the same result (see :mod:`repro.core.initpass`;
-    ``result.init_decided`` counts the others).  Runs with faults,
-    traces, sinks, a deadline or a schedule other than eager or
-    quiescent interpret every node.
+    Where the ``"window"`` row of :mod:`repro.simulator.capabilities`
+    allows, a template whose initialization has a registered by-index
+    pass interprets only the nodes it leaves undecided, with the same
+    result (:mod:`repro.core.initpass`; ``result.init_decided`` counts
+    the others).  A policy that sets ``shard`` is refused.
 
     Returns:
         The :class:`RunResult`; when tracing was requested its ``trace``
@@ -170,11 +170,16 @@ def run(
         profile=profile,
         policy=_UNSET if policy is None else policy,
     )
-    recorder = TraceRecorder() if config.trace else None
-    if recorder is None and not sinks:
+    policy = config.policy
+    if not refusal(
+        "window", policy.schedule, shard=policy.shard, profile=config.profile,
+        faults=config.faults is not None, sinks=config.trace or bool(sinks),
+        deadline=policy.deadline_s is not None,
+    ):
         result = run_initialized(algorithm, graph, predictions, config)
         if result is not None:
             return result
+    recorder = TraceRecorder() if config.trace else None
     engine = SyncEngine(
         graph,
         lambda node: algorithm.build_program(),

@@ -22,10 +22,13 @@ dispatched work item *is*:
   CSR topology crossing the pool boundary ships once as a shared-memory
   segment and each cell pickles down to a ~100-byte handle (measured
   into the rows' ``ship_bytes``/``shared_bytes`` columns).
-* ``shard="components"`` — eligible cells (see
-  :func:`repro.shard.plan.shard_mode`) expand into one work item per
+* ``shard="components"`` — cells expand into one work item per
   component shard, spreading a single huge-graph cell across the pool;
   the partials merge back into one bit-identical row.
+
+Before any cell runs, every sharded cell is checked against its row of
+:mod:`repro.simulator.capabilities`; with fewer than two shards it runs
+whole.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.runner import run
@@ -48,13 +52,9 @@ from repro.exec.plan import Cell, FaultSpec, Spec, Sweep, derive_cell_seed
 from repro.exec.results import CellResult, SweepResult
 from repro.obs.events import MemoryEventSink, write_jsonl_events
 from repro.shard.edgecut import execute_edgecut_cell
-from repro.shard.plan import (
-    ShardPartial,
-    execute_shard,
-    merge_partials,
-    shard_mode,
-)
+from repro.shard.plan import ShardPartial, execute_shard, merge_partials
 from repro.shard.store import SharedCSRStore, reset_worker_state
+from repro.simulator.capabilities import FALLBACK, require
 
 #: A dispatched unit of work: an entire cell, or one component shard.
 #: ``("cell", index, cell, seed)`` /
@@ -101,7 +101,8 @@ def execute(
             "artifacts on disk, or use backend='serial'"
         )
     events = events or events_path is not None
-    _warn_unshardable(sweep, profile=profile, events=events)
+    for cell in sweep.cells:
+        _require_shardable(cell, profile, events)
     tagged = [
         (index, cell, _resolved_seed(sweep, index, cell))
         for index, cell in enumerate(sweep.cells)
@@ -163,27 +164,20 @@ def execute(
     return result
 
 
-def _warn_unshardable(sweep: Sweep, *, profile: bool, events: bool) -> None:
-    """Warn (once per sweep) when ``shard=`` is requested but gated off.
-
-    Fault plans, custom metrics, profiling and event capture all need
-    the whole graph in one engine; such cells silently running unsharded
-    would misreport the sweep's parallelism, so say it out loud.
-    """
-    for cell in sweep.cells:
-        if (
-            cell.config.policy.shard is not None
-            and shard_mode(cell, profile=profile, events=events) is None
-        ):
-            warnings.warn(
-                f"cell {cell.label!r} requested shard="
-                f"{cell.config.policy.shard!r} but carries a feature that "
-                "needs the whole graph in one engine (faults, custom "
-                "metrics, profiling or event capture); running unsharded",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            return
+def _require_shardable(cell: Cell, profile: bool, events: bool) -> None:
+    """Raise unless the cell's shard path reproduces it (unsharded cells
+    pass).  A schedule the fallback rescues is downgraded where it runs."""
+    config = cell.config
+    policy = config.policy
+    if policy.shard is not None:
+        require(
+            policy.shard,
+            FALLBACK[policy.schedule] if policy.fallback else policy.schedule,
+            faults=cell.faults is not None or config.faults is not None,
+            sinks=events or config.trace, profile=profile or config.profile,
+            deadline=policy.deadline_s is not None,
+            metrics=cell.metrics is not None,
+        )
 
 
 def _write_sweep_events(path: str, rows: List[CellResult]) -> None:
@@ -233,7 +227,9 @@ def _execute_cell(
     elif isinstance(faults, Spec):  # a generic Spec used for faults
         faults = faults.build(graph)
     algorithm = cell.algorithm.build()
-    config = cell.config.with_overrides(seed=seed)
+    config = cell.config.with_overrides(
+        seed=seed, policy=replace(cell.config.policy, shard=None)
+    )
     if faults is not None:
         config = config.with_overrides(faults=faults)
     if profile:
@@ -300,18 +296,18 @@ def _execute_cell_any(
     shard_count: int,
 ) -> CellResult:
     """One cell on the current process: sharded (run + merge in place)
-    when its policy and features allow, unsharded otherwise.
+    when its policy shards, whole otherwise.
 
     The serial spelling of the sharded path — same split, same merge —
     so ``backend="serial"`` stays row-for-row identical to the pool and
     the differential fuzz can compare all four combinations cheaply.
     """
-    mode = shard_mode(cell, profile=profile, events=events)
-    if mode is None:
+    mode = cell.config.policy.shard
+    if mode is None or shard_count < 2:
         return _execute_cell(index, cell, seed, cache, profile, events)
     if mode == "edgecut":
         return _execute_edgecut_any(
-            index, cell, seed, cache, shard_count, "thread", profile, events
+            index, cell, seed, cache, shard_count, "thread"
         )
     partials = [
         execute_shard(index, cell, seed, shard, shard_count, cache)
@@ -327,18 +323,12 @@ def _execute_edgecut_any(
     cache: ArtifactCache,
     shard_count: int,
     mode: str,
-    profile: bool,
-    events: bool,
 ) -> CellResult:
-    """One ``shard="edgecut"`` cell, degrading gracefully to unsharded.
+    """One ``shard="edgecut"`` cell.
 
-    A single shard (``jobs=1``) or a trace request needs the whole graph
-    in one engine anyway, so those cells take the ordinary path; the
-    process mode additionally falls back to in-process threads when the
-    platform cannot spawn workers (same contract as the pool itself).
+    The process mode falls back to in-process threads when the platform
+    cannot spawn workers (same contract as the pool itself).
     """
-    if shard_count < 2 or cell.config.trace:
-        return _execute_cell(index, cell, seed, cache, profile, events)
     if mode == "process":
         try:
             return execute_edgecut_cell(
@@ -470,12 +460,12 @@ def _expand_items(
     events: bool,
 ) -> List[WorkItem]:
     """Work items in grid order: one per cell, or one per shard for
-    component-shardable cells (sharding only pays off across ≥ 2
-    workers).  Edge-cut cells are absent by construction — the caller
-    routes them to the parent-driven barrier execution instead."""
+    component-sharded cells.  Edge-cut cells are absent by construction
+    — the caller routes them to the parent-driven barrier execution
+    instead."""
     items: List[WorkItem] = []
     for index, cell, seed in tagged:
-        if shard_mode(cell, profile=profile, events=events) == "components":
+        if shard_count > 1 and cell.config.policy.shard == "components":
             items.extend(
                 ("shard", index, cell, seed, shard, shard_count)
                 for shard in range(shard_count)
@@ -557,7 +547,7 @@ def _execute_process_pool(
     edgecut_indexes = {
         index
         for index, cell, _ in tagged
-        if shard_mode(cell, profile=profile, events=events) == "edgecut"
+        if shard_count > 1 and cell.config.policy.shard == "edgecut"
     }
     edgecut_tagged = [e for e in tagged if e[0] in edgecut_indexes]
     pool_tagged = [e for e in tagged if e[0] not in edgecut_indexes]
@@ -610,8 +600,7 @@ def _execute_process_pool(
             parent_cache = ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
             rows.extend(
                 _execute_edgecut_any(
-                    index, cell, seed, parent_cache, shard_count,
-                    "process", profile, events,
+                    index, cell, seed, parent_cache, shard_count, "process"
                 )
                 for index, cell, seed in edgecut_tagged
             )

@@ -18,16 +18,16 @@ One kernel per algorithm family lives in its own module:
 The registry is keyed by the template (algorithm) name; resolution
 matches the *program class* a run would execute, so a kernel only ever
 replaces the exact per-node program it was verified bit-identical
-against (tests/test_vectorized.py fuzzes that equivalence).  Anything
-else — unregistered programs, fault plans, event sinks, per-node program
-mappings — fails the capability handshake with
-:class:`UnsupportedScheduleError`, or falls back to the interpreted
-quiescent schedule when the run asks for ``fallback="interpret"``.
+against (tests/test_vectorized.py fuzzes that equivalence); the
+features a kernel run may use are the ``"kernel"`` row of
+:mod:`repro.simulator.capabilities`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
+
+from repro.simulator.capabilities import UnsupportedScheduleError
 
 __all__ = [
     "KERNELS",
@@ -37,18 +37,6 @@ __all__ = [
     "numpy_available",
     "resolve_kernel",
 ]
-
-
-class UnsupportedScheduleError(RuntimeError):
-    """``schedule="vectorized"`` cannot execute this run.
-
-    Raised by the kernel-capability handshake when no compiled kernel
-    matches the run's program family, when numpy is unavailable, or when
-    the run uses features only the interpreted engine implements (fault
-    injection, event sinks, traces, per-node program mappings).  Pass
-    ``fallback="interpret"`` to downgrade the error to a warning and run
-    the interpreted quiescent schedule instead.
-    """
 
 
 def numpy_available() -> bool:
@@ -107,41 +95,22 @@ def kernel_for_program(program: Any) -> Optional[type]:
     return None
 
 
-def resolve_kernel(rt: Any, programs: Any) -> Any:
-    """Capability handshake: return a bound-ready kernel or raise.
+def resolve_kernel(programs: Any, nodes: Any) -> Any:
+    """The kernel compiled for the run's program family, or raise.
 
-    ``rt`` is the engine mid-construction (graph/model/faults/obs wired,
-    per-node state not yet built); ``programs`` is the run's program
-    source.  Raises :class:`UnsupportedScheduleError` with an actionable
-    reason when the run cannot be vectorized.
+    ``programs`` is the run's program source and ``nodes`` its graph's
+    nodes.  Raises :class:`UnsupportedScheduleError` with an actionable
+    reason when no registered kernel runs the program.
     """
     if not numpy_available():  # pragma: no cover - numpy is a declared dep
         raise UnsupportedScheduleError(
             "schedule='vectorized' requires numpy, which is not importable"
-        )
-    if rt.interposer is not None:
-        raise UnsupportedScheduleError(
-            "fault injection (faults=) is interpreted-only; "
-            "vectorized kernels have no per-message fault surface"
-        )
-    if getattr(rt.graph, "is_edgecut", False):
-        raise UnsupportedScheduleError(
-            "edge-cut shards are interpreted-only: compiled kernels index "
-            "dense whole-graph arrays and have no boundary exchange; use "
-            "schedule='eager'/'quiescent' or fallback='interpret'"
-        )
-    if rt.obs:
-        raise UnsupportedScheduleError(
-            "event sinks and traces observe per-node phases the vectorized "
-            "kernels do not execute; drop sinks=/trace= or use an "
-            "interpreted schedule"
         )
     if not callable(programs):
         raise UnsupportedScheduleError(
             "per-node program mappings may mix program types; "
             "schedule='vectorized' needs a program factory (an algorithm)"
         )
-    nodes = rt.graph.nodes
     if not nodes:
         from repro.kernels.base import EmptyGraphKernel
 

@@ -35,7 +35,6 @@ from repro.shard.plan import (
     edgecut_node_ids,
     execute_shard,
     merge_partials,
-    shard_mode,
     shard_node_ids,
     shard_view,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "merge_partials",
     "reset_worker_state",
     "run_edgecut",
-    "shard_mode",
     "shard_node_ids",
     "shard_view",
 ]

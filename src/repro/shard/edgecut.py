@@ -52,6 +52,7 @@ from typing import (
 
 from repro.graphs.graph import DistGraph
 from repro.shard.plan import EdgecutView, edgecut_bounds
+from repro.simulator.capabilities import UnsupportedScheduleError, fall_back, require
 from repro.simulator.engine import RoundLimitExceeded, SyncEngine
 from repro.simulator.metrics import NodeRecords, RunResult, StuckReport
 from repro.simulator.transport import (
@@ -65,14 +66,6 @@ if TYPE_CHECKING:  # lazy at runtime: repro.exec imports this module.
     from repro.exec.results import CellResult
 
 _PICKLE = pickle.HIGHEST_PROTOCOL
-
-#: Schedules edge-cut sharding accepts (the shared interpreted round loop
-#: carries the boundary hooks).  ``vectorized`` reaches the kernel
-#: resolver, which rejects edge-cut views (or downgrades via
-#: ``fallback="interpret"``); ``async`` is rejected by
-#: :class:`~repro.simulator.scheduling.ExecutionPolicy` before a driver
-#: exists.
-_SUPPORTED_SCHEDULES = ("eager", "quiescent", "quiescent-debug", "vectorized")
 
 
 class _Aborted(Exception):
@@ -367,7 +360,7 @@ def _build_shard_engine(
         seed=config.effective_seed,
         on_round_limit=config.on_round_limit,
         fast=config.fast,
-        policy=replace(config.policy, deadline_s=None),
+        policy=replace(config.policy, deadline_s=None, shard=None),
         transport=transport_factory,
     )
 
@@ -437,32 +430,39 @@ def _resolved_max_rounds(config: Any, graph: DistGraph) -> int:
     return 8 * graph.n + 64
 
 
-def _check_shardable(config: Any, shard_count: int) -> None:
+def _admit(
+    config: Any, graph: DistGraph, algorithm: Any, has_predictions: bool,
+    shard_count: int,
+) -> Tuple[Any, EdgecutPlan]:
+    """The config the shard engines run and the plan that drives them,
+    decided once per run before any engine exists: the ``"edgecut"`` row
+    of the capability table refuses the run, or under
+    ``fallback="interpret"`` downgrades its schedule."""
     if shard_count < 2:
         raise ValueError(
             f"edge-cut sharding needs >= 2 shards, got {shard_count}"
         )
-    if config.faults is not None:
-        raise ValueError("edge-cut sharding cannot run fault plans")
-    if config.trace or config.profile:
-        raise ValueError("edge-cut sharding cannot capture traces or profiles")
-    schedule = config.policy.schedule
-    if schedule not in _SUPPORTED_SCHEDULES:
+    policy = config.policy
+    require(
+        "edgecut", shard=policy.shard, faults=config.faults is not None,
+        sinks=config.trace, profile=config.profile,
+        deadline=policy.deadline_s is not None,
+    )
+    try:
+        require("edgecut", policy.schedule)
+    except UnsupportedScheduleError as exc:
+        config = config.with_overrides(policy=fall_back(policy, exc))
+    if algorithm.uses_predictions and not has_predictions:
         raise ValueError(
-            f"edge-cut sharding does not support schedule={schedule!r}"
+            f"{algorithm.name or type(algorithm).__name__} requires predictions"
         )
-
-
-def _make_plan(
-    config: Any, graph: DistGraph, model: Any, shard_count: int
-) -> EdgecutPlan:
-    return EdgecutPlan(
+    return config, EdgecutPlan(
         graph,
         shard_count,
         max_rounds=_resolved_max_rounds(config, graph),
         on_round_limit=config.on_round_limit,
         deadline_s=config.policy.deadline_s,
-        bandwidth_budget=model.bandwidth_bits(graph.n),
+        bandwidth_budget=config.model_for(algorithm).bandwidth_bits(graph.n),
     )
 
 
@@ -489,14 +489,11 @@ def run_edgecut(
     """
     from repro.core.runner import RunConfig
 
-    config = config or RunConfig()
-    _check_shardable(config, shard_count)
-    if algorithm.uses_predictions and predictions is None:
-        raise ValueError(
-            f"{algorithm.name or type(algorithm).__name__} requires predictions"
-        )
+    config, plan = _admit(
+        config or RunConfig(), graph, algorithm, predictions is not None,
+        shard_count,
+    )
     model = config.model_for(algorithm)
-    plan = _make_plan(config, graph, model, shard_count)
     if plan_out is not None:
         plan_out.append(plan)
     rendezvous = _Rendezvous(shard_count)
@@ -811,14 +808,9 @@ def execute_edgecut_cell(
             predictions = spec.build(graph)
 
     if mode == "process":
-        _check_shardable(config, shard_count)
-        if algorithm.uses_predictions and cell.predictions is None:
-            raise ValueError(
-                f"{algorithm.name or type(algorithm).__name__} "
-                "requires predictions"
-            )
-        model = config.model_for(algorithm)
-        plan = _make_plan(config, graph, model, shard_count)
+        config, plan = _admit(
+            config, graph, algorithm, cell.predictions is not None, shard_count
+        )
         merged = _run_edgecut_process(cell, config, shard_count, graph, plan)
         outputs = merged["outputs"]
         rounds = merged["rounds"]

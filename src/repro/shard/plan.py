@@ -19,17 +19,14 @@ ambient quantity a node observes is pinned to the parent graph's value:
   message/solution counts are sums, validity is a conjunction, and η₁ is
   a maximum (error components are sub-component by definition).
 
-What shards: cells without fault plans, custom metrics, profiling or
-event capture, on any schedule except ``"async"`` (the delay adversary
-draws from tick-global streams, so component isolation does not hold;
-:class:`~repro.core.runner.ExecutionPolicy` rejects the combination).
-:func:`shard_mode` is the single gate both backends consult.
+What shards is the ``"components"`` row of
+:mod:`repro.simulator.capabilities`.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.core.runner import run
@@ -69,26 +66,6 @@ class ShardPartial:
     stuck: bool
     kernel: Optional[str]
     elapsed: float
-
-
-def shard_mode(
-    cell: "Cell", *, profile: bool = False, events: bool = False
-) -> Optional[str]:
-    """The cell's effective shard mode, or ``None`` when it must run
-    unsharded (no shard requested, or a feature that needs the whole
-    graph in one engine — faults, custom metrics, profiling, events)."""
-    mode = cell.config.policy.shard
-    if mode is None:
-        return None
-    if (
-        cell.faults is not None
-        or cell.config.faults is not None
-        or cell.metrics is not None
-        or profile
-        or events
-    ):
-        return None
-    return mode
 
 
 def shard_view(parent: DistGraph, nodes: Sequence[int]) -> DistGraph:
@@ -156,11 +133,6 @@ class EdgecutView(GraphWindow):
 
     __slots__ = ("shard", "shard_count")
 
-    #: Marker the kernel resolver checks: compiled whole-frontier kernels
-    #: index dense per-node arrays and have no halo exchange, so they
-    #: reject edge-cut views loudly (``UnsupportedScheduleError``).
-    is_edgecut = True
-
     def __init__(
         self, parent: DistGraph, shard: int, shard_count: int
     ) -> None:
@@ -216,7 +188,9 @@ def execute_shard(
             node: full[node] for node in view.nodes if node in full
         }
     algorithm = cell.algorithm.build()
-    config = cell.config.with_overrides(seed=seed)
+    config = cell.config.with_overrides(
+        seed=seed, policy=replace(cell.config.policy, shard=None)
+    )
     result = run(algorithm, view, predictions, config=config)
 
     problem = None
@@ -272,9 +246,6 @@ def merge_partials(
     parts = sorted(partials, key=lambda partial: partial.shard)
     valids = [partial.valid for partial in parts if partial.valid is not None]
     errors = [partial.error for partial in parts if partial.error is not None]
-    kernels = [
-        partial.kernel for partial in parts if partial.kernel is not None
-    ]
     return CellResult(
         index=index,
         label=cell.label,
@@ -289,7 +260,9 @@ def merge_partials(
         dropped_messages=sum(partial.dropped_messages for partial in parts),
         delayed_messages=sum(partial.delayed_messages for partial in parts),
         retried_messages=sum(partial.retried_messages for partial in parts),
-        kernel=kernels[0] if kernels else None,
+        # Shard 0 holds the first component, so it reports the kernel
+        # the whole graph would run ("empty" only for an empty graph).
+        kernel=parts[0].kernel,
         stuck=any(partial.stuck for partial in parts),
         solution_size=sum(partial.solution_size for partial in parts),
         elapsed=sum(partial.elapsed for partial in parts),

@@ -28,6 +28,7 @@ fan-out + profiling), all over the shared
 """
 
 from repro.simulator.adversary import DelayAdversary, RetryPolicy
+from repro.simulator.capabilities import schedule_capabilities
 from repro.simulator.context import NodeContext
 from repro.simulator.engine import (
     BandwidthExceeded,
@@ -56,7 +57,6 @@ from repro.simulator.scheduling import (
     QuiescentScheduler,
     Scheduler,
     VectorizedScheduler,
-    schedule_capabilities,
 )
 from repro.simulator.trace import TraceEvent, TraceRecorder
 from repro.simulator.transport import Transport

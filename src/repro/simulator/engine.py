@@ -33,9 +33,7 @@ degradation.
 
 from __future__ import annotations
 
-import warnings
 import weakref
-from dataclasses import replace
 from time import perf_counter
 from typing import (
     Any,
@@ -50,6 +48,7 @@ from typing import (
 )
 
 from repro.obs.profile import RoundProfile
+from repro.simulator.capabilities import UnsupportedScheduleError, fall_back, require
 from repro.simulator.context import NodeContext
 from repro.simulator.interpose import FaultInterposer
 from repro.simulator.lifecycle import NodeLifecycle
@@ -143,13 +142,11 @@ class SyncEngine:
             policy validated its own fields, so the engine only reads
             them.  A wall-clock ``deadline_s`` stops the run
             *gracefully* — whatever ``on_round_limit`` says — with a
-            ``stuck`` report whose ``reason`` is ``"deadline"``.  Under
-            ``schedule="vectorized"`` a run no kernel can execute (no
-            kernel for the program family, fault injection, event
-            sinks, per-node program mappings) raises
-            :class:`~repro.kernels.UnsupportedScheduleError`, or with
-            ``fallback="interpret"`` warns and runs the interpreted
-            ``"quiescent"`` schedule instead.
+            ``stuck`` report whose ``reason`` is ``"deadline"``.  A run
+            :mod:`repro.simulator.capabilities` or the kernel registry
+            refuses raises
+            :class:`~repro.simulator.capabilities.UnsupportedScheduleError`,
+            unless ``fallback="interpret"`` applies.
         transport: Optional transport factory ``(nodes, result, model,
             n, fast) -> Transport``; ``None`` builds the default
             :class:`~repro.simulator.transport.LocalTransport`.  The
@@ -218,33 +215,24 @@ class SyncEngine:
         self._program_source = programs
 
         #: The compiled whole-frontier kernel when this run executes
-        #: under ``schedule="vectorized"``, else ``None``.  Resolving it
-        #: is the capability handshake: runs the kernels cannot
-        #: reproduce bit-identically (faults, sinks, unregistered
-        #: program families, per-node mappings) raise
-        #: ``UnsupportedScheduleError`` here — or, under
-        #: ``fallback="interpret"``, warn and downgrade to the
-        #: interpreted quiescent schedule, which accepts any program.
+        #: under ``schedule="vectorized"``, else ``None``.  An engine
+        #: never shards.
         self._kernel = None
-        if self._scheduler.uses_kernels:
-            from repro.kernels import UnsupportedScheduleError, resolve_kernel
+        path = "kernel" if self._scheduler.uses_kernels else "interpreter"
+        require(path, shard=self.policy.shard)
+        try:
+            require(
+                path, faults=faults is not None, sinks=bool(self.obs),
+                profile=self.obs.profile is not None,
+                deadline=self.policy.deadline_s is not None,
+            )
+            if self._scheduler.uses_kernels:
+                from repro.kernels import resolve_kernel
 
-            try:
-                self._kernel = resolve_kernel(self, programs)
-            except UnsupportedScheduleError as exc:
-                if self.policy.fallback != "interpret":
-                    raise
-                warnings.warn(
-                    f"schedule='vectorized' cannot run this instance "
-                    f"({exc}); falling back to the interpreted "
-                    f"'quiescent' schedule",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                self.policy = replace(
-                    self.policy, schedule="quiescent", fallback=None
-                )
-                self._scheduler = SCHEDULERS["quiescent"]()
+                self._kernel = resolve_kernel(programs, graph.nodes)
+        except UnsupportedScheduleError as exc:
+            self.policy = fall_back(self.policy, exc)
+            self._scheduler = SCHEDULERS[self.policy.schedule]()
 
         order = sorted(graph.nodes)
         #: Nodes whose termination or crash has been published to their

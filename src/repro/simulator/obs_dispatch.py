@@ -12,11 +12,7 @@ detached contract of docs/OBSERVABILITY.md).
 The ``run_begin`` meta names the run's transport stage (``"transport"``:
 ``"LocalTransport"`` for in-process mailboxes, ``"BoundaryTransport"``
 for an edge-cut shard exchanging cut-crossing messages), so sinks can
-tell shard-local streams apart from whole-graph ones.  Note that sweep
-cells requesting structured events or traces are executed unsharded
-(:func:`~repro.shard.plan.shard_mode` returns ``None`` for them) — a
-``BoundaryTransport`` stream only appears when a sink is attached to a
-shard engine directly.
+tell shard-local streams apart from whole-graph ones.
 """
 
 from __future__ import annotations

@@ -33,9 +33,9 @@ the per-round reads it needs, and wiring the wake hooks (``note_state``,
 per-round wake state; see docs/ARCHITECTURE.md.
 
 :class:`ExecutionPolicy` is how a caller picks a schedule and its knobs,
-validated against the :data:`SCHEDULERS` registry below.  It is the one
-execution surface of every layer: ``run()``/``RunConfig``, the sweep
-cells and :class:`~repro.simulator.engine.SyncEngine` itself.
+validated against the :data:`SCHEDULERS` registry below and
+:mod:`repro.simulator.capabilities`.  It is the one of every layer: ``run()``/``RunConfig``, the sweep cells and
+:class:`~repro.simulator.engine.SyncEngine` itself.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from time import perf_counter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.simulator.adversary import DelayAdversary, RetryPolicy
+from repro.simulator.capabilities import FALLBACK, SHARDS, require
 from repro.simulator.context import NodeContext
 from repro.simulator.interpose import DROPPED
 
@@ -88,8 +89,8 @@ class Scheduler:
         handles_setup: Whether the policy runs round 0 itself via
             :meth:`run_setup` instead of the engine's per-node loop.
         uses_kernels: Whether the policy executes compiled
-            whole-frontier kernels (:mod:`repro.kernels`) — the engine
-            performs the kernel-capability handshake for such policies.
+            whole-frontier kernels (:mod:`repro.kernels`): the engine
+            takes the capability table's ``"kernel"`` path.
     """
 
     tracks_wakes = False
@@ -107,21 +108,6 @@ class Scheduler:
         #: The nodes the quiescent schedule would run this round, when
         #: the policy polices the idle contract; ``None`` otherwise.
         self._expected: Optional[set] = None
-
-    @classmethod
-    def capabilities(cls) -> Dict[str, Any]:
-        """Introspectable capability record (see :func:`repro.schedules`)."""
-        kernels: Tuple[str, ...] = ()
-        if cls.uses_kernels:
-            from repro.kernels import available_kernels
-
-            kernels = available_kernels()
-        return {
-            "quiescence": cls.tracks_wakes,
-            "async": cls.is_async,
-            "profile": True,
-            "kernels": kernels,
-        }
 
     def bind(self, rt: Any) -> None:
         """Attach the runtime this scheduler drives: a weak proxy of the
@@ -656,10 +642,9 @@ class VectorizedScheduler(Scheduler):
     Instead of interpreting compose/deliver/process per node, every
     round executes as NumPy array operations over the run's CSR buffers
     — one :class:`~repro.kernels.base.FrontierKernel` per algorithm
-    family, resolved by the engine's capability handshake at
-    construction time (unsupported runs raise
-    :class:`~repro.kernels.UnsupportedScheduleError` there, or fall
-    back to the interpreted quiescent schedule under
+    family, resolved when the engine is built (unsupported runs raise
+    :class:`~repro.simulator.capabilities.UnsupportedScheduleError`
+    there, or fall back to the interpreted quiescent schedule under
     ``fallback="interpret"``).
 
     The kernel keeps the engine's ``_active`` set, result counters and
@@ -766,7 +751,7 @@ class ExecutionPolicy:
             ``on_round_limit`` says.
         fallback: For ``schedule="vectorized"`` runs the kernels cannot
             execute: ``None`` (default) raises
-            :class:`~repro.kernels.UnsupportedScheduleError`;
+            :class:`~repro.simulator.capabilities.UnsupportedScheduleError`;
             ``"interpret"`` warns and runs the interpreted
             ``"quiescent"`` schedule instead.
         share_graph: Sweep-level zero-copy flag — the process-pool
@@ -782,9 +767,7 @@ class ExecutionPolicy:
             (possibly connected) graph and runs one engine per block,
             exchanging boundary messages at a per-round barrier
             (see :mod:`repro.shard.edgecut`) — also bit-identical.
-            ``None`` (default) runs unsharded.  Incompatible with
-            ``schedule="async"``: the delay adversary draws from
-            tick-global streams, so isolation does not hold.
+            ``None`` (default) runs unsharded.
     """
 
     schedule: str = "eager"
@@ -820,32 +803,15 @@ class ExecutionPolicy:
             raise ValueError(
                 f"fallback must be None or 'interpret', got {self.fallback!r}"
             )
-        if self.fallback is not None and self.schedule != "vectorized":
+        if self.fallback is not None and self.schedule not in FALLBACK:
             raise ValueError(
                 "fallback= only applies to schedule='vectorized' "
                 f"(got schedule={self.schedule!r})"
             )
-        if self.shard not in (None, "components", "edgecut"):
-            raise ValueError(
-                "shard must be None, 'components' or 'edgecut', "
-                f"got {self.shard!r}"
-            )
-        if self.shard is not None and self.schedule == "async":
-            raise ValueError(
-                f"shard={self.shard!r} cannot run under schedule='async': "
-                "the asynchronous delay adversary draws from tick-global "
-                "streams, so sharded and unsharded runs would diverge"
-            )
-
-
-def schedule_capabilities() -> Dict[str, Dict[str, Any]]:
-    """Name -> capability record for every registered schedule.
-
-    The single source of truth behind :func:`repro.schedules` and the
-    CLI's ``--schedule`` choices: a scheduler registered here is
-    immediately selectable everywhere, with its capabilities
-    (quiescence tracking, asynchrony, profiling — which every schedule
-    supports — and compiled kernel availability) introspectable instead
-    of hand-maintained.
-    """
-    return {name: cls.capabilities() for name, cls in SCHEDULERS.items()}
+        if self.shard is not None:
+            if self.shard not in SHARDS:
+                raise ValueError(
+                    f"shard must be None or one of {SHARDS}, got {self.shard!r}"
+                )
+            # Whether a run needs the fallback is decided where it starts.
+            require(self.shard, FALLBACK.get(self.schedule, self.schedule))

@@ -99,7 +99,7 @@ class TestEdgecutPlan:
         assert view.n == graph.n
         assert view.d == graph.d
         assert view.delta == graph.delta
-        assert view.is_edgecut
+        assert (view.shard, view.shard_count) == (0, 3)
         assert set(view.nodes) < set(graph.nodes)
         # Neighbor lists come from the parent: they may cross the cut.
         for node in view.nodes:

@@ -1,5 +1,7 @@
 """Tests for the trade-off template (Section 10 exploration) and the CLI."""
 
+import re
+
 import pytest
 
 from repro import HedgedConsecutiveTemplate, run
@@ -120,6 +122,26 @@ class TestHedgedTemplate:
         assert costs[2.0] > costs[0.0]
 
 
+def _repro(*args, cwd):
+    """``python -m repro`` in a fresh interpreter, run from ``cwd``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    source = str(Path(repro.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *args],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": source},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
 class TestCLI:
     def test_list(self, capsys):
         from repro.cli import main
@@ -127,6 +149,40 @@ class TestCLI:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "mis" in out and "parallel" in out
+
+    def test_list_prints_each_schedules_row(self, capsys):
+        from repro import schedules
+        from repro.cli import main
+
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        for name, caps in schedules().items():
+            assert f"  {name}: paths={', '.join(caps['paths'])};" in out
+
+    def test_sweep_refusal_exits_with_the_reason(self, tmp_path):
+        from repro.simulator.capabilities import PATHS
+
+        done = _repro(
+            "sweep", "--shard", "components", "--drop-rate", "0.1",
+            "--graph", "paths:4:5", "--rates", "0", "--repeats", "1",
+            "--backend", "serial", "--jobs", "2",
+            cwd=tmp_path,
+        )
+        assert done.returncode != 0
+        assert PATHS["components"].why in done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_example_runs_outside_the_checkout(self, tmp_path):
+        done = _repro("example", "quickstart", cwd=tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert "consistency" in done.stdout
+
+    def test_example_without_a_checkout_names_the_path(self, tmp_path, monkeypatch):
+        from repro import cli
+
+        monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "repro" / "cli.py"))
+        with pytest.raises(SystemExit, match=re.escape(str(tmp_path / "examples"))):
+            cli.main(["example", "quickstart"])
 
     def test_run_valid_instance(self, capsys):
         from repro.cli import main

@@ -12,7 +12,7 @@ import weakref
 
 import pytest
 
-from repro import run
+from repro import UnsupportedScheduleError, run
 from repro.algorithms.mis import GreedyMISAlgorithm
 from repro.core import RunConfig
 from repro.core.runner import ExecutionPolicy
@@ -25,7 +25,6 @@ from repro.shard import (
     SharedCSRStore,
     SharedCSRStoreError,
     attach_csr,
-    shard_mode,
     shard_node_ids,
     shard_view,
 )
@@ -347,9 +346,19 @@ class TestShardPlan:
         assert clone.n == forest.n
         assert clone.delta == forest.delta
 
-    def test_shard_mode_gates_whole_graph_features(self, forest):
-        def cell_for(**kwargs):
+    def test_table_refuses_whole_graph_features(self, forest):
+        ran = []
+
+        def sweep_for(**kwargs):
+            # An unsharded cell goes first: its metrics hook records
+            # whether any cell ran before the refusal.
             sweep = Sweep()
+            sweep.add(
+                "first",
+                GraphSpec.literal(forest),
+                "greedy_mis_reference",
+                metrics=lambda *args: ran.append(args) or {},
+            )
             sweep.add(
                 "c",
                 GraphSpec.literal(forest),
@@ -357,16 +366,27 @@ class TestShardPlan:
                 policy=ExecutionPolicy(shard="components"),
                 **kwargs,
             )
-            return sweep.cells[0]
+            return sweep
 
-        plain = cell_for()
-        assert shard_mode(plain) == "components"
-        assert shard_mode(plain, profile=True) is None
-        assert shard_mode(plain, events=True) is None
-        faulted = cell_for(faults=FaultSpec.of("random_crash_plan", 0.2, seed=1))
-        assert shard_mode(faulted) is None
-        metered = cell_for(metrics=lambda **kw: {})
-        assert shard_mode(metered) is None
+        plain = sweep_for().run("serial", jobs=2)
+        assert [row.shards for row in plain.rows] == [None, 2]
+        ran.clear()
+        cases = [
+            ({}, {"profile": True}, "profile"),
+            ({}, {"events": True}, "sink"),
+            ({"config": RunConfig(trace=True)}, {}, "trace"),
+            ({"config": RunConfig(profile=True)}, {}, "profile"),
+            (
+                {"faults": FaultSpec.of("random_crash_plan", 0.2, seed=1)},
+                {},
+                "fault",
+            ),
+            ({"metrics": lambda *args: {}}, {}, "metrics"),
+        ]
+        for cell_kwargs, run_kwargs, match in cases:
+            with pytest.raises(UnsupportedScheduleError, match=match):
+                sweep_for(**cell_kwargs).run("serial", jobs=2, **run_kwargs)
+        assert ran == []
 
     def test_async_schedule_rejects_sharding(self):
         with pytest.raises(ValueError, match="async"):
@@ -459,17 +479,19 @@ class TestShardedExecution:
         assert runs[0].equivalent_to(runs[1])
         assert runs[1].equivalent_to(runs[2])
 
-    def test_faulted_cells_run_unsharded_with_warning(self, forest):
+    def test_faulted_cells_are_refused_before_any_cell_runs(self, forest):
         faults = FaultSpec.of("random_crash_plan", 0.2, seed=5)
-        with pytest.warns(RuntimeWarning, match="running unsharded"):
-            result = _sweep(forest, shard="components", faults=faults).run(
-                "serial", jobs=3
-            )
-        assert all(row.shards is None for row in result.rows)
+        sweep = _sweep(forest, shard="components", faults=faults)
         with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("error")
+            for backend, jobs in (("serial", 1), ("serial", 3), ("process", 2)):
+                with pytest.raises(
+                    UnsupportedScheduleError,
+                    match="path .components. cannot run fault plans",
+                ):
+                    sweep.run(backend, jobs=jobs)
             base = _sweep(forest, faults=faults).run("serial")
-        assert result.equivalent_to(base)
+        assert all(row.shards is None for row in base.rows)
 
     def test_ship_bytes_are_constant_in_graph_size(self):
         """The whole point: per-cell pool traffic is a handle plus spec
