@@ -215,6 +215,8 @@ def _policy_from_args(args: argparse.Namespace) -> ExecutionPolicy:
             share_graph=getattr(args, "share_graph", False),
             shard=getattr(args, "shard", None),
         )
+    except UnsupportedScheduleError:
+        raise  # main() names the command and the --fallback hint
     except ValueError as exc:
         raise SystemExit(str(exc))
 

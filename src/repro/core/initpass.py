@@ -24,10 +24,11 @@ decided region as a boundary known in advance: its messages land at the
 round barrier as edge-cut messages do, its terminations are published
 with the window's own in one ascending order by the lifecycle's
 ``publish`` (the routine edge-cut shards use), and the window's sends
-into it are accounted while the receiver is active.  The pass's message
-and bit counts are added to the window's, and the two outcomes merge in
-the full run's termination order, so the result is bit-identical to
-interpreting every node.
+into it are accounted while the receiver is active.  The decided region
+becomes one more part of the run, with the pass's message and bit
+counts, and :func:`~repro.simulator.metrics.fold_runs` folds it with the
+window's result as it folds edge-cut shards, so the result is
+bit-identical to interpreting every node.
 
 **When.**  ``run()`` asks where the ``"window"`` row of
 :mod:`repro.simulator.capabilities` allows, and :func:`run_initialized`
@@ -42,7 +43,6 @@ CONGEST budget; and at least one node decided.
 from __future__ import annotations
 
 from dataclasses import replace
-from operator import itemgetter
 from time import perf_counter
 from typing import (
     Any,
@@ -63,7 +63,7 @@ from repro.graphs.window import GraphWindow
 from repro.obs.profile import RoundSample
 from repro.simulator.engine import SyncEngine
 from repro.simulator.message import estimate_bits
-from repro.simulator.metrics import NodeRecords, RunResult
+from repro.simulator.metrics import NodeRecords, RunResult, fold_runs
 from repro.simulator.transport import WindowTransport
 
 __all__ = ["Decided", "init_pass", "pass_for_program", "run_initialized"]
@@ -198,7 +198,7 @@ def run_initialized(
             departures=departures,
         )
 
-    result = SyncEngine(
+    window_result = SyncEngine(
         GraphWindow(graph, window),
         lambda node: algorithm.build_program(),
         predictions={
@@ -213,7 +213,20 @@ def run_initialized(
         policy=policy,
         transport=transport,
     ).run()
-    _merge(result, decided, csr, sent, pass_seconds)
+    region = _region(decided, csr, sent)
+    result = fold_runs([window_result, region])
+    result.init_decided = len(region.outputs)
+    profile = window_result.profile
+    if profile is not None:
+        # The pass's time counts as the profile's setup, so every round
+        # keeps the interpreted phases.
+        profile.setup += pass_seconds
+        _merge_samples(
+            profile.samples,
+            sorted(region.records.termination_rounds.values()),
+            sent,
+        )
+        result.profile = profile
     return result
 
 
@@ -296,70 +309,49 @@ def _boundary(
     return window, inbound, events, departures
 
 
-def _merge(
-    result: RunResult,
+def _region(
     decided: Decided,
     csr: CSRTopology,
     sent: Dict[int, Tuple[int, int, int, int]],
-    pass_seconds: float,
-) -> None:
-    """Fold the decided region into the window's result, in place.
-
-    Outputs and termination rounds interleave in the full run's order
-    (by round, then id); counters add; the run lasted at least until the
-    last decided node terminated.  The pass's time counts as the
-    profile's setup, so every round keeps the interpreted phases.
-    """
+) -> RunResult:
+    """The decided region as a part of the run: its outputs, termination
+    rounds and messages; it lasts until its last node terminates."""
     ids = csr.ids
     rounds = decided.rounds
-    outputs = decided.outputs
-    terminations = [
-        (rounds[index], ids[index], outputs[index])
-        for index in range(csr.n)
-        if rounds[index]
-    ]
-    terminations.sort(key=itemgetter(0))  # ids ascend within a round
-    last = terminations[-1][0]
-    window_rounds = result.records.termination_rounds
-    # Both runs are sorted by (round, id); the sort merges them.
-    merged = terminations + [
-        (window_rounds[node], node, output)
-        for node, output in result.outputs.items()
-    ]
-    merged.sort(key=itemgetter(0, 1))
-    merged_outputs = {node: output for _, node, output in merged}
-    merged_rounds = {node: round_index for round_index, node, _ in merged}
-    result.outputs = merged_outputs
-    result.records = NodeRecords(ids, merged_outputs, merged_rounds)
-    result.rounds = max(result.rounds, last)
-    result.rounds_executed = max(result.rounds_executed, last)
+    region = [index for index in range(csr.n) if rounds[index]]
+    outputs = {ids[index]: decided.outputs[index] for index in region}
+    termination_rounds = {ids[index]: rounds[index] for index in region}
+    last = max(termination_rounds.values())
+    part = RunResult(
+        outputs=outputs,
+        records=NodeRecords(list(outputs), outputs, termination_rounds),
+        rounds=last,
+        rounds_executed=last,
+    )
     for messages, bits, widest, violations in sent.values():
-        result.message_count += messages
-        result.total_bits += bits
-        if widest > result.max_message_bits:
-            result.max_message_bits = widest
-        result.bandwidth_violations += violations
-    result.init_decided = len(terminations)
-    if result.profile is not None:
-        result.profile.setup += pass_seconds
-        _merge_samples(result.profile.samples, terminations, sent)
+        part.message_count += messages
+        part.total_bits += bits
+        part.max_message_bits = max(part.max_message_bits, widest)
+        part.bandwidth_violations += violations
+    return part
 
 
 def _merge_samples(
     samples: List[RoundSample],
-    terminations: List[Tuple[int, int, Any]],
+    rounds: List[int],
     sent: Dict[int, Tuple[int, int, int, int]],
 ) -> None:
     """Add the decided region to the window's round samples.
 
+    ``rounds`` are the decided nodes' termination rounds, ascending.
     Each of the first rounds gains the decided nodes still live in it
     (live and scheduled: every one of them runs each initialization
     round) and their messages.  Rounds the window did not execute get a
     sample of their own.
     """
-    live = len(terminations)
+    live = len(rounds)
     departed = 0
-    for round_index in range(1, terminations[-1][0] + 1):
+    for round_index in range(1, rounds[-1] + 1):
         if round_index > len(samples):
             samples.append(
                 RoundSample(round_index, 0.0, 0.0, 0.0, 0.0, 0, 0, scheduled=0)
@@ -371,5 +363,5 @@ def _merge_samples(
             active=sample.active + live - departed,
             scheduled=sample.scheduled + live - departed,
         )
-        while departed < live and terminations[departed][0] == round_index:
+        while departed < live and rounds[departed] == round_index:
             departed += 1

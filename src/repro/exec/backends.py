@@ -24,7 +24,7 @@ dispatched work item *is*:
   into the rows' ``ship_bytes``/``shared_bytes`` columns).
 * ``shard="components"`` — cells expand into one work item per
   component shard, spreading a single huge-graph cell across the pool;
-  the partials merge back into one bit-identical row.
+  the shards' rows merge back into one bit-identical row.
 
 Before any cell runs, every sharded cell is checked against its row of
 :mod:`repro.simulator.capabilities`; with fewer than two shards it runs
@@ -49,10 +49,10 @@ from repro.exec.cache import (
     process_cache,
 )
 from repro.exec.plan import Cell, FaultSpec, Spec, Sweep, derive_cell_seed
-from repro.exec.results import CellResult, SweepResult
+from repro.exec.results import CellResult, SweepResult, cell_inputs, cell_row
 from repro.obs.events import MemoryEventSink, write_jsonl_events
 from repro.shard.edgecut import execute_edgecut_cell
-from repro.shard.plan import ShardPartial, execute_shard, merge_partials
+from repro.shard.plan import execute_shard, merge_partials
 from repro.shard.store import SharedCSRStore, reset_worker_state
 from repro.simulator.capabilities import FALLBACK, require
 
@@ -213,14 +213,8 @@ def _execute_cell(
     profile: bool = False,
     events: bool = False,
 ) -> CellResult:
-    cell_start = time.perf_counter()
-    graph = cache.get_or_build(cell.graph.key, cell.graph.build)
-    predictions = None
-    if cell.predictions is not None:
-        spec = cell.predictions
-        predictions = cache.get_or_build(
-            f"{spec.key}@{cell.graph.key}", lambda: spec.build(graph)
-        )
+    started = time.perf_counter()
+    graph, predictions = cell_inputs(cell, cache)
     faults = cell.faults
     if isinstance(faults, FaultSpec):
         faults = faults.build(graph)
@@ -242,46 +236,8 @@ def _execute_cell(
         config=config,
         sinks=[sink] if sink is not None else None,
     )
-
-    problem = None
-    valid = None
-    error = None
-    if cell.problem is not None:
-        from repro.problems import get_problem
-
-        problem = get_problem(cell.problem)
-        valid = problem.is_solution(graph, result.outputs)
-        if predictions is not None:
-            from repro.errors import eta1
-
-            error = eta1(graph, predictions, problem.name)
-    from repro.problems import solution_size as _solution_size
-
-    metrics: Dict[str, Any] = {}
-    if cell.metrics is not None:
-        metrics = dict(cell.metrics(problem, graph, predictions, result))
-    return CellResult(
-        index=index,
-        label=cell.label,
-        graph_name=graph.name,
-        n=graph.n,
-        seed=seed,
-        rounds=result.rounds,
-        rounds_executed=result.rounds_executed,
-        valid=valid,
-        error=error,
-        message_count=result.message_count,
-        dropped_messages=result.dropped_messages,
-        delayed_messages=result.delayed_messages,
-        retried_messages=result.retried_messages,
-        kernel=getattr(result, "kernel", None),
-        stuck=result.stuck is not None,
-        solution_size=_solution_size(
-            result.outputs, problem.name if problem is not None else None
-        ),
-        metrics=metrics,
-        elapsed=time.perf_counter() - cell_start,
-        profile=result.profile.summary() if result.profile is not None else None,
+    return cell_row(
+        index, cell, seed, graph, predictions, result, started,
         events=sink.entries if sink is not None else None,
     )
 
@@ -359,8 +315,8 @@ def _init_worker(cache_size: int, cache_dir: Optional[str]) -> None:
     configure_process_cache(maxsize=cache_size, disk_dir=cache_dir)
 
 
-def _execute_item(item: WorkItem, cache: ArtifactCache) -> Any:
-    """One work item in a worker: a full cell row, or a shard partial."""
+def _execute_item(item: WorkItem, cache: ArtifactCache) -> CellResult:
+    """One work item in a worker: a full cell's row, or one shard's."""
     kind = item[0]
     if kind == "cell":
         _, index, cell, seed, profile, events = item
@@ -371,13 +327,9 @@ def _execute_item(item: WorkItem, cache: ArtifactCache) -> Any:
 
 def _run_chunk(
     task: Tuple[List[WorkItem], ...]
-) -> Tuple[List[Any], Dict[str, int]]:
-    """Execute one chunk in a worker; returns outputs + cache counters.
-
-    Outputs are heterogeneous — :class:`CellResult` rows for ``"cell"``
-    items, :class:`ShardPartial` for ``"shard"`` items; the parent
-    separates and merges.
-    """
+) -> Tuple[List[CellResult], Dict[str, int]]:
+    """Execute one chunk in a worker; returns one row per item (the
+    parent merges the rows of a cell's shards) + cache counters."""
     (items,) = task
     cache = process_cache()
     before = cache.stats()
@@ -416,10 +368,11 @@ def _drain_pool(
     workers: int,
     cache_size: int,
     cache_dir: Optional[str],
-    outputs: List[Any],
+    outputs: List[Tuple[WorkItem, CellResult]],
     stats: Dict[str, int],
 ) -> List[Tuple[List[WorkItem], BaseException]]:
-    """Run chunks on one fresh pool, collecting into ``outputs``/``stats``.
+    """Run chunks on one fresh pool, collecting each item's row into
+    ``outputs`` and the cache counters into ``stats``.
 
     Returns the chunks (with the exception) whose workers the pool lost
     — a crashed worker poisons the whole executor, so every not-yet-run
@@ -447,7 +400,7 @@ def _drain_pool(
             except BrokenProcessPool as exc:
                 lost.append((chunk[0], exc))
                 continue
-            outputs.extend(chunk_outputs)
+            outputs.extend(zip(chunk[0], chunk_outputs))
             for key, value in chunk_stats.items():
                 stats[key] = stats.get(key, 0) + value
     return lost
@@ -505,27 +458,33 @@ def _shared_bytes_for(cell: Cell, store: SharedCSRStore) -> Optional[int]:
 
 def _collect_rows(
     tagged: List[Tuple[int, Cell, int]],
-    outputs: List[Any],
+    outputs: List[Tuple[WorkItem, CellResult]],
     failed: List[CellResult],
 ) -> List[CellResult]:
     """Fold worker outputs into final rows: pass cell rows through,
-    merge shard partials per cell, let a failed shard fail its cell."""
+    merge each cell's shard rows in shard order, let a failed shard fail
+    its cell."""
     rows: List[CellResult] = []
-    partials: Dict[int, List[ShardPartial]] = {}
-    for output in outputs:
-        if isinstance(output, ShardPartial):
-            partials.setdefault(output.index, []).append(output)
+    shard_rows: Dict[int, Dict[int, CellResult]] = {}
+    for item, output in outputs:
+        if item[0] == "shard":
+            shard_rows.setdefault(output.index, {})[item[4]] = output
         else:
             rows.append(output)
     failed_indexes = {row.index for row in failed}
     by_index = {index: (cell, seed) for index, cell, seed in tagged}
-    for index, parts in partials.items():
+    for index, parts in shard_rows.items():
         if index in failed_indexes:
             continue  # a lost shard already failed the whole cell
         cell, seed = by_index[index]
-        rows.append(merge_partials(index, cell, seed, parts))
+        rows.append(
+            merge_partials(index, cell, seed, [parts[s] for s in sorted(parts)])
+        )
     seen = {row.index for row in rows}
-    rows.extend(row for row in failed if row.index not in seen)
+    # One failed row per cell, however many of its shards were lost.
+    rows.extend(
+        {row.index: row for row in failed if row.index not in seen}.values()
+    )
     return rows
 
 
@@ -560,7 +519,7 @@ def _execute_process_pool(
         (items[i : i + chunk_size],)
         for i in range(0, len(items), chunk_size)
     ]
-    outputs: List[Any] = []
+    outputs: List[Tuple[WorkItem, CellResult]] = []
     failed: List[CellResult] = []
     stats: Dict[str, int] = {
         "hits": 0, "disk_hits": 0, "misses": 0, "corrupt": 0,

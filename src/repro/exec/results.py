@@ -14,12 +14,32 @@ bench baseline cells (``repro.obs.bench``) and the determinism-compared
 column set are all derived from it, so adding a counter (as PRs 5–7 did
 with ``delayed``/``retried``/``kernel``) is a one-line change here
 instead of three hand-maintained lists drifting apart.
+
+Every path that executes a cell — whole, one component shard, or an
+edge-cut run — fetches its inputs with :func:`cell_inputs` and turns its
+:class:`~repro.simulator.metrics.RunResult` into a row with
+:func:`cell_row`.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
+
+if TYPE_CHECKING:
+    from repro.exec.cache import ArtifactCache
+    from repro.exec.plan import Cell
+    from repro.simulator.metrics import RunResult
 
 
 @dataclass(frozen=True)
@@ -203,6 +223,81 @@ class CellResult:
             ),
             tuple(sorted(self.metrics.items())),
         )
+
+
+def cell_inputs(
+    cell: "Cell", cache: "ArtifactCache"
+) -> Tuple[Any, Optional[Mapping[int, Any]]]:
+    """The cell's graph and predictions, built once per cache under the
+    keys ``cell.graph.key`` and ``f"{spec.key}@{cell.graph.key}"``."""
+    graph = cache.get_or_build(cell.graph.key, cell.graph.build)
+    spec = cell.predictions
+    if spec is None:
+        return graph, None
+    return graph, cache.get_or_build(
+        f"{spec.key}@{cell.graph.key}", lambda: spec.build(graph)
+    )
+
+
+def cell_row(
+    index: int,
+    cell: "Cell",
+    seed: int,
+    graph: Any,
+    predictions: Optional[Mapping[int, Any]],
+    result: "RunResult",
+    started: float,
+    **columns: Any,
+) -> CellResult:
+    """The row of a cell whose run on ``graph`` returned ``result``.
+
+    Validity, η₁ and the cell's metrics are judged on ``graph``, the
+    world the run saw: the whole graph, or one component shard's view.
+    ``started`` is the ``time.perf_counter()`` reading the cell's
+    ``elapsed`` counts from; ``columns`` sets the rest (``events``,
+    ``shards`` and the boundary counters).
+    """
+    problem = None
+    valid = None
+    error = None
+    if cell.problem is not None:
+        from repro.problems import get_problem
+
+        problem = get_problem(cell.problem)
+        valid = problem.is_solution(graph, result.outputs)
+        if predictions is not None:
+            from repro.errors import eta1
+
+            error = eta1(graph, predictions, problem.name)
+    from repro.problems import solution_size
+
+    metrics: Dict[str, Any] = {}
+    if cell.metrics is not None:
+        metrics = dict(cell.metrics(problem, graph, predictions, result))
+    return CellResult(
+        index=index,
+        label=cell.label,
+        graph_name=graph.name,
+        n=graph.n,
+        seed=seed,
+        rounds=result.rounds,
+        rounds_executed=result.rounds_executed,
+        valid=valid,
+        error=error,
+        message_count=result.message_count,
+        dropped_messages=result.dropped_messages,
+        delayed_messages=result.delayed_messages,
+        retried_messages=result.retried_messages,
+        kernel=result.kernel,
+        stuck=result.stuck is not None,
+        solution_size=solution_size(
+            result.outputs, problem.name if problem is not None else None
+        ),
+        metrics=metrics,
+        elapsed=time.perf_counter() - started,
+        profile=result.profile.summary() if result.profile is not None else None,
+        **columns,
+    )
 
 
 @dataclass

@@ -10,15 +10,22 @@ Three pieces, all serving sweeps whose graphs dwarf their cells:
   :class:`~repro.core.runner.ExecutionPolicy` sets ``share_graph=True``.
 * Component sharding (:func:`execute_shard` / :func:`merge_partials`) —
   cells whose policy sets ``shard="components"`` split by connected
-  components across workers and merge back into one
-  :class:`~repro.exec.results.CellResult` bit-identical to the unsharded
-  run.
+  components across workers.  Components share no edge, so each shard
+  judges its own closed world into a
+  :class:`~repro.exec.results.CellResult` (validity, η₁), and the shard
+  rows fold by maximum, sum and conjunction into the row of the
+  unsharded run.
 * Edge-cut sharding (:func:`run_edgecut` / :func:`execute_edgecut_cell`)
   — cells whose policy sets ``shard="edgecut"`` block-partition the
   identifier space of a *connected* graph; one engine per block runs in
   lockstep, exchanging cut-crossing messages through a per-round barrier
-  (:class:`~repro.simulator.transport.BoundaryTransport`), still
-  bit-identical to the unsharded run.
+  (:class:`~repro.simulator.transport.BoundaryTransport`).  The shards
+  split one run, so their results fold
+  (:func:`~repro.simulator.metrics.fold_runs`) into the result of the
+  unsharded run, output order included, which is judged on the whole
+  graph.
+
+Both paths build their rows with :func:`~repro.exec.results.cell_row`.
 
 See docs/PERFORMANCE.md ("Sharded execution") and docs/ARCHITECTURE.md.
 """
@@ -30,7 +37,6 @@ from repro.shard.edgecut import (
 )
 from repro.shard.plan import (
     EdgecutView,
-    ShardPartial,
     edgecut_bounds,
     edgecut_node_ids,
     execute_shard,
@@ -50,7 +56,6 @@ from repro.shard.store import (
 __all__ = [
     "EdgecutPlan",
     "EdgecutView",
-    "ShardPartial",
     "SharedCSRHandle",
     "SharedCSRStore",
     "SharedCSRStoreError",

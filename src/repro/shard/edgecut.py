@@ -19,7 +19,7 @@ coordinator.  Two execution modes share every line of round logic:
 Bit-identity with the unsharded run rests on the invariants documented in
 :class:`~repro.simulator.transport.BoundaryTransport` (ascending-sender
 inbox merges, deferred globally-ordered strict-CONGEST violations) plus
-two driver-side rules:
+three driver-side rules:
 
 * **Global event order** — terminations are never published shard-locally;
   every shard exports them and the coordinator broadcasts one globally
@@ -29,6 +29,9 @@ two driver-side rules:
   active counts is positive, and the violation / deadline /
   ``on_round_limit`` decisions are taken once, centrally, with the same
   precedence as :meth:`SyncEngine.run`.
+* **One fold** — both modes fold the shards' results with
+  :func:`~repro.simulator.metrics.fold_runs`, which writes the outputs in
+  the interpreter's order (termination round, then id).
 """
 
 from __future__ import annotations
@@ -39,22 +42,13 @@ import time
 import traceback
 from bisect import bisect_right
 from dataclasses import replace
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.graphs.graph import DistGraph
 from repro.shard.plan import EdgecutView, edgecut_bounds
 from repro.simulator.capabilities import UnsupportedScheduleError, fall_back, require
 from repro.simulator.engine import RoundLimitExceeded, SyncEngine
-from repro.simulator.metrics import NodeRecords, RunResult, StuckReport
+from repro.simulator.metrics import RunResult, fold_runs
 from repro.simulator.transport import (
     BoundaryTransport,
     bandwidth_error,
@@ -365,10 +359,10 @@ def _build_shard_engine(
     )
 
 
-def _drive(engine: SyncEngine, coordinator: Any) -> Tuple[str, Any, int]:
+def _drive(engine: SyncEngine, coordinator: Any) -> Tuple[str, Any]:
     """Run one shard to the global stop decision.
 
-    Returns ``(command, extra, rounds_executed)``.  The loop shape
+    Returns the coordinator's ``(command, extra)``.  The loop shape
     matches :meth:`SyncEngine.run` with the control checks hoisted to
     the coordinator: setup, then — per round — an event barrier (apply
     the previous round's global events, learn whether to continue) and,
@@ -402,25 +396,7 @@ def _drive(engine: SyncEngine, coordinator: Any) -> Tuple[str, Any, int]:
         result.stuck = engine._build_stuck_report(round_index, reason="deadline")
     elif command == "round-limit-partial":
         result.stuck = engine._build_stuck_report(round_index)
-    return command, extra, round_index
-
-
-def _merge_stuck(
-    round_index: int, n: int, reports: Sequence[StuckReport]
-) -> StuckReport:
-    """Union the per-shard partial-run snapshots into one report."""
-    live: List[int] = []
-    snapshots: Dict[int, Any] = {}
-    for report in reports:
-        live.extend(report.live_nodes)
-        snapshots.update(report.snapshots)
-    return StuckReport(
-        round=round_index,
-        live_nodes=sorted(live),
-        total_nodes=n,
-        snapshots=dict(sorted(snapshots.items())),
-        reason=reports[0].reason,
-    )
+    return command, extra
 
 
 def _resolved_max_rounds(config: Any, graph: DistGraph) -> int:
@@ -479,7 +455,7 @@ def run_edgecut(
     plan_out: Optional[List[EdgecutPlan]] = None,
 ) -> RunResult:
     """Run ``algorithm`` on ``graph`` across ``shard_count`` edge-cut
-    shards (one thread each) and return the merged :class:`RunResult`.
+    shards (one thread each) and return their folded :class:`RunResult`.
 
     The in-process counterpart of :func:`repro.core.runner.run` —
     outputs, records, round counts, message/bit counters, strict-CONGEST
@@ -493,7 +469,6 @@ def run_edgecut(
         config or RunConfig(), graph, algorithm, predictions is not None,
         shard_count,
     )
-    model = config.model_for(algorithm)
     if plan_out is not None:
         plan_out.append(plan)
     rendezvous = _Rendezvous(shard_count)
@@ -506,7 +481,7 @@ def run_edgecut(
         for shard in range(shard_count)
     ]
 
-    outcomes: Dict[int, Tuple[str, Any, int]] = {}
+    outcomes: Dict[int, Tuple[str, Any]] = {}
 
     def body(shard: int) -> None:
         try:
@@ -526,50 +501,16 @@ def run_edgecut(
         thread.join()
     if rendezvous.failure is not None:
         raise rendezvous.failure
-    command, extra, round_index = outcomes[0]
-    plan.raise_for(command, extra)
-
-    merged = RunResult(model=model)
-    # Shards own ascending id blocks in shard order, so concatenating
-    # their columns keeps the merged records in ascending id order.
-    # Edge-cut runs refuse fault plans: no crash or recovery columns.
-    ids: List[int] = []
-    termination_rounds: Dict[int, int] = {}
-    stuck_reports: List[StuckReport] = []
-    rounds = 0
-    for engine in engines:
-        result = engine.result
-        merged.outputs.update(result.outputs)
-        ids.extend(result.records.ids)
-        termination_rounds.update(result.records.termination_rounds)
-        merged.message_count += result.message_count
-        merged.total_bits += result.total_bits
-        merged.bandwidth_violations += result.bandwidth_violations
-        if result.max_message_bits > merged.max_message_bits:
-            merged.max_message_bits = result.max_message_bits
-        if result.rounds > rounds:
-            rounds = result.rounds
-        if result.stuck is not None:
-            stuck_reports.append(result.stuck)
-    merged.records = NodeRecords(tuple(ids), merged.outputs, termination_rounds)
-    merged.rounds = rounds
-    merged.rounds_executed = round_index
-    if stuck_reports:
-        merged.stuck = _merge_stuck(round_index, graph.n, stuck_reports)
-    return merged
+    plan.raise_for(*outcomes[0])
+    return fold_runs([engine.result for engine in engines])
 
 
 # ----------------------------------------------------------------------
 # Process mode (process backend): parent routes, one worker per shard
 # ----------------------------------------------------------------------
 def _edgecut_worker(conn: Any) -> None:
-    """Shard process entry: receive init, drive the round loop, report.
-
-    The compact ``done`` payload is everything the parent's cell row
-    needs (outputs for global validity, counters, stuck) — per-node
-    records stay in the worker; at bench scale they would dominate the
-    pipe traffic without informing any column.
-    """
+    """Shard process entry: receive init, drive the round loop, and send
+    the shard's :class:`RunResult` back for the parent to fold."""
     from repro.shard.store import reset_worker_state
 
     try:
@@ -592,22 +533,7 @@ def _edgecut_worker(conn: Any) -> None:
             coordinator,
         )
         _drive(engine, coordinator)
-        result = engine.result
-        conn.send(
-            (
-                "done",
-                {
-                    "outputs": result.outputs,
-                    "rounds": result.rounds,
-                    "rounds_executed": result.rounds_executed,
-                    "message_count": result.message_count,
-                    "total_bits": result.total_bits,
-                    "max_message_bits": result.max_message_bits,
-                    "bandwidth_violations": result.bandwidth_violations,
-                    "stuck": result.stuck,
-                },
-            )
-        )
+        conn.send(("done", engine.result))
     except _Aborted:
         pass
     except BaseException:  # noqa: BLE001 - ship the traceback to the parent
@@ -625,8 +551,8 @@ def _run_edgecut_process(
     shard_count: int,
     graph: DistGraph,
     plan: EdgecutPlan,
-) -> Dict[str, Any]:
-    """Parent side of the process mode: spawn, route in lockstep, merge.
+) -> RunResult:
+    """Parent side of the process mode: spawn, route in lockstep, fold.
 
     The graph crosses each pipe once, zero-copy via an active
     :class:`~repro.shard.store.SharedCSRStore` (workers attach the one
@@ -682,8 +608,8 @@ def _run_edgecut_process(
 
         command = "continue"
         extra: Any = None
-        payloads: Dict[int, Dict[str, Any]] = {}
-        while len(payloads) < shard_count:
+        results: List[RunResult] = []
+        while not results:
             messages: List[tuple] = []
             for shard in range(shard_count):
                 try:
@@ -715,8 +641,7 @@ def _run_edgecut_process(
                 for shard in range(shard_count):
                     conns[shard].send(("ok", replies[shard]))
             else:  # "done"
-                for shard in range(shard_count):
-                    payloads[shard] = messages[shard][1]
+                results = [message[1] for message in messages]
         for process in workers:
             process.join(timeout=30)
     except BaseException:
@@ -736,35 +661,7 @@ def _run_edgecut_process(
         store.close()
 
     plan.raise_for(command, extra)
-    merged: Dict[str, Any] = {
-        "outputs": {},
-        "rounds": 0,
-        "rounds_executed": 0,
-        "message_count": 0,
-        "total_bits": 0,
-        "max_message_bits": 0,
-        "bandwidth_violations": 0,
-        "stuck": None,
-    }
-    stuck_reports: List[StuckReport] = []
-    for shard in range(shard_count):
-        payload = payloads[shard]
-        merged["outputs"].update(payload["outputs"])
-        merged["rounds"] = max(merged["rounds"], payload["rounds"])
-        merged["rounds_executed"] = payload["rounds_executed"]
-        merged["message_count"] += payload["message_count"]
-        merged["total_bits"] += payload["total_bits"]
-        merged["max_message_bits"] = max(
-            merged["max_message_bits"], payload["max_message_bits"]
-        )
-        merged["bandwidth_violations"] += payload["bandwidth_violations"]
-        if payload["stuck"] is not None:
-            stuck_reports.append(payload["stuck"])
-    if stuck_reports:
-        merged["stuck"] = _merge_stuck(
-            merged["rounds_executed"], graph.n, stuck_reports
-        )
-    return merged
+    return fold_runs(results)
 
 
 # ----------------------------------------------------------------------
@@ -783,40 +680,27 @@ def execute_edgecut_cell(
 
     ``mode="thread"`` (serial backend) runs :func:`run_edgecut` in this
     process; ``mode="process"`` (process backend) spawns one worker per
-    shard with the parent routing the barriers.  Validity, η₁ and
-    solution size are computed on the **full** graph — unlike component
-    shards, an edge-cut shard's induced subgraph is not a closed world,
-    so per-shard verdicts would miss every cut edge.
+    shard with the parent routing the barriers.  Both fold the shards
+    into one :class:`RunResult`, and validity, η₁ and solution size are
+    computed on the **full** graph — unlike component shards, an
+    edge-cut shard's induced subgraph is not a closed world, so
+    per-shard verdicts would miss every cut edge.  The inputs come
+    through ``cache`` (a fresh cache when ``None``).
     """
-    from repro.exec.results import CellResult
+    from repro.exec.cache import ArtifactCache
+    from repro.exec.results import cell_inputs, cell_row
 
-    start = time.perf_counter()
-    if cache is not None:
-        graph = cache.get_or_build(cell.graph.key, cell.graph.build)
-    else:
-        graph = cell.graph.build()
+    started = time.perf_counter()
+    graph, predictions = cell_inputs(
+        cell, ArtifactCache() if cache is None else cache
+    )
     config = cell.config.with_overrides(seed=seed)
     algorithm = cell.algorithm.build()
-    predictions = None
-    if cell.predictions is not None:
-        spec = cell.predictions
-        if cache is not None:
-            predictions = cache.get_or_build(
-                f"{spec.key}@{cell.graph.key}", lambda: spec.build(graph)
-            )
-        else:
-            predictions = spec.build(graph)
-
     if mode == "process":
         config, plan = _admit(
-            config, graph, algorithm, cell.predictions is not None, shard_count
+            config, graph, algorithm, predictions is not None, shard_count
         )
-        merged = _run_edgecut_process(cell, config, shard_count, graph, plan)
-        outputs = merged["outputs"]
-        rounds = merged["rounds"]
-        rounds_executed = merged["rounds_executed"]
-        message_count = merged["message_count"]
-        stuck = merged["stuck"]
+        result = _run_edgecut_process(cell, config, shard_count, graph, plan)
     else:
         plans: List[EdgecutPlan] = []
         result = run_edgecut(
@@ -828,42 +712,8 @@ def execute_edgecut_cell(
             plan_out=plans,
         )
         plan = plans[0]
-        outputs = result.outputs
-        rounds = result.rounds
-        rounds_executed = result.rounds_executed
-        message_count = result.message_count
-        stuck = result.stuck
-
-    valid = None
-    error = None
-    problem = None
-    if cell.problem is not None:
-        from repro.problems import get_problem
-
-        problem = get_problem(cell.problem)
-        valid = problem.is_solution(graph, outputs)
-        if predictions is not None:
-            from repro.errors import eta1
-
-            error = eta1(graph, predictions, problem.name)
-    from repro.problems import solution_size as _solution_size
-
-    return CellResult(
-        index=index,
-        label=cell.label,
-        graph_name=graph.name,
-        n=graph.n,
-        seed=seed,
-        rounds=rounds,
-        rounds_executed=rounds_executed,
-        valid=valid,
-        error=error,
-        message_count=message_count,
-        stuck=stuck is not None,
-        solution_size=_solution_size(
-            outputs, problem.name if problem is not None else None
-        ),
-        elapsed=time.perf_counter() - start,
+    return cell_row(
+        index, cell, seed, graph, predictions, result, started,
         shards=shard_count,
         boundary_msgs=plan.boundary_msgs,
         boundary_bytes=plan.boundary_bytes,

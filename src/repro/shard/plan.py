@@ -14,10 +14,14 @@ ambient quantity a node observes is pinned to the parent graph's value:
   sizes (``Δ+1`` / ``2Δ−1``) and template slice bounds all match;
 * predictions are built from the full graph's spec (same factory, same
   seed) and restricted to the shard's nodes;
-* the merge rules are exactly the component decompositions of the
-  engine's aggregates — ``rounds``/``rounds_executed`` are maxima,
-  message/solution counts are sums, validity is a conjunction, and η₁ is
-  a maximum (error components are sub-component by definition).
+* the kernel a ``schedule="vectorized"`` cell runs is decided over the
+  whole graph, as the unsharded engine decides it;
+* each shard judges its own closed world into a row
+  (:func:`~repro.exec.results.cell_row`), and the rows fold by the
+  component decompositions of the engine's aggregates —
+  ``rounds``/``rounds_executed`` are maxima, message/solution counts are
+  sums, validity is a conjunction, and η₁ is a maximum (error components
+  are sub-component by definition).
 
 What shards is the ``"components"`` row of
 :mod:`repro.simulator.capabilities`.
@@ -26,46 +30,20 @@ What shards is the ``"components"`` row of
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from dataclasses import replace
+from typing import TYPE_CHECKING, List, Sequence
 
 from repro.core.runner import run
 from repro.graphs.graph import DistGraph
 from repro.graphs.window import GraphWindow
+from repro.simulator.capabilities import UnsupportedScheduleError, fall_back
+from repro.simulator.scheduling import SCHEDULERS
 
 if TYPE_CHECKING:  # imported lazily at runtime: repro.exec imports this
     # module (via the backends), so a module-level import would cycle.
     from repro.exec.cache import ArtifactCache
     from repro.exec.plan import Cell
     from repro.exec.results import CellResult
-
-
-@dataclass
-class ShardPartial:
-    """One shard's contribution to a sharded cell (picklable row shard).
-
-    ``shard``/``shard_count`` locate it; everything else mirrors the
-    :class:`~repro.exec.results.CellResult` fields its merge feeds.
-    """
-
-    index: int
-    shard: int
-    shard_count: int
-    graph_name: str
-    n: int
-    shard_nodes: int
-    rounds: int
-    rounds_executed: int
-    message_count: int
-    dropped_messages: int
-    delayed_messages: int
-    retried_messages: int
-    valid: Optional[bool]
-    error: Optional[int]
-    solution_size: int
-    stuck: bool
-    kernel: Optional[str]
-    elapsed: float
 
 
 def shard_view(parent: DistGraph, nodes: Sequence[int]) -> DistGraph:
@@ -163,78 +141,47 @@ def execute_shard(
     shard: int,
     shard_count: int,
     cache: "ArtifactCache",
-) -> ShardPartial:
-    """Run one shard of a cell (worker-side) and return its partial.
+) -> "CellResult":
+    """Run one shard of a cell (worker-side) and return its row, judged
+    on the shard's view.
 
     The parent graph is attached/built through the worker's artifact
     cache (zero-copy when a :class:`~repro.shard.store.SharedCSRStore`
     shipped it); the shard's induced view is cached per
     ``(graph, shard, shard_count)`` so grid cells sharing a graph reuse
-    it.
+    it.  Every shard takes the unsharded run's kernel decision, and only
+    shard 0 warns when ``fallback="interpret"`` downgrades it.
     """
-    start = time.perf_counter()
-    graph = cache.get_or_build(cell.graph.key, cell.graph.build)
+    from repro.exec.results import cell_inputs, cell_row
+
+    started = time.perf_counter()
+    graph, full = cell_inputs(cell, cache)
     view = cache.get_or_build(
         f"shard:{shard}/{shard_count}@{cell.graph.key}",
         lambda: shard_view(graph, shard_node_ids(graph, shard, shard_count)),
     )
     predictions = None
-    if cell.predictions is not None:
-        spec = cell.predictions
-        full = cache.get_or_build(
-            f"{spec.key}@{cell.graph.key}", lambda: spec.build(graph)
-        )
-        predictions = {
-            node: full[node] for node in view.nodes if node in full
-        }
+    if full is not None:
+        predictions = {node: full[node] for node in view.nodes if node in full}
     algorithm = cell.algorithm.build()
-    config = cell.config.with_overrides(
-        seed=seed, policy=replace(cell.config.policy, shard=None)
-    )
+    policy = replace(cell.config.policy, shard=None)
+    if SCHEDULERS[policy.schedule].uses_kernels:
+        from repro.kernels import resolve_kernel
+
+        try:
+            resolve_kernel(lambda node: algorithm.build_program(), graph.nodes)
+        except UnsupportedScheduleError as exc:
+            policy = fall_back(policy, exc, warn=shard == 0)
+    config = cell.config.with_overrides(seed=seed, policy=policy)
     result = run(algorithm, view, predictions, config=config)
-
-    problem = None
-    valid = None
-    error = None
-    if cell.problem is not None:
-        from repro.problems import get_problem
-
-        problem = get_problem(cell.problem)
-        valid = problem.is_solution(view, result.outputs)
-        if predictions is not None:
-            from repro.errors import eta1
-
-            error = eta1(view, predictions, problem.name)
-    from repro.problems import solution_size as _solution_size
-
-    return ShardPartial(
-        index=index,
-        shard=shard,
-        shard_count=shard_count,
-        graph_name=graph.name,
-        n=graph.n,
-        shard_nodes=len(view.nodes),
-        rounds=result.rounds,
-        rounds_executed=result.rounds_executed,
-        message_count=result.message_count,
-        dropped_messages=result.dropped_messages,
-        delayed_messages=result.delayed_messages,
-        retried_messages=result.retried_messages,
-        valid=valid,
-        error=error,
-        solution_size=_solution_size(
-            result.outputs, problem.name if problem is not None else None
-        ),
-        stuck=result.stuck is not None,
-        kernel=getattr(result, "kernel", None),
-        elapsed=time.perf_counter() - start,
-    )
+    return cell_row(index, cell, seed, view, predictions, result, started)
 
 
 def merge_partials(
-    index: int, cell: "Cell", seed: int, partials: Sequence[ShardPartial]
+    index: int, cell: "Cell", seed: int, partials: Sequence["CellResult"]
 ) -> "CellResult":
-    """Fold a cell's shard partials into the unsharded-identical row.
+    """Fold a cell's shard rows, given in shard order, into the
+    unsharded-identical row.
 
     Maxima for round counts and η₁ (component-wise maxima compose),
     sums for message/solution counters, conjunction for validity.
@@ -243,28 +190,28 @@ def merge_partials(
 
     if not partials:
         raise ValueError(f"cell {cell.label!r} produced no shard partials")
-    parts = sorted(partials, key=lambda partial: partial.shard)
-    valids = [partial.valid for partial in parts if partial.valid is not None]
-    errors = [partial.error for partial in parts if partial.error is not None]
+    first = partials[0]
+    valids = [partial.valid for partial in partials if partial.valid is not None]
+    errors = [partial.error for partial in partials if partial.error is not None]
     return CellResult(
         index=index,
         label=cell.label,
-        graph_name=parts[0].graph_name,
-        n=parts[0].n,
+        graph_name=first.graph_name,
+        n=first.n,
         seed=seed,
-        rounds=max(partial.rounds for partial in parts),
-        rounds_executed=max(partial.rounds_executed for partial in parts),
+        rounds=max(partial.rounds for partial in partials),
+        rounds_executed=max(partial.rounds_executed for partial in partials),
         valid=all(valids) if cell.problem is not None else None,
         error=max(errors) if errors else None,
-        message_count=sum(partial.message_count for partial in parts),
-        dropped_messages=sum(partial.dropped_messages for partial in parts),
-        delayed_messages=sum(partial.delayed_messages for partial in parts),
-        retried_messages=sum(partial.retried_messages for partial in parts),
+        message_count=sum(partial.message_count for partial in partials),
+        dropped_messages=sum(partial.dropped_messages for partial in partials),
+        delayed_messages=sum(partial.delayed_messages for partial in partials),
+        retried_messages=sum(partial.retried_messages for partial in partials),
         # Shard 0 holds the first component, so it reports the kernel
         # the whole graph would run ("empty" only for an empty graph).
-        kernel=parts[0].kernel,
-        stuck=any(partial.stuck for partial in parts),
-        solution_size=sum(partial.solution_size for partial in parts),
-        elapsed=sum(partial.elapsed for partial in parts),
-        shards=len(parts),
+        kernel=first.kernel,
+        stuck=any(partial.stuck for partial in partials),
+        solution_size=sum(partial.solution_size for partial in partials),
+        elapsed=sum(partial.elapsed for partial in partials),
+        shards=len(partials),
     )

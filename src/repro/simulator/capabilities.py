@@ -105,18 +105,22 @@ def require(path: str, schedule: Optional[str] = None, **settings: Any) -> None:
         raise UnsupportedScheduleError(reason)
 
 
-def fall_back(policy: Any, exc: UnsupportedScheduleError) -> Any:
-    """``policy`` on its :data:`FALLBACK` schedule, with a warning, under
-    ``fallback="interpret"``; otherwise raise ``exc``."""
+def fall_back(
+    policy: Any, exc: UnsupportedScheduleError, warn: bool = True
+) -> Any:
+    """``policy`` on its :data:`FALLBACK` schedule under
+    ``fallback="interpret"``, with a warning unless a sibling of the same
+    run gives it (``warn=False``); otherwise raise ``exc``."""
     if policy.fallback != "interpret":
         raise exc
     schedule = FALLBACK[policy.schedule]
-    warnings.warn(
-        f"schedule={policy.schedule!r} cannot run this instance ({exc}); "
-        f"falling back to the interpreted {schedule!r} schedule",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+    if warn:
+        warnings.warn(
+            f"schedule={policy.schedule!r} cannot run this instance ({exc}); "
+            f"falling back to the interpreted {schedule!r} schedule",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     return replace(policy, schedule=schedule, fallback=None)
 
 

@@ -272,3 +272,65 @@ class RunResult:
 
         budget = CONGEST.bandwidth_bits(n)
         return budget is None or self.max_message_bits <= budget
+
+
+#: Counters a fold adds up, and those it takes the maximum of.
+_SUMS = (
+    "message_count",
+    "total_bits",
+    "bandwidth_violations",
+    "dropped_messages",
+    "duplicated_messages",
+    "corrupted_messages",
+    "delayed_messages",
+    "retried_messages",
+    "recovery_pulses",
+)
+_MAXIMA = ("rounds", "rounds_executed", "max_message_bits")
+
+
+def fold_runs(parts: Sequence[RunResult]) -> RunResult:
+    """The one result of a run whose nodes ``parts`` split between them.
+
+    Each part interpreted some of the nodes of one connected run (an
+    edge-cut shard, or an initialization's decided region and the window
+    it leaves), so the fold is the run that interpreted every node:
+    outputs and termination rounds in the order the interpreter writes
+    them (termination round, then id), summed counters, the maximum of
+    ``rounds``, ``rounds_executed`` and the widest message, and one stuck
+    report over every part's live nodes.  The parts carry no crash or
+    recovery columns, and the model is the first part's.
+    """
+    terminations = sorted(
+        (part.records.termination_rounds[node], node, output)
+        for part in parts
+        for node, output in part.outputs.items()
+    )
+    outputs = {node: output for _, node, output in terminations}
+    ids = sorted(node for part in parts for node in part.records.ids)
+    folded = RunResult(
+        outputs=outputs,
+        records=NodeRecords(
+            ids, outputs, {node: round_ for round_, node, _ in terminations}
+        ),
+        model=parts[0].model,
+        **{name: sum(getattr(part, name) for part in parts) for name in _SUMS},
+        **{name: max(getattr(part, name) for part in parts) for name in _MAXIMA},
+    )
+    reports = [part.stuck for part in parts if part.stuck is not None]
+    if reports:
+        snapshots = {
+            node: snapshot
+            for report in reports
+            for node, snapshot in report.snapshots.items()
+        }
+        folded.stuck = StuckReport(
+            round=max(report.round for report in reports),
+            live_nodes=sorted(
+                node for report in reports for node in report.live_nodes
+            ),
+            total_nodes=reports[0].total_nodes,
+            snapshots=dict(sorted(snapshots.items())),
+            reason=reports[0].reason,
+        )
+    return folded

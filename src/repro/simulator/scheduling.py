@@ -813,5 +813,9 @@ class ExecutionPolicy:
                 raise ValueError(
                     f"shard must be None or one of {SHARDS}, got {self.shard!r}"
                 )
-            # Whether a run needs the fallback is decided where it starts.
-            require(self.shard, FALLBACK.get(self.schedule, self.schedule))
+            # With a fallback set, whether a run needs it is decided where
+            # the run starts; without one, a refused schedule never runs.
+            require(
+                self.shard,
+                FALLBACK[self.schedule] if self.fallback else self.schedule,
+            )

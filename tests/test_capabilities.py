@@ -306,8 +306,8 @@ class TestRefusals:
 
     def test_edgecut_fallback_warns_once_and_matches_quiescent(self):
         graph = random_tree(60, seed=4)
-        vectorized = ExecutionPolicy(schedule="vectorized", shard="edgecut")
         with pytest.raises(UnsupportedScheduleError, match="edge-cut"):
+            vectorized = ExecutionPolicy(schedule="vectorized", shard="edgecut")
             run_edgecut(
                 GreedyMISAlgorithm(),
                 graph,

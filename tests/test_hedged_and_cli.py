@@ -171,6 +171,16 @@ class TestCLI:
         assert done.returncode != 0
         assert PATHS["components"].why in done.stderr
         assert "Traceback" not in done.stderr
+        done = _repro(
+            "sweep", "--shard", "edgecut", "--schedule", "vectorized",
+            "--graph", "ptree:3:3", "--rates", "0", "--repeats", "1",
+            "--backend", "serial", "--jobs", "2",
+            cwd=tmp_path,
+        )
+        assert done.returncode != 0
+        assert PATHS["edgecut"].why in done.stderr
+        assert "--fallback interpret" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_example_runs_outside_the_checkout(self, tmp_path):
         done = _repro("example", "quickstart", cwd=tmp_path)

@@ -446,6 +446,34 @@ class TestShardedExecution:
         assert sharded.equivalent_to(base)
         assert sharded.rows[0].kernel == base.rows[0].kernel
 
+    def test_fallback_warns_once_per_cell(self, forest):
+        # mis_simple has no kernel: the cell downgrades once, for all of
+        # its shards, as the unsharded cell does.
+        def sweep(shard):
+            grid = Sweep(name="fallback", base_seed=11)
+            grid.add(
+                "simple",
+                GraphSpec.literal(forest),
+                "mis_simple",
+                predictions="all_zeros_mis",
+                problem="mis",
+                policy=ExecutionPolicy(
+                    schedule="vectorized", fallback="interpret", shard=shard
+                ),
+            )
+            return grid
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            sharded = sweep("components").run("serial", jobs=3)
+        assert len(caught) == 1
+        assert "falling back" in str(caught[0].message)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            base = sweep(None).run("serial")
+        assert sharded.equivalent_to(base)
+        assert sharded.rows[0].kernel is None
+
     def test_process_sharded_with_store_matches_unsharded(self, forest):
         base = _sweep(forest).run("serial")
         sharded = _sweep(forest, shard="components", share=True).run(
