@@ -7,8 +7,8 @@ degradation curve (rounds vs η) is at most linear with slope 1.
 
 from repro.bench import Table
 from repro.bench.algorithms import mis_simple
-from repro.core.analysis import degradation_slope, sweep
-from repro.errors import eta1, eta2
+from repro.bench.workloads import eta2_metric
+from repro.exec import Sweep
 from repro.graphs import connected_erdos_renyi, grid2d
 from repro.predictions import noisy_predictions
 from repro.problems import MIS
@@ -16,20 +16,28 @@ from repro.problems import MIS
 RATES = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-def _instances(graph):
+def _sweep(graph, **cell):
+    """Simple Template cells over noisy predictions, one per (rate,
+    prediction seed), every run at seed 0."""
+    sweep = Sweep()
     for rate in RATES:
         for seed in (0, 1, 2):
-            yield (
+            sweep.add(
                 f"p={rate}/s={seed}",
                 graph,
-                noisy_predictions(MIS, graph, rate, seed=seed),
+                mis_simple,
+                predictions=noisy_predictions(MIS, graph, rate, seed=seed),
+                problem="mis",
+                seed=0,
+                **cell,
             )
+    return sweep.run("serial")
 
 
 def test_e04_eta1_degradation(once):
     def experiment():
         graph = connected_erdos_renyi(60, 0.05, seed=3)
-        result = sweep(mis_simple(), MIS, _instances(graph), eta1)
+        result = _sweep(graph)
         table = Table(
             "E4: Simple Template rounds vs eta1 (ER n=60)",
             ["eta1", "max rounds", "bound eta1+3"],
@@ -41,23 +49,23 @@ def test_e04_eta1_degradation(once):
     table, result = once(experiment)
     table.print()
     assert result.all_valid
-    assert not result.violations(lambda p: p.error + 3)
-    assert degradation_slope(result) <= 1.05
+    assert all(row.rounds <= row.error + 3 for row in result)
+    assert result.degradation_slope() <= 1.05
 
 
 def test_e04_eta2_degradation(once):
     def experiment():
         graph = grid2d(8, 8)
-        result = sweep(mis_simple(), MIS, _instances(graph), eta2)
+        result = _sweep(graph, metrics=eta2_metric)
         table = Table(
             "E4: Simple Template rounds vs eta2 (grid 8x8)",
             ["eta2", "max rounds", "bound eta2+4"],
         )
-        for error, rounds in result.rounds_by_error():
+        for error, rounds in result.rounds_by_error("eta2"):
             table.add_row(error, rounds, error + 4)
         return table, result
 
     table, result = once(experiment)
     table.print()
     assert result.all_valid
-    assert not result.violations(lambda p: p.error + 4)
+    assert all(row.rounds <= row.metrics["eta2"] + 4 for row in result)

@@ -9,21 +9,25 @@ to R (rounds ≤ c + 2r + 2c').
 from repro.bench import Table
 from repro.bench.algorithms import mis_consecutive
 from repro.core import run
-from repro.core.analysis import sweep
-from repro.errors import eta1
+from repro.exec import Sweep
 from repro.graphs import connected_erdos_renyi
 from repro.predictions import all_zeros_mis, noisy_predictions, perfect_predictions
 from repro.problems import MIS
 
 
-def _instances(graph):
+def _sweep(graph):
+    sweep = Sweep()
     for rate in (0.0, 0.1, 0.3, 0.6, 1.0):
         for seed in (0, 1):
-            yield (
+            sweep.add(
                 f"p={rate}/s={seed}",
                 graph,
-                noisy_predictions(MIS, graph, rate, seed=seed),
+                mis_consecutive,
+                predictions=noisy_predictions(MIS, graph, rate, seed=seed),
+                problem="mis",
+                seed=0,
             )
+    return sweep.run("serial")
 
 
 def test_e05_consistency_degradation_robustness(once):
@@ -34,7 +38,7 @@ def test_e05_consistency_degradation_robustness(once):
         consistency = run(
             algorithm, graph, perfect_predictions(MIS, graph, seed=1)
         ).rounds
-        result = sweep(algorithm, MIS, _instances(graph), eta1)
+        result = _sweep(graph)
         adversarial = run(algorithm, graph, all_zeros_mis(graph)).rounds
 
         table = Table(
@@ -43,7 +47,9 @@ def test_e05_consistency_degradation_robustness(once):
         )
         table.add_row("consistency rounds", consistency, 3)
         table.add_row(
-            "max rounds over sweep", result.max_rounds(), "2*eta1 + 3 + O(1)"
+            "max rounds over sweep",
+            max(row.rounds for row in result),
+            "2*eta1 + 3 + O(1)",
         )
         table.add_row(
             "adversarial (all-zeros) rounds",
@@ -57,6 +63,6 @@ def test_e05_consistency_degradation_robustness(once):
     assert consistency <= 3
     assert result.all_valid
     # 2f(eta)-degrading with f(mu) = mu1 (Lemma 1) plus constant slack.
-    assert not result.violations(lambda p: 2 * p.error + 3 + 2)
+    assert all(row.rounds <= 2 * row.error + 3 + 2 for row in result)
     # Robust w.r.t. R: c + 2(r + c') ceiling.
     assert adversarial <= 3 + 2 * (graph.n + 1) + 2 * 1 + 2

@@ -10,9 +10,9 @@ the log η₁ phase count comes from).
 from repro.algorithms.mis import ClusteringMISReference
 from repro.bench import Table
 from repro.bench.algorithms import mis_interleaved
-from repro.core import run
-from repro.core.analysis import sweep
-from repro.errors import eta2
+from repro.bench.workloads import eta2_metric
+from repro.core import RunConfig, run
+from repro.exec import Sweep
 from repro.graphs import random_regular
 from repro.predictions import noisy_predictions, perfect_predictions
 from repro.problems import MIS
@@ -27,21 +27,25 @@ def test_e06_interleaved_degradation(once):
             algorithm, graph, perfect_predictions(MIS, graph, seed=2)
         ).rounds
 
-        def instances():
-            for rate in (0.05, 0.2, 0.5, 1.0):
-                for seed in (0, 1):
-                    yield (
-                        f"p={rate}/s={seed}",
-                        graph,
-                        noisy_predictions(MIS, graph, rate, seed=seed),
-                    )
-
-        result = sweep(algorithm, MIS, instances(), eta2, max_rounds=50000)
+        sweep = Sweep()
+        for rate in (0.05, 0.2, 0.5, 1.0):
+            for seed in (0, 1):
+                sweep.add(
+                    f"p={rate}/s={seed}",
+                    graph,
+                    mis_interleaved,
+                    predictions=noisy_predictions(MIS, graph, rate, seed=seed),
+                    problem="mis",
+                    seed=0,
+                    config=RunConfig(max_rounds=50000),
+                    metrics=eta2_metric,
+                )
+        result = sweep.run("serial")
         table = Table(
             "E6: Interleaved Template rounds vs eta2 (3-regular n=40)",
             ["eta2", "max rounds", "bound 2(eta2+1)+3+O(1)"],
         )
-        for error, rounds in result.rounds_by_error():
+        for error, rounds in result.rounds_by_error("eta2"):
             table.add_row(error, rounds, 2 * (error + 1) + 5)
         return table, (consistency, result)
 
@@ -49,7 +53,9 @@ def test_e06_interleaved_degradation(once):
     table.print()
     assert consistency <= 3
     assert result.all_valid
-    assert not result.violations(lambda p: 2 * (p.error + 1) + 3 + 2)
+    assert all(
+        row.rounds <= 2 * (row.metrics["eta2"] + 1) + 3 + 2 for row in result
+    )
 
 
 def test_e06_clustering_phase_halving(once):

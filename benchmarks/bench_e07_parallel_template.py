@@ -9,9 +9,9 @@ of η.  (Our substituted part-1 bound is O(Δ² + log* d); see DESIGN.md.)
 
 from repro.bench import Table
 from repro.bench.algorithms import mis_parallel
+from repro.bench.workloads import eta2_metric
 from repro.core import run
-from repro.core.analysis import sweep
-from repro.errors import eta2
+from repro.exec import Sweep
 from repro.graphs import clique, random_regular, star
 from repro.predictions import all_ones_mis, all_zeros_mis, noisy_predictions, perfect_predictions
 from repro.problems import MIS
@@ -25,21 +25,24 @@ def test_e07_eta2_degradation_without_factor_two(once):
             algorithm, graph, perfect_predictions(MIS, graph, seed=4)
         ).rounds
 
-        def instances():
-            for rate in (0.05, 0.15, 0.3, 0.6, 1.0):
-                for seed in (0, 1, 2):
-                    yield (
-                        f"p={rate}/s={seed}",
-                        graph,
-                        noisy_predictions(MIS, graph, rate, seed=seed),
-                    )
-
-        result = sweep(algorithm, MIS, instances(), eta2)
+        sweep = Sweep()
+        for rate in (0.05, 0.15, 0.3, 0.6, 1.0):
+            for seed in (0, 1, 2):
+                sweep.add(
+                    f"p={rate}/s={seed}",
+                    graph,
+                    mis_parallel,
+                    predictions=noisy_predictions(MIS, graph, rate, seed=seed),
+                    problem="mis",
+                    seed=0,
+                    metrics=eta2_metric,
+                )
+        result = sweep.run("serial")
         table = Table(
             "E7: Parallel Template rounds vs eta2 (3-regular n=42)",
             ["eta2", "max rounds", "bound eta2+4+O(1)"],
         )
-        for error, rounds in result.rounds_by_error():
+        for error, rounds in result.rounds_by_error("eta2"):
             table.add_row(error, rounds, error + 5)
         return table, (consistency, result)
 
@@ -47,7 +50,7 @@ def test_e07_eta2_degradation_without_factor_two(once):
     table.print()
     assert consistency <= 3
     assert result.all_valid
-    assert not result.violations(lambda p: p.error + 3 + 2)
+    assert all(row.rounds <= row.metrics["eta2"] + 3 + 2 for row in result)
 
 
 def test_e07_robustness_cap_independent_of_eta(once):

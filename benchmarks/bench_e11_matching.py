@@ -10,11 +10,25 @@ from repro.algorithms.matching import GreedyMatchingAlgorithm
 from repro.bench import Table, standard_graph_suite
 from repro.bench.algorithms import matching_consecutive, matching_simple
 from repro.core import run
-from repro.core.analysis import sweep
-from repro.errors import eta1
+from repro.exec import Sweep
 from repro.graphs import connected_erdos_renyi
 from repro.predictions import noisy_predictions, perfect_predictions
 from repro.problems import MATCHING
+
+
+def _sweep(graph, algorithm):
+    sweep = Sweep()
+    for rate in (0.0, 0.1, 0.3, 0.6, 1.0):
+        for seed in (0, 1):
+            sweep.add(
+                f"p={rate}/s={seed}",
+                graph,
+                algorithm,
+                predictions=noisy_predictions(MATCHING, graph, rate, seed=seed),
+                problem="matching",
+                seed=0,
+            )
+    return sweep.run("serial")
 
 
 def test_e11_measure_uniform_bound(once):
@@ -42,23 +56,10 @@ def test_e11_measure_uniform_bound(once):
 def test_e11_noise_sweep(once):
     def experiment():
         graph = connected_erdos_renyi(50, 0.06, seed=8)
-        simple = matching_simple()
-        consecutive = matching_consecutive()
-
-        def instances():
-            for rate in (0.0, 0.1, 0.3, 0.6, 1.0):
-                for seed in (0, 1):
-                    yield (
-                        f"p={rate}/s={seed}",
-                        graph,
-                        noisy_predictions(MATCHING, graph, rate, seed=seed),
-                    )
-
-        measure = lambda g, p: eta1(g, p, "matching")
-        simple_result = sweep(simple, MATCHING, instances(), measure)
-        consecutive_result = sweep(consecutive, MATCHING, instances(), measure)
+        simple_result = _sweep(graph, matching_simple)
+        consecutive_result = _sweep(graph, matching_consecutive)
         perfect = perfect_predictions(MATCHING, graph, seed=1)
-        consistency = run(simple, graph, perfect).rounds
+        consistency = run(matching_simple(), graph, perfect).rounds
 
         table = Table(
             "E11: matching templates rounds vs eta1 (ER n=50)",
@@ -79,8 +80,11 @@ def test_e11_noise_sweep(once):
     assert consistency <= 2
     assert simple_result.all_valid and consecutive_result.all_valid
     # Simple: f(eta)-degrading with f(s) = 3*floor(s/2)+3 (measure-uniform bound).
-    assert not simple_result.violations(lambda p: 3 * (p.error // 2) + 3 + 2)
+    assert all(
+        row.rounds <= 3 * (row.error // 2) + 3 + 2 for row in simple_result
+    )
     # Consecutive: 2f(eta)-degrading plus template slack.
-    assert not consecutive_result.violations(
-        lambda p: 2 * (3 * (p.error // 2) + 3) + 2 + 4
+    assert all(
+        row.rounds <= 2 * (3 * (row.error // 2) + 3) + 2 + 4
+        for row in consecutive_result
     )

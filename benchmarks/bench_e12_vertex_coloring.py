@@ -18,11 +18,27 @@ from repro.bench.algorithms import (
     coloring_simple,
 )
 from repro.core import run
-from repro.core.analysis import sweep
-from repro.errors import eta1
+from repro.exec import Sweep
 from repro.graphs import connected_erdos_renyi
 from repro.predictions import noisy_predictions, perfect_predictions
 from repro.problems import VERTEX_COLORING
+
+
+def _sweep(graph, algorithm):
+    sweep = Sweep()
+    for rate in (0.0, 0.2, 0.5, 1.0):
+        for seed in (0, 1):
+            sweep.add(
+                f"p={rate}/s={seed}",
+                graph,
+                algorithm,
+                predictions=noisy_predictions(
+                    VERTEX_COLORING, graph, rate, seed=seed
+                ),
+                problem="vertex-coloring",
+                seed=0,
+            )
+    return sweep.run("serial")
 
 
 def test_e12_measure_uniform_bound(once):
@@ -50,30 +66,17 @@ def test_e12_templates_sweep(once):
     def experiment():
         graph = connected_erdos_renyi(40, 0.08, seed=9)
         algorithms = {
-            "simple": coloring_simple(),
-            "consecutive": coloring_consecutive(),
-            "parallel": coloring_parallel(),
+            "simple": coloring_simple,
+            "consecutive": coloring_consecutive,
+            "parallel": coloring_parallel,
         }
-
-        def instances():
-            for rate in (0.0, 0.2, 0.5, 1.0):
-                for seed in (0, 1):
-                    yield (
-                        f"p={rate}/s={seed}",
-                        graph,
-                        noisy_predictions(
-                            VERTEX_COLORING, graph, rate, seed=seed
-                        ),
-                    )
-
-        measure = lambda g, p: eta1(g, p, "vertex-coloring")
         results = {
-            name: sweep(algorithm, VERTEX_COLORING, instances(), measure)
+            name: _sweep(graph, algorithm)
             for name, algorithm in algorithms.items()
         }
         consistency = {
             name: run(
-                algorithm,
+                algorithm(),
                 graph,
                 perfect_predictions(VERTEX_COLORING, graph, seed=2),
             ).rounds
@@ -107,8 +110,10 @@ def test_e12_templates_sweep(once):
     for name, result in results.items():
         assert result.all_valid, name
     # Simple: eta1-degrading (f(s) = s for the palette greedy).
-    assert not results["simple"].violations(lambda p: p.error + 2)
+    assert all(row.rounds <= row.error + 2 for row in results["simple"])
     # Parallel: eta1-degrading with small additive slack.
-    assert not results["parallel"].violations(lambda p: p.error + 2 + 3)
+    assert all(row.rounds <= row.error + 2 + 3 for row in results["parallel"])
     # All bounded by the robustness cap.
-    assert results["consecutive"].max_rounds() <= 2 + 2 * (cap + 1) + 2
+    assert all(
+        row.rounds <= 2 + 2 * (cap + 1) + 2 for row in results["consecutive"]
+    )

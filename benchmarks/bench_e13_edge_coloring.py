@@ -10,11 +10,25 @@ from repro.algorithms.edge_coloring import GreedyEdgeColoringAlgorithm
 from repro.bench import Table, standard_graph_suite
 from repro.bench.algorithms import edge_coloring_consecutive, edge_coloring_simple
 from repro.core import run
-from repro.core.analysis import sweep
-from repro.errors import eta1
+from repro.exec import Sweep
 from repro.graphs import connected_erdos_renyi
 from repro.predictions import noisy_predictions, perfect_predictions
 from repro.problems import EDGE_COLORING
+
+
+def _sweep(graph, algorithm):
+    sweep = Sweep()
+    for rate in (0.0, 0.2, 0.5, 1.0):
+        for seed in (0, 1):
+            sweep.add(
+                f"p={rate}/s={seed}",
+                graph,
+                algorithm,
+                predictions=noisy_predictions(EDGE_COLORING, graph, rate, seed=seed),
+                problem="edge-coloring",
+                seed=0,
+            )
+    return sweep.run("serial")
 
 
 def test_e13_measure_uniform_bound(once):
@@ -42,25 +56,10 @@ def test_e13_measure_uniform_bound(once):
 def test_e13_noise_sweep(once):
     def experiment():
         graph = connected_erdos_renyi(36, 0.08, seed=10)
-        simple = edge_coloring_simple()
-        consecutive = edge_coloring_consecutive()
-
-        def instances():
-            for rate in (0.0, 0.2, 0.5, 1.0):
-                for seed in (0, 1):
-                    yield (
-                        f"p={rate}/s={seed}",
-                        graph,
-                        noisy_predictions(EDGE_COLORING, graph, rate, seed=seed),
-                    )
-
-        measure = lambda g, p: eta1(g, p, "edge-coloring")
-        simple_result = sweep(simple, EDGE_COLORING, instances(), measure)
-        consecutive_result = sweep(
-            consecutive, EDGE_COLORING, instances(), measure
-        )
+        simple_result = _sweep(graph, edge_coloring_simple)
+        consecutive_result = _sweep(graph, edge_coloring_consecutive)
         perfect = perfect_predictions(EDGE_COLORING, graph, seed=1)
-        consistency = run(simple, graph, perfect).rounds
+        consistency = run(edge_coloring_simple(), graph, perfect).rounds
 
         table = Table(
             "E13: edge-coloring templates rounds vs eta1 (ER n=36)",
@@ -80,7 +79,8 @@ def test_e13_noise_sweep(once):
     table.print()
     assert consistency <= 1
     assert simple_result.all_valid and consecutive_result.all_valid
-    assert not simple_result.violations(lambda p: 2 * p.error + 3 + 2)
-    assert not consecutive_result.violations(
-        lambda p: 2 * (2 * p.error + 3) + 2 + 4
+    assert all(row.rounds <= 2 * row.error + 3 + 2 for row in simple_result)
+    assert all(
+        row.rounds <= 2 * (2 * row.error + 3) + 2 + 4
+        for row in consecutive_result
     )

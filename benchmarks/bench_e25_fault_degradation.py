@@ -12,10 +12,13 @@ budget yields a measurable partial result instead of an exception.
 The whole 108-run grid executes as one :class:`repro.exec.Sweep` on the
 process-pool backend: every run carries an explicit seed and a
 :class:`~repro.exec.plan.FaultSpec` naming
-:func:`~repro.faults.harness.random_crash_plan` with that seed, so the
-fan-out reproduces the old ``degradation_sweep`` loop seed-for-seed (a
-serial re-execution of any cell gives the same row).  Per-cell survivor
-metrics come from :func:`repro.faults.harness.degradation_metrics`.
+:func:`~repro.faults.harness.random_crash_plan` with that seed, so a
+serial re-execution of any cell gives the same row.  Per-cell survivor
+metrics and the cell's drop rate come from
+:func:`repro.faults.harness.degradation_metrics`, and
+:func:`repro.faults.harness.degradation_curve` folds each (family,
+configuration) slice into one row per drop rate, the same curve
+``repro faults`` prints.
 
 Claims checked:
 
@@ -29,11 +32,13 @@ Claims checked:
   incomplete (coverage < 1) — curves, not cliffs.
 """
 
+from functools import partial
+
 from repro.bench import Table
 from repro.bench.workloads import perfect_mis, sorted_line
 from repro.core import RunConfig
 from repro.exec import FaultSpec, GraphSpec, PredictionSpec, Sweep
-from repro.faults import degradation_metrics
+from repro.faults import degradation_curve, degradation_metrics
 
 DROP_RATES = (0.0, 0.01, 0.05, 0.2)
 SEEDS = (0, 1, 2)
@@ -52,34 +57,10 @@ CONFIGS = (
 )
 
 
-def _summarize(rows):
-    """Per-rate curve from sweep rows — the same aggregation
-    :func:`repro.faults.harness.summarize_points` applies to its points."""
-    curve = []
-    for rate in DROP_RATES:
-        group = [row for row in rows if row.metrics["drop_rate"] == rate]
-        curve.append(
-            {
-                "drop_rate": rate,
-                "runs": len(group),
-                "mean_rounds_executed": sum(r.rounds_executed for r in group)
-                / len(group),
-                "mean_coverage": sum(r.metrics["coverage"] for r in group)
-                / len(group),
-                "mean_solution_size": sum(r.solution_size for r in group)
-                / len(group),
-                "violations": sum(r.metrics["violations"] for r in group),
-                "stuck_runs": sum(1 for r in group if r.stuck),
-                "dropped_messages": sum(r.dropped_messages for r in group),
-            }
-        )
-    return curve
-
-
 def test_e25_fault_degradation(once):
     def experiment():
         sweep = Sweep(name="e25-degradation")
-        coordinates = []  # (family, config, rate) per cell, in add order
+        coordinates = []  # (family, config) per cell, in add order
         for family_name, graph_spec, budget in FAMILIES:
             config = RunConfig(max_rounds=budget, on_round_limit="partial")
             for config_name, crash_fraction, recover_after in CONFIGS:
@@ -100,18 +81,17 @@ def test_e25_fault_degradation(once):
                             problem="mis",
                             seed=seed,
                             config=config,
-                            metrics=degradation_metrics,
+                            metrics=partial(degradation_metrics, drop_rate=rate),
                         )
-                        coordinates.append((family_name, config_name, rate))
+                        coordinates.append((family_name, config_name))
         result = sweep.run("process")
 
         # Rows come back in cell order, so they zip with the coordinates
         # recorded at add time (labels encode the same facts, but parsing
         # floats back out of labels is fragile).
         by_cell = {}
-        for row, (family_name, config_name, rate) in zip(result.rows, coordinates):
-            row.metrics["drop_rate"] = rate
-            by_cell.setdefault((family_name, config_name), []).append(row)
+        for row, coordinate in zip(result.rows, coordinates):
+            by_cell.setdefault(coordinate, []).append(row)
 
         table = Table(
             "E25: survivor coverage under message loss (hardened MIS)",
@@ -121,7 +101,7 @@ def test_e25_fault_degradation(once):
         curves = []
         for family_name, _, _ in FAMILIES:
             for config_name, _, _ in CONFIGS:
-                rows = _summarize(by_cell[(family_name, config_name)])
+                rows = degradation_curve(by_cell[(family_name, config_name)])
                 for row in rows:
                     table.add_row(
                         family_name,

@@ -1,21 +1,16 @@
-"""Benchmark harness: workloads, sweeps and table rendering.
+"""Benchmark harness: workloads, spec factories and table rendering.
 
 The paper is theory-only, so its "evaluation" is the set of quantitative
 claims (lemmas, corollaries, figure constructions).  Each module in
-``benchmarks/`` reproduces one of them using the workload builders and
-the plain-text table renderer here; EXPERIMENTS.md records the outputs.
+``benchmarks/`` reproduces one of them as :class:`repro.exec.Sweep` grids
+or single runs over the workload builders, and prints them with the
+plain-text table renderer here; EXPERIMENTS.md records the outputs.
 """
 
 from repro.bench.tables import Table
-from repro.bench.workloads import (
-    mis_instance_suite,
-    noise_sweep_instances,
-    standard_graph_suite,
-)
+from repro.bench.workloads import standard_graph_suite
 
 __all__ = [
     "Table",
-    "mis_instance_suite",
-    "noise_sweep_instances",
     "standard_graph_suite",
 ]

@@ -1,16 +1,17 @@
 """Workload builders shared by the benchmark modules.
 
-Besides the instance iterators the older benchmarks consume, this module
-hosts the top-level *spec factories* the sweep executor needs: graph and
-prediction builders that are importable by name (the pickling rule for
-:mod:`repro.exec` specs) and take the graph as their first argument (the
-:class:`~repro.exec.plan.PredictionSpec` calling convention — the paper's
-own generators take the problem first, so thin wrappers adapt them).
+Besides the standard graph suite, this module hosts the top-level
+*spec factories* the sweep executor needs: graph and prediction builders
+that are importable by name (the pickling rule for :mod:`repro.exec`
+specs) and take the graph as their first argument (the
+:class:`~repro.exec.plan.PredictionSpec` calling convention — the
+paper's own generators take the problem first, so thin wrappers adapt
+them), and the per-cell ``metrics`` callables sweep rows carry.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.graphs import (
     DistGraph,
@@ -26,6 +27,7 @@ from repro.graphs import (
     sorted_path_ids,
     star,
 )
+from repro.errors import eta2
 from repro.graphs.churn import perturb_edges, perturb_nodes
 from repro.predictions import (
     noisy_predictions,
@@ -33,9 +35,6 @@ from repro.predictions import (
     stale_predictions,
 )
 from repro.problems import MIS, get_problem
-from repro.problems.base import GraphProblem
-
-Instance = Tuple[str, DistGraph, Mapping[int, Any]]
 
 
 # ----------------------------------------------------------------------
@@ -103,6 +102,17 @@ def corrupted_segment_mis(graph: DistGraph, segment: int, seed: int = 1):
     return predictions
 
 
+def eta2_metric(
+    problem: Any,
+    graph: DistGraph,
+    predictions: Mapping[int, Any],
+    result: Any,
+) -> Dict[str, int]:
+    """Sweep ``metrics`` callable recording the MIS error η₂ (Lemma 2's
+    measure) under ``"eta2"``, beside the row's η₁ ``error`` column."""
+    return {"eta2": eta2(graph, predictions)}
+
+
 def standard_graph_suite(scale: int = 1) -> List[DistGraph]:
     """The graph families exercised by most experiments.
 
@@ -122,33 +132,3 @@ def standard_graph_suite(scale: int = 1) -> List[DistGraph]:
         connected_erdos_renyi(base, 0.1, seed=8),
         random_regular(base, 3, seed=9),
     ]
-
-
-def noise_sweep_instances(
-    problem: GraphProblem,
-    graph: DistGraph,
-    rates: Sequence[float] = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0),
-    seeds: Sequence[int] = (0, 1, 2),
-) -> Iterator[Instance]:
-    """Instances with noise-corrupted predictions across a rate sweep."""
-    for rate in rates:
-        for seed in seeds:
-            predictions = noisy_predictions(problem, graph, rate, seed=seed)
-            yield f"{graph.name}/p={rate}/s={seed}", graph, predictions
-
-
-def mis_instance_suite(
-    problem: GraphProblem, scale: int = 1, seeds: Sequence[int] = (0, 1)
-) -> Iterator[Instance]:
-    """Perfect + noisy predictions over the standard graph suite."""
-    for graph in standard_graph_suite(scale):
-        yield f"{graph.name}/perfect", graph, perfect_predictions(
-            problem, graph, seed=1
-        )
-        for rate in (0.2, 0.6, 1.0):
-            for seed in seeds:
-                yield (
-                    f"{graph.name}/p={rate}/s={seed}",
-                    graph,
-                    noisy_predictions(problem, graph, rate, seed=seed),
-                )

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 from repro.bench.algorithms import (
     coloring_consecutive,
@@ -167,6 +167,22 @@ def parse_graph(spec: str) -> DistGraph:
     raise SystemExit(f"unknown graph family {family!r}")
 
 
+def _rate(text: str) -> float:
+    """argparse type: a rate in [0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid rate {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
+def _rates(text: str) -> List[float]:
+    """argparse type: comma-separated rates, each in [0, 1]."""
+    return [_rate(part) for part in text.split(",")]
+
+
 def cmd_list(args: argparse.Namespace) -> int:
     print("problems and templates:")
     for problem, templates in TEMPLATES.items():
@@ -223,7 +239,7 @@ def _policy_from_args(args: argparse.Namespace) -> ExecutionPolicy:
 
 def cmd_run(args: argparse.Namespace) -> int:
     problem, algorithm, graph = _build(args)
-    predictions = _predictions_for_args(problem, graph, args)
+    predictions = _predictions(problem, graph, args.noise, args.seed)
     result = run(
         algorithm,
         graph,
@@ -270,20 +286,18 @@ def _print_path(result, graph) -> None:
         )
 
 
-def _predictions_for_args(problem, graph, args: argparse.Namespace):
+def _predictions(problem, graph, noise: float, seed: int):
     """Perfect predictions, optionally perturbed by ``--noise``."""
-    base = perfect_predictions(problem, graph, seed=args.seed)
-    if args.noise > 0:
-        return noisy_predictions(
-            problem, graph, args.noise, seed=args.seed, base=base
-        )
+    base = perfect_predictions(problem, graph, seed=seed)
+    if noise > 0:
+        return noisy_predictions(problem, graph, noise, seed=seed, base=base)
     return base
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Run one instance with round profiling and print the phase table."""
     problem, algorithm, graph = _build(args)
-    predictions = _predictions_for_args(problem, graph, args)
+    predictions = _predictions(problem, graph, args.noise, args.seed)
     result = run(
         algorithm,
         graph,
@@ -322,7 +336,7 @@ def cmd_events(args: argparse.Namespace) -> int:
     from repro.obs.events import write_jsonl_events
 
     problem, algorithm, graph = _build(args)
-    predictions = _predictions_for_args(problem, graph, args)
+    predictions = _predictions(problem, graph, args.noise, args.seed)
     sink = MemoryEventSink()
     result = run(
         algorithm,
@@ -362,7 +376,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.exec import FaultSpec, GraphSpec, PredictionSpec, Sweep
 
     problem, factory = _template(args)
-    rates = [float(r) for r in args.rates.split(",")]
 
     # The graph comes from a parsed string spec, so it enters the sweep
     # as a literal (content-hashed) artifact rather than a named factory.
@@ -378,7 +391,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # not an error.
         config = config.with_overrides(on_round_limit="partial")
     sweep = Sweep(name=f"{args.problem}/{args.template}")
-    for rate in rates:
+    for rate in args.rates:
         for seed in range(args.repeats):
             faults = None
             if faulted:
@@ -559,35 +572,46 @@ def cmd_dynamic(args: argparse.Namespace) -> int:
 
 def cmd_faults(args: argparse.Namespace) -> int:
     """Degradation sweep under fault injection (message loss + crashes)."""
-    from repro.faults import degradation_sweep, summarize_points
+    from functools import partial
 
-    problem, algorithm, graph = _build(args)
-    rates = [float(rate) for rate in args.rates.split(",")]
-    seeds = list(range(args.seeds))
+    from repro.core import RunConfig
+    from repro.exec import FaultSpec, GraphSpec, Sweep
+    from repro.faults import degradation_curve, degradation_metrics
+
+    problem, factory = _template(args)
+    graph = parse_graph(args.graph)
     recover_after = args.recover_after if args.recover_after > 0 else None
-
-    def predictions_for(seed: int):
-        base = perfect_predictions(problem, graph, seed=seed)
-        if args.noise > 0:
-            return noisy_predictions(
-                problem, graph, args.noise, seed=seed, base=base
+    seeds = range(args.seeds)
+    predictions = {
+        seed: _predictions(problem, graph, args.noise, seed) for seed in seeds
+    }
+    # A starved run is a data point (low coverage, stuck), not an error.
+    config = RunConfig(max_rounds=args.max_rounds, on_round_limit="partial")
+    graph_spec = GraphSpec.literal(graph)
+    sweep = Sweep(name=f"faults/{args.problem}/{args.template}")
+    for rate in args.rates:
+        for seed in seeds:
+            sweep.add(
+                f"d={rate}/s={seed}",
+                graph_spec,
+                factory,
+                predictions=predictions[seed],
+                faults=FaultSpec.of(
+                    "random_crash_plan",
+                    args.crash_frac,
+                    recover_after=recover_after,
+                    drop_rate=rate,
+                    seed=seed,
+                ),
+                problem=problem.name,
+                seed=seed,
+                config=config,
+                metrics=partial(degradation_metrics, drop_rate=rate),
             )
-        return base
-
-    points = degradation_sweep(
-        algorithm,
-        problem,
-        graph,
-        predictions_for,
-        drop_rates=rates,
-        seeds=seeds,
-        crash_fraction=args.crash_frac,
-        recover_after=recover_after,
-        max_rounds=args.max_rounds,
-    )
-    rows = summarize_points(points)
+    result = sweep.run("serial")
+    curve = degradation_curve(result)
     print(f"instance   : {graph.name} (n={graph.n}, m={graph.num_edges})")
-    print(f"algorithm  : {algorithm.name}")
+    print(f"algorithm  : {factory().name}")
     print(
         f"faults     : crash_frac={args.crash_frac} "
         f"recover_after={recover_after} seeds={args.seeds}"
@@ -597,46 +621,30 @@ def cmd_faults(args: argparse.Namespace) -> int:
         f"{'drop':>6}  {'rounds':>7}  {'coverage':>8}  {'|S|':>6}  "
         f"{'stuck':>5}  {'dropped':>7}  {'violations':>10}"
     )
-    for row in rows:
+    for row in curve:
         print(
             f"{row['drop_rate']:>6}  {row['mean_rounds_executed']:>7.1f}  "
             f"{row['mean_coverage']:>8.3f}  {row['mean_solution_size']:>6.1f}  "
             f"{row['stuck_runs']:>5}  {row['dropped_messages']:>7}  "
             f"{row['violations']:>10}"
         )
-    total_violations = sum(row["violations"] for row in rows)
+    total_violations = sum(row["violations"] for row in curve)
     if total_violations:
         print(f"\n! {total_violations} safety violation(s) among survivors")
-        for point in points:
-            for violation in point.violations[:3]:
-                print(f"  ! drop={point.drop_rate} seed={point.seed}: {violation}")
-    if args.csv:
-        import csv
-
-        with open(args.csv, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                [
-                    "graph", "drop_rate", "crash_fraction", "recovery", "seed",
-                    "rounds", "rounds_executed", "survivors", "coverage",
-                    "solution_size", "violations", "stuck", "dropped",
-                ]
-            )
-            for p in points:
-                writer.writerow(
-                    [
-                        p.graph, p.drop_rate, p.crash_fraction, p.recovery,
-                        p.seed, p.rounds, p.rounds_executed, p.survivors,
-                        f"{p.coverage:.6f}", p.solution_size,
-                        len(p.violations), p.stuck, p.dropped,
-                    ]
+        for row in result:
+            for violation in row.metrics.get("violation_examples", ()):
+                print(
+                    f"  ! drop={row.metrics['drop_rate']} seed={row.seed}: "
+                    f"{violation}"
                 )
+    if args.csv:
+        result.to_csv(args.csv)
         print(f"wrote {args.csv}")
     return 1 if total_violations else 0
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
-    """Run the E1..E29 benchmark suite (requires a source checkout)."""
+    """Run the E1..E31 benchmark suite (requires a source checkout)."""
     import os
 
     if not os.path.isdir(args.benchmarks):
@@ -775,7 +783,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
     for sub in (run_parser, profile_parser, events_parser):
         sub.add_argument(
-            "--noise", type=float, default=0.0, help="prediction noise rate"
+            "--noise", type=_rate, default=0.0, help="prediction noise rate"
         )
     events_parser.add_argument(
         "--out", default=None, help="write JSONL here (default: stdout)"
@@ -785,7 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated event kinds to keep (e.g. send,drop)",
     )
     sweep_parser.add_argument(
-        "--rates", default="0,0.1,0.3,0.6,1.0", help="comma-separated rates"
+        "--rates", type=_rates, default="0,0.1,0.3,0.6,1.0",
+        help="comma-separated rates",
     )
     sweep_parser.add_argument("--repeats", type=int, default=2)
     sweep_parser.add_argument("--csv", default=None, help="write CSV here")
@@ -820,11 +829,11 @@ def build_parser() -> argparse.ArgumentParser:
         "messages through a per-round barrier",
     )
     sweep_parser.add_argument(
-        "--drop-rate", type=float, default=0.0,
+        "--drop-rate", type=_rate, default=0.0,
         help="inject a message adversary dropping this fraction of sends",
     )
     sweep_parser.add_argument(
-        "--crash-frac", type=float, default=0.0,
+        "--crash-frac", type=_rate, default=0.0,
         help="fraction of nodes given crash faults in every cell",
     )
     sweep_parser.add_argument(
@@ -909,14 +918,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--graph", default="gnp:48:0.1", help="graph spec"
     )
     faults_parser.add_argument(
-        "--noise", type=float, default=0.0, help="prediction noise rate"
+        "--noise", type=_rate, default=0.0, help="prediction noise rate"
     )
     faults_parser.add_argument(
-        "--rates", default="0,0.01,0.05,0.2",
+        "--rates", type=_rates, default="0,0.01,0.05,0.2",
         help="comma-separated message drop rates",
     )
     faults_parser.add_argument(
-        "--crash-frac", type=float, default=0.0,
+        "--crash-frac", type=_rate, default=0.0,
         help="fraction of nodes that crash in early rounds",
     )
     faults_parser.add_argument(
@@ -961,7 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
     example_parser.add_argument("name", help=f"one of {sorted(EXAMPLES)}")
 
     reproduce_parser = subparsers.add_parser(
-        "reproduce", help="run the full E1..E29 experiment suite"
+        "reproduce", help="run the full E1..E31 experiment suite"
     )
     reproduce_parser.add_argument("--benchmarks", default="benchmarks")
     reproduce_parser.add_argument(

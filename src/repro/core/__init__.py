@@ -10,8 +10,11 @@ This package turns the paper's framework into code:
   combinators over an initialization algorithm B, a measure-uniform
   algorithm U, a clean-up algorithm C and a reference algorithm R.
 * :mod:`repro.core.runner` — the high-level ``run()`` entry point.
-* :mod:`repro.core.analysis` — empirical evaluation of consistency,
-  degradation, robustness and smoothness (Section 1.2).
+
+The empirical side of Section 1.2 (consistency, degradation, robustness)
+is measured over :class:`repro.exec.Sweep` grids, whose
+:class:`~repro.exec.results.SweepResult` gives the rounds-by-error curve
+and the degradation slope.
 """
 
 from repro.core.algorithm import (

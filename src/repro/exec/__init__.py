@@ -1,9 +1,9 @@
 """High-throughput sweep execution.
 
-The benchmark and analysis layers all reduce to the same shape of work:
-run a grid of (graph spec × prediction spec × algorithm × seed) cells
-and tabulate per-cell rounds/validity/error.  This package makes that
-shape first-class:
+Every benchmark grid, ``repro sweep`` and ``repro faults`` reduce to
+the same shape of work: run a grid of (graph spec × prediction spec ×
+algorithm × seed) cells and tabulate per-cell rounds/validity/error.
+This package makes that shape first-class:
 
 * :class:`Sweep` declares the grid out of picklable *specs* —
   :class:`GraphSpec`, :class:`PredictionSpec`, :class:`AlgorithmSpec`,

@@ -360,15 +360,39 @@ class SweepResult:
         """Label -> row mapping (labels should be unique per sweep)."""
         return {row.label: row for row in self.rows}
 
-    def rounds_by_error(self) -> List[Tuple[int, int]]:
+    def rounds_by_error(self, key: Optional[str] = None) -> List[Tuple[int, int]]:
         """Sorted ``(error, max rounds at that error)`` series — the
-        degradation curve a learning-augmented plot shows."""
+        degradation curve a learning-augmented plot shows.
+
+        The error is the row's η₁ ``error`` column, or ``metrics[key]``
+        when a metrics key such as ``"eta2"`` is given; rows without one
+        are left out.
+        """
         by_error: Dict[int, int] = {}
         for row in self.rows:
-            if row.error is None:
+            error = row.error if key is None else row.metrics.get(key)
+            if error is None:
                 continue
-            by_error[row.error] = max(by_error.get(row.error, 0), row.rounds)
+            by_error[error] = max(by_error.get(error, 0), row.rounds)
         return sorted(by_error.items())
+
+    def degradation_slope(self) -> float:
+        """Least-squares slope of rounds against η₁ over the rows with
+        η₁ > 0 — the empirical rate of f(η).
+
+        A linearly degrading algorithm shows a slope at most its
+        degradation constant (1 for η₁-degrading, 2 for 2η₁-degrading).
+        """
+        points = [(row.error, row.rounds) for row in self.rows if row.error]
+        if len(points) < 2:
+            return 0.0
+        mean_x = sum(x for x, _ in points) / len(points)
+        mean_y = sum(y for _, y in points) / len(points)
+        numerator = sum((x - mean_x) * (y - mean_y) for x, y in points)
+        denominator = sum((x - mean_x) ** 2 for x, _ in points)
+        if denominator == 0:
+            return 0.0
+        return numerator / denominator
 
     def telemetry(self) -> Dict[str, Any]:
         """Flat, JSON-safe aggregate of the sweep's execution.

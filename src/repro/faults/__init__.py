@@ -16,17 +16,17 @@ benchmarks remain trustworthy when something goes wrong mid-run:
   reproducible as fault-free ones;
 * :mod:`~repro.faults.validators` — safety checks on the partial outputs
   of the *surviving* subgraph after a faulty run;
-* :mod:`~repro.faults.harness` — the degradation-sweep harness behind
-  ``repro faults`` and ``benchmarks/bench_e25_fault_degradation.py``.
+* :mod:`~repro.faults.harness` — seeded crash plans, per-cell
+  degradation metrics and the per-drop-rate curve that
+  ``repro faults`` and ``benchmarks/bench_e25_fault_degradation.py``
+  compute over :class:`repro.exec.Sweep` rows.
 """
 
 from repro.faults.controller import FaultController, MessageFate
 from repro.faults.harness import (
-    DegradationPoint,
+    degradation_curve,
     degradation_metrics,
-    degradation_sweep,
     random_crash_plan,
-    summarize_points,
 )
 from repro.faults.plan import (
     CrashFault,
@@ -42,16 +42,14 @@ from repro.faults.validators import (
 
 __all__ = [
     "CrashFault",
-    "DegradationPoint",
     "FaultController",
     "FaultPlan",
     "MessageAdversary",
     "MessageFate",
     "PredictionAdversary",
+    "degradation_curve",
     "degradation_metrics",
-    "degradation_sweep",
     "random_crash_plan",
-    "summarize_points",
     "survivor_coverage",
     "survivor_nodes",
     "survivor_violations",

@@ -1,21 +1,22 @@
-"""The robustness harness: degradation sweeps under fault injection.
+"""The robustness harness: fault plans and degradation curves for sweeps.
 
-Sweeps a fault dimension (message-loss rate, optionally combined with
-crash / crash-recovery faults) over seeded runs and records, per point,
-how the execution *degraded*: rounds actually executed, survivor
-coverage (fraction of un-crashed nodes that decided), solution size and
-safety-validator verdicts.  This is the engine behind the ``repro
-faults`` CLI command and ``benchmarks/bench_e25_fault_degradation.py``.
+A degradation grid is an ordinary :class:`repro.exec.Sweep`: each cell
+names :func:`random_crash_plan` as its fault spec (message loss,
+optionally with crash or crash-recovery faults) and carries
+:func:`degradation_metrics`, with its drop rate bound, as its metrics
+callable.  The executed rows record how each run *degraded*: rounds
+actually executed, survivor coverage (fraction of un-crashed nodes that
+decided), solution size and safety-validator verdicts.
+:func:`degradation_curve` folds them into one row per drop rate.  The
+``repro faults`` CLI command and
+``benchmarks/bench_e25_fault_degradation.py`` both run on it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.core.algorithm import DistributedAlgorithm
-from repro.core.runner import run
 from repro.faults.plan import CrashFault, FaultPlan, MessageAdversary
 from repro.faults.validators import (
     survivor_coverage,
@@ -23,47 +24,7 @@ from repro.faults.validators import (
     survivor_violations,
 )
 from repro.graphs.graph import DistGraph
-from repro.problems import solution_size
 from repro.problems.base import GraphProblem
-
-#: Either a fixed prediction mapping or a per-seed factory.
-PredictionSource = Union[Mapping[int, Any], Callable[[int], Mapping[int, Any]]]
-
-
-@dataclass
-class DegradationPoint:
-    """One run of a degradation sweep.
-
-    Attributes:
-        graph: Name of the instance.
-        drop_rate: Message-loss rate of this point.
-        crash_fraction: Fraction of nodes given crash faults.
-        recovery: Whether crashed nodes were scheduled to rejoin.
-        seed: The run's seed (predictions, adversary and crash draw).
-        rounds: Last-termination round (the paper's measure).
-        rounds_executed: Rounds the engine actually ran.
-        survivors: Number of un-crashed nodes at the end.
-        coverage: Fraction of survivors that decided.
-        solution_size: Number of nodes outputting 1 (MIS-style problems;
-            for other problems, the number of decided survivors).
-        violations: Safety violations among survivors (must be empty).
-        stuck: Whether the run hit its round budget (graceful mode).
-        dropped: Messages removed by the adversary.
-    """
-
-    graph: str
-    drop_rate: float
-    crash_fraction: float
-    recovery: bool
-    seed: int
-    rounds: int
-    rounds_executed: int
-    survivors: int
-    coverage: float
-    solution_size: int
-    violations: List[str] = field(default_factory=list)
-    stuck: bool = False
-    dropped: int = 0
 
 
 def random_crash_plan(
@@ -83,6 +44,8 @@ def random_crash_plan(
     when ``recover_after`` is set, rejoins that many rounds later with
     reset state.  A message adversary is attached when any rate is set.
     """
+    if not 0.0 <= fraction <= 1.0:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     rng = random.Random(f"{seed}:crash-plan")
     nodes = sorted(graph.nodes)
     count = round(fraction * len(nodes))
@@ -101,124 +64,65 @@ def random_crash_plan(
     return FaultPlan(crashes=crashes, messages=adversary, seed=seed)
 
 
-def _predictions_for(source: PredictionSource, seed: int) -> Mapping[int, Any]:
-    return source(seed) if callable(source) else source
-
-
-def degradation_sweep(
-    algorithm: DistributedAlgorithm,
-    problem: GraphProblem,
-    graph: DistGraph,
-    predictions: PredictionSource,
-    *,
-    drop_rates: Sequence[float] = (0.0, 0.01, 0.05, 0.2),
-    seeds: Sequence[int] = (0, 1, 2),
-    crash_fraction: float = 0.0,
-    recover_after: Optional[int] = None,
-    max_rounds: Optional[int] = None,
-) -> List[DegradationPoint]:
-    """Run the fault-rate sweep and measure degradation at every point.
-
-    Every run uses ``on_round_limit="partial"``: a starved run is a data
-    point (low coverage, ``stuck=True``), not an error.  Safety is still
-    checked at every point via :func:`survivor_violations`.
-    """
-    points: List[DegradationPoint] = []
-    for rate in drop_rates:
-        for seed in seeds:
-            plan = random_crash_plan(
-                graph,
-                crash_fraction,
-                recover_after=recover_after,
-                drop_rate=rate,
-                seed=seed,
-            )
-            result = run(
-                algorithm,
-                graph,
-                _predictions_for(predictions, seed),
-                seed=seed,
-                max_rounds=max_rounds,
-                faults=plan,
-                on_round_limit="partial",
-            )
-            survivors = survivor_nodes(result)
-            points.append(
-                DegradationPoint(
-                    graph=graph.name,
-                    drop_rate=rate,
-                    crash_fraction=crash_fraction,
-                    recovery=recover_after is not None,
-                    seed=seed,
-                    rounds=result.rounds,
-                    rounds_executed=result.rounds_executed,
-                    survivors=len(survivors),
-                    coverage=survivor_coverage(result),
-                    solution_size=(
-                        solution_size(result.outputs, "mis")
-                        if problem.name == "mis"
-                        else len(set(result.outputs) & set(survivors))
-                    ),
-                    violations=survivor_violations(problem, graph, result),
-                    stuck=result.stuck is not None,
-                    dropped=result.dropped_messages,
-                )
-            )
-    return points
-
-
 def degradation_metrics(
     problem: Optional[GraphProblem],
     graph: DistGraph,
     predictions: Optional[Mapping[int, Any]],
     result: Any,
+    drop_rate: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Per-cell degradation measurements, in sweep-metrics form.
 
     Top-level so sweep cells can carry it as their ``metrics`` callable
-    (see :class:`repro.exec.plan.Cell`); the counters match what
-    :func:`degradation_sweep` records per point, letting the E25
-    benchmark run on the sweep executor with identical numbers.
+    (see :class:`repro.exec.plan.Cell`), or bind the cell's message-loss
+    rate with ``functools.partial(degradation_metrics, drop_rate=rate)``
+    so the row records it under ``drop_rate`` for
+    :func:`degradation_curve`.  Besides the survivor count, survivor
+    coverage and the number of survivor safety violations, a row with
+    violations carries the first three messages as
+    ``violation_examples``.
     """
-    survivors = survivor_nodes(result)
-    return {
-        "survivors": len(survivors),
+    violations = (
+        [] if problem is None else survivor_violations(problem, graph, result)
+    )
+    metrics: Dict[str, Any] = {
+        "survivors": len(survivor_nodes(result)),
         "coverage": survivor_coverage(result),
-        "violations": (
-            0 if problem is None else len(survivor_violations(problem, graph, result))
-        ),
+        "violations": len(violations),
     }
+    if drop_rate is not None:
+        metrics["drop_rate"] = drop_rate
+    if violations:
+        metrics["violation_examples"] = tuple(violations[:3])
+    return metrics
 
 
-def summarize_points(
-    points: Sequence[DegradationPoint],
-) -> List[Dict[str, Any]]:
-    """Aggregate a sweep per drop rate: the degradation curve.
+def degradation_curve(rows: Iterable[Any]) -> List[Dict[str, Any]]:
+    """Aggregate degradation rows per drop rate: the degradation curve.
 
-    Returns one row per rate (in sweep order) with seed-averaged rounds
-    and coverage, total violations and the number of starved runs.
+    ``rows`` are :class:`~repro.exec.results.CellResult` rows whose
+    metrics come from :func:`degradation_metrics` with ``drop_rate``
+    bound.  Returns one entry per rate, in the order the rates first
+    appear, with seed-averaged executed rounds, coverage and solution
+    size, total violations and dropped messages, and the number of
+    starved runs.
     """
-    rows: List[Dict[str, Any]] = []
-    by_rate: Dict[float, List[DegradationPoint]] = {}
-    order: List[float] = []
-    for point in points:
-        if point.drop_rate not in by_rate:
-            order.append(point.drop_rate)
-        by_rate.setdefault(point.drop_rate, []).append(point)
-    for rate in order:
-        group = by_rate[rate]
-        rows.append(
-            {
-                "drop_rate": rate,
-                "runs": len(group),
-                "mean_rounds_executed": sum(p.rounds_executed for p in group)
-                / len(group),
-                "mean_coverage": sum(p.coverage for p in group) / len(group),
-                "mean_solution_size": sum(p.solution_size for p in group)
-                / len(group),
-                "violations": sum(len(p.violations) for p in group),
-                "stuck_runs": sum(1 for p in group if p.stuck),
-                "dropped_messages": sum(p.dropped for p in group),
-            }
-        )
-    return rows
+    by_rate: Dict[float, List[Any]] = {}
+    for row in rows:
+        by_rate.setdefault(row.metrics["drop_rate"], []).append(row)
+    return [
+        {
+            "drop_rate": rate,
+            "runs": len(group),
+            "mean_rounds_executed": sum(r.rounds_executed for r in group)
+            / len(group),
+            "mean_coverage": sum(r.metrics["coverage"] for r in group)
+            / len(group),
+            "mean_solution_size": sum(r.solution_size for r in group)
+            / len(group),
+            "violations": sum(r.metrics["violations"] for r in group),
+            "stuck_runs": sum(1 for r in group if r.stuck),
+            "dropped_messages": sum(r.dropped_messages for r in group),
+        }
+        for rate, group in by_rate.items()
+    ]

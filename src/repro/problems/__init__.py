@@ -27,9 +27,8 @@ def solution_size(outputs, problem_name=None):
 
     For MIS-style 0/1 outputs this is the number of nodes outputting 1
     (the independent set's size); for every other problem it is the
-    number of decided nodes.  The single definition is shared by the
-    sweep executor and the fault harness so the two report identical
-    ``solution_size`` columns.
+    number of decided nodes.  Every sweep row's ``solution_size`` column
+    comes from this one definition.
     """
     if problem_name == MIS.name:
         return sum(1 for value in outputs.values() if value == 1)

@@ -1,77 +1,78 @@
-"""Tests for the analysis helpers and the bench harness."""
+"""Tests for the sweep analysis helpers and the bench harness."""
 
 from repro.algorithms.mis import GreedyMISAlgorithm, MISInitializationAlgorithm
-from repro.bench import Table, mis_instance_suite, noise_sweep_instances, standard_graph_suite
-from repro.core import SimpleTemplate, run
-from repro.core.analysis import (
-    SweepPoint,
-    check_consistency,
-    check_robustness,
-    degradation_slope,
-    sweep,
-)
-from repro.errors import eta1
-from repro.graphs import erdos_renyi, line
-from repro.predictions import noisy_predictions, perfect_predictions
+from repro.bench import Table, standard_graph_suite
+from repro.core import SimpleTemplate
+from repro.exec import CellResult, Sweep, SweepResult
+from repro.graphs import erdos_renyi
+from repro.predictions import noisy_predictions
 from repro.problems import MIS
 
 
 ALGORITHM = SimpleTemplate(MISInitializationAlgorithm(), GreedyMISAlgorithm())
 
 
+def _row(index, error, rounds):
+    return CellResult(
+        index=index,
+        label=str(index),
+        graph_name="g",
+        n=50,
+        seed=0,
+        rounds=rounds,
+        rounds_executed=rounds,
+        error=error,
+    )
+
+
 class TestSweep:
-    def _instances(self):
+    def _result(self):
         graph = erdos_renyi(20, 0.2, seed=1)
+        sweep = Sweep()
         for rate in (0.0, 0.3, 0.8):
-            yield f"p={rate}", graph, noisy_predictions(MIS, graph, rate, seed=2)
+            sweep.add(
+                f"p={rate}",
+                graph,
+                ALGORITHM,
+                predictions=noisy_predictions(MIS, graph, rate, seed=2),
+                problem="mis",
+                seed=0,
+            )
+        return sweep.run("serial")
 
     def test_sweep_runs_and_validates(self):
-        result = sweep(ALGORITHM, MIS, self._instances(), eta1)
-        assert len(result.points) == 3
+        result = self._result()
+        assert len(result) == 3
         assert result.all_valid
 
     def test_rounds_by_error_sorted(self):
-        result = sweep(ALGORITHM, MIS, self._instances(), eta1)
-        series = result.rounds_by_error()
+        series = self._result().rounds_by_error()
         assert series == sorted(series)
 
     def test_violations_against_bound(self):
-        result = sweep(ALGORITHM, MIS, self._instances(), eta1)
-        assert result.violations(lambda p: p.error + 3) == []
-        assert result.violations(lambda p: -1)  # impossible bound flags all
+        result = self._result()
+        assert all(row.rounds <= row.error + 3 for row in result)
 
     def test_max_rounds(self):
-        result = sweep(ALGORITHM, MIS, self._instances(), eta1)
-        assert result.max_rounds() >= 3
+        assert max(row.rounds for row in self._result()) >= 3
+
+    def test_rounds_by_error_groups_by_a_metrics_key(self):
+        rows = [_row(0, 4, 5), _row(1, 4, 7), _row(2, 9, 6)]
+        for row, eta2 in zip(rows, (2, 8, 8)):
+            row.metrics["eta2"] = eta2
+        result = SweepResult(rows=rows)
+        assert result.rounds_by_error() == [(4, 7), (9, 6)]
+        assert result.rounds_by_error("eta2") == [(2, 5), (8, 7)]
+        assert result.rounds_by_error("missing") == []
 
 
 class TestChecks:
-    def test_check_consistency(self):
-        graph = erdos_renyi(20, 0.2, seed=4)
-        perfect = perfect_predictions(MIS, graph)
-        ok, rounds = check_consistency(ALGORITHM, MIS, graph, perfect, 3)
-        assert ok and rounds <= 3
-
-    def test_check_robustness_flags_slow_points(self):
-        from repro.core.analysis import SweepResult
-
-        result = SweepResult(
-            points=[SweepPoint("a", 0, 100, True, 10)]
-        )
-        assert check_robustness(result, lambda n: n)
-        assert not check_robustness(result, lambda n: n, factor=20)
-
     def test_degradation_slope_linear_data(self):
-        from repro.core.analysis import SweepResult
-
-        points = [SweepPoint(str(e), e, 2 * e + 3, True, 50) for e in range(1, 10)]
-        slope = degradation_slope(SweepResult(points=points))
-        assert abs(slope - 2.0) < 1e-9
+        result = SweepResult(rows=[_row(e, e, 2 * e + 3) for e in range(1, 10)])
+        assert abs(result.degradation_slope() - 2.0) < 1e-9
 
     def test_degradation_slope_empty(self):
-        from repro.core.analysis import SweepResult
-
-        assert degradation_slope(SweepResult()) == 0.0
+        assert SweepResult().degradation_slope() == 0.0
 
 
 class TestBenchHarness:
@@ -92,16 +93,3 @@ class TestBenchHarness:
         suite = standard_graph_suite()
         assert len(suite) == 10
         assert all(g.n > 0 for g in suite)
-
-    def test_noise_sweep_instances(self):
-        graph = line(10)
-        instances = list(
-            noise_sweep_instances(MIS, graph, rates=(0.0, 1.0), seeds=(0,))
-        )
-        assert len(instances) == 2
-        label, g, predictions = instances[0]
-        assert g is graph and len(predictions) == 10
-
-    def test_mis_instance_suite_runs(self):
-        instances = list(mis_instance_suite(MIS, seeds=(0,)))
-        assert len(instances) == 10 * (1 + 3)

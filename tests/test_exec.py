@@ -441,26 +441,6 @@ class TestSolutionSize:
         # A ring MIS is a proper subset: strictly between 1 and n-1 ones.
         assert 0 < row.solution_size < 8
 
-    def test_degradation_and_sweep_agree_on_solution_size(self):
-        """The harness and the executor share one ones-count helper."""
-        from repro.faults import degradation_sweep
-        from repro.bench.algorithms import mis_simple
-        from repro.predictions import all_zeros_mis
-        from repro.problems import MIS, solution_size
-        from repro.graphs import grid2d as _grid
-
-        graph = _grid(4, 4)
-        points = degradation_sweep(
-            mis_simple(),
-            MIS,
-            graph,
-            lambda seed: all_zeros_mis(graph),
-            drop_rates=(0.0,),
-            seeds=(0,),
-        )
-        result = run(mis_simple(), graph, all_zeros_mis(graph), seed=0)
-        assert points[0].solution_size == solution_size(result.outputs, "mis")
-
 
 class TestSweepObservability:
     def test_rows_carry_elapsed(self):

@@ -9,20 +9,23 @@ nodes with fresh state, partial runs return a measurable
 controller.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.algorithms.mis import GreedyMISAlgorithm, HardenedGreedyMIS
 from repro.bench.algorithms import mis_hardened_simple, mis_simple
-from repro.core import run
+from repro.core import RunConfig, run
+from repro.exec import FaultSpec, Sweep
 from repro.faults import (
     CrashFault,
     FaultController,
     FaultPlan,
     MessageAdversary,
     PredictionAdversary,
-    degradation_sweep,
+    degradation_curve,
+    degradation_metrics,
     random_crash_plan,
-    summarize_points,
     survivor_coverage,
     survivor_violations,
 )
@@ -387,19 +390,33 @@ class TestValidatorsAndHarness:
         assert a == b
         assert len(a.crashes) == 9
 
+    @pytest.mark.parametrize("fraction", (-0.1, 1.5))
+    def test_random_crash_plan_rejects_bad_fraction(self, fraction):
+        graph = ring(8)
+        with pytest.raises(ValueError, match="fraction"):
+            random_crash_plan(graph, fraction)
+
     def test_degradation_sweep_shape(self):
         graph = grid2d(4, 4)
-        points = degradation_sweep(
-            mis_hardened_simple(),
-            MIS,
-            graph,
-            lambda seed: perfect_predictions(MIS, graph, seed=seed),
-            drop_rates=(0.0, 0.2),
-            seeds=(0, 1),
-            max_rounds=30,
-        )
-        assert len(points) == 4
-        rows = summarize_points(points)
+        sweep = Sweep()
+        for rate in (0.0, 0.2):
+            for seed in (0, 1):
+                sweep.add(
+                    f"d={rate}/s={seed}",
+                    graph,
+                    mis_hardened_simple,
+                    predictions=perfect_predictions(MIS, graph, seed=seed),
+                    faults=FaultSpec.of(
+                        "random_crash_plan", 0.0, drop_rate=rate, seed=seed
+                    ),
+                    problem="mis",
+                    seed=seed,
+                    config=RunConfig(max_rounds=30, on_round_limit="partial"),
+                    metrics=partial(degradation_metrics, drop_rate=rate),
+                )
+        result = sweep.run("serial")
+        assert len(result) == 4
+        rows = degradation_curve(result)
         assert [row["drop_rate"] for row in rows] == [0.0, 0.2]
         assert rows[0]["mean_coverage"] == 1.0
         assert all(row["violations"] == 0 for row in rows)

@@ -258,6 +258,95 @@ class TestCLI:
         )
         assert len(content) == 3
 
+    def test_faults(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            [
+                "faults", "--graph", "sortedline:64",
+                "--crash-frac", "0.1", "--recover-after", "3",
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = out.splitlines()
+        header = lines.index(
+            "  drop   rounds  coverage     |S|  stuck  dropped  violations"
+        )
+        table = [line.split() for line in lines[header + 1:]]
+        assert [
+            (drop, rounds, coverage, dropped, violations)
+            for drop, rounds, coverage, _, _, dropped, violations in table
+        ] == [
+            ("0.0", "7.3", "1.000", "0", "0"),
+            ("0.01", "7.3", "1.000", "7", "0"),
+            ("0.05", "10.0", "1.000", "31", "0"),
+            ("0.2", "12.0", "1.000", "111", "0"),
+        ]
+
+        code = main(
+            [
+                "faults", "--template", "simple", "--graph", "sortedline:64",
+                "--rates", "0.2", "--noise", "0.1",
+            ]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        start = lines.index("! 12 safety violation(s) among survivors")
+        examples = lines[start + 1:]
+        assert len(examples) == 8
+        assert examples[0] == (
+            "  ! drop=0.2 seed=0: adjacent nodes 9 and 10 both output 1"
+        )
+
+    def test_faults_csv_has_one_sweep_row_per_run(self, tmp_path, capsys):
+        import csv
+
+        from repro.cli import main
+        from repro.exec import CELL_COLUMNS
+
+        csv_path = tmp_path / "faults.csv"
+        code = main(
+            [
+                "faults", "--graph", "sortedline:64",
+                "--crash-frac", "0.1", "--recover-after", "3",
+                "--csv", str(csv_path),
+            ]
+        )
+        assert code == 0
+        with open(csv_path, newline="") as handle:
+            reader = csv.DictReader(handle)
+            header = reader.fieldnames
+            rows = list(reader)
+        assert header[: len(CELL_COLUMNS)] == [c.name for c in CELL_COLUMNS]
+        assert {"drop_rate", "coverage", "survivors", "violations"} <= set(header)
+        assert len(rows) == 12
+        assert [float(row["drop_rate"]) for row in rows] == [
+            rate for rate in (0.0, 0.01, 0.05, 0.2) for _ in range(3)
+        ]
+        assert [row["seed"] for row in rows] == ["0", "1", "2"] * 4
+        assert all(row["violations"] == "0" for row in rows)
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            ["run", "--noise", "1.5"],
+            ["sweep", "--rates", "0,1.5"],
+            ["sweep", "--drop-rate", "1.5"],
+            ["faults", "--crash-frac", "1.5"],
+            ["faults", "--rates", "-0.1"],
+        ),
+    )
+    def test_out_of_range_rates_are_usage_errors(self, argv, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ")
+        assert "must be in [0, 1]" in err
+
     def test_dynamic_synthetic(self, tmp_path, capsys):
         from repro.cli import main
 
