@@ -12,10 +12,11 @@ the genuine staleness produced by churn.  Three measured claims:
   fewer total rounds than the same instances solved from scratch with
   default predictions (and at zero churn the repair cost collapses to
   the consistency floor);
-* **warm epochs interpret only the undecided nodes**: each warm run's
-  one engine holds exactly the nodes the MIS Initialization Algorithm
-  leaves undecided (checked against an interpreted run of the bare
-  initialization), and the others are decided by index;
+* **warm epochs run only the undecided nodes**: each warm run's one
+  engine (the ``greedy-mis`` kernel's, for ``mis_simple``) holds exactly
+  the nodes the MIS Initialization Algorithm leaves undecided (checked
+  against an interpreted run of the bare initialization), and the
+  others are decided by index;
 * **temporal streams are reproducible offline**: the timestamp-bucketed
   dataset loader falls back to a deterministic synthetic event stream
   (no downloads), its sliding window produces genuine deletions, and
@@ -220,7 +221,7 @@ def test_e29_warm_epochs_interpret_only_the_undecided(once):
     interpreted = sum(epoch[5] for epoch in epochs)
     print(
         f"\nE29 warm epochs (mis/simple, gnp n={N}, churn={churn}, "
-        f"epochs={EPOCHS}): interpreted {total_undecided} of {total_n} "
+        f"epochs={EPOCHS}): engines held {total_undecided} of {total_n} "
         f"node-epochs; warm {warm * 1e3:.2f} ms vs full interpretation "
         f"{interpreted * 1e3:.2f} ms"
     )

@@ -10,7 +10,7 @@ with predictions that starts with it is consistent.
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional
+from typing import Any, List, Mapping
 
 from repro.core.algorithm import DistributedAlgorithm
 from repro.core.initpass import Decided, init_pass
@@ -56,22 +56,20 @@ class MISInitializationProgram(NodeProgram):
 @init_pass(MISInitializationProgram, rounds=3)
 def mis_initialization_pass(
     csr: CSRTopology, predictions: Mapping[int, Any]
-) -> Optional[Decided]:
+) -> Decided:
     """The program above over every node at once, by CSR index.
 
     In round 1 every node sends its prediction to every neighbor; a node
     predicted 1 whose neighbors predicted 1 all have smaller identifiers
     joins ``I`` (indices ascend with identifiers).  In round 2 the nodes
     of ``I`` send ``"in"`` to every neighbor, output 1 and terminate; in
-    round 3 their neighbors output 0 and terminate.  ``None`` when no
-    node is predicted 1, so that no node is decided.
+    round 3 their neighbors output 0 and terminate.  With no node
+    predicted 1, no node is decided.
     """
     indptr = csr.indptr
     indices = csr.indices
     values = list(map(predictions.get, csr.ids))
     ones = [index for index, value in enumerate(values) if value == 1]
-    if not ones:
-        return None
     predicted = bytearray(csr.n)
     for index in ones:
         predicted[index] = 1
@@ -100,12 +98,8 @@ def mis_initialization_pass(
             if not rounds[other]:
                 rounds[other] = 3
                 outputs[other] = 0
-    senders = {
-        index: value for index, value in enumerate(values) if rounds[index]
-    }
-    return Decided(
-        rounds, outputs, {1: senders, 2: dict.fromkeys(joined, join)}
-    )
+    broadcasts = {1: dict(enumerate(values)), 2: dict.fromkeys(joined, join)}
+    return Decided(rounds, outputs, broadcasts)
 
 
 class MISInitializationAlgorithm(DistributedAlgorithm):

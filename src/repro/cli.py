@@ -275,14 +275,20 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _print_path(result, graph) -> None:
-    """Which fast path ran: the compiled kernel, or the by-index
-    initialization pass (and how many nodes it decided)."""
+    """Which fast path ran: the compiled kernel, the by-index
+    initialization pass (and how many nodes it decided), and the
+    template slices that ran compiled."""
     if result.kernel:
         print(f"kernel     : {result.kernel}")
     if result.init_decided:
         print(
             f"init pass  : {result.init_decided} of {graph.n} node(s) "
             "decided by index"
+        )
+    if result.compiled_slices:
+        print(
+            f"compiled   : slices {', '.join(result.compiled_slices)} "
+            "(no node interpreted)"
         )
 
 

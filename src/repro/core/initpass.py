@@ -12,8 +12,18 @@ CSR buffers, and interprets only the undecided nodes.
 (exact class, as kernels are registered), a pass ``pass(csr,
 predictions)`` that restates B's per-node program over the whole graph
 and returns a :class:`Decided` record — each node's termination round
-and output, and every message the decided nodes send — or ``None`` when
-B decides no node.  :func:`init_pass` registers one.
+and output, and every message B sends.  :func:`init_pass` registers
+one.
+
+**The chain.**  When B's slice is followed by a final slice whose
+program has a registered kernel that chains (``FrontierKernel.chains``:
+``greedy-mis``), no node is interpreted at all: every message of B is
+charged by index, and the kernel runs over the undecided window on
+``schedule="vectorized"`` — from the parent graph's arrays, with the
+window as its starting active mask, its rounds following B's.  This
+holds also when B decides nobody, as with default predictions.
+``result.compiled_slices`` names the slices, and ``result.kernel`` stays
+``None``.
 
 **The window.**  The undecided nodes run on one ordinary
 :class:`~repro.simulator.engine.SyncEngine` over a
@@ -37,7 +47,12 @@ unchanged — unless the run has a template host over a
 :class:`~repro.graphs.graph.DistGraph`; a first slice that runs a
 registered initialization alone for at least the pass's rounds; a round
 budget that covers the slice; no decided node's message over a strict
-CONGEST budget; and at least one node decided.
+CONGEST budget; and at least one node decided.  The chain further needs
+a budget of B's rounds plus the window's node count (Greedy MIS ends
+within its largest component's size, Lemma 1, so no compiled run meets
+a round limit), no message of B or the kernel over a strict budget, and
+no profile; a run that misses one of these takes the window, or the
+full interpreted path, as above.
 """
 
 from __future__ import annotations
@@ -60,11 +75,13 @@ from repro.core.templates import _TemplateBase
 from repro.graphs.csr import CSRTopology
 from repro.graphs.graph import DistGraph
 from repro.graphs.window import GraphWindow
+from repro.kernels import kernel_for_program
 from repro.obs.profile import RoundSample
 from repro.simulator.engine import SyncEngine
 from repro.simulator.message import estimate_bits
 from repro.simulator.metrics import NodeRecords, RunResult, fold_runs
-from repro.simulator.transport import WindowTransport
+from repro.simulator.scheduling import ExecutionPolicy
+from repro.simulator.transport import BandwidthExceeded, WindowTransport
 
 __all__ = ["Decided", "init_pass", "pass_for_program", "run_initialized"]
 
@@ -77,8 +94,9 @@ class Decided(NamedTuple):
             node the initialization leaves undecided.
         outputs: Per index, a decided node's output.
         broadcasts: Round -> ``{sender index: payload}`` (ascending
-            senders): every message a decided node sends, each sent to
-            all of its neighbors, all of them still active that round.
+            senders): every message B sends, by decided and undecided
+            nodes alike, each sent to all of its sender's neighbors, all
+            of them still active that round.
     """
 
     rounds: bytearray
@@ -93,12 +111,15 @@ Message = Tuple[int, int, int, Any]
 #: ``(kind, node, output)``: a departure as the lifecycle publishes it.
 Event = Tuple[str, int, Any]
 
-#: A registered pass: ``(csr, predictions) -> Decided | None``.
-InitPass = Callable[[CSRTopology, Mapping[int, Any]], Optional[Decided]]
+#: A registered pass: ``(csr, predictions) -> Decided``.
+InitPass = Callable[[CSRTopology, Mapping[int, Any]], Decided]
 
 #: Initialization program class -> (its pass, the rounds within which its
 #: decided nodes terminate).
 _PASSES: Dict[type, Tuple[InitPass, int]] = {}
+
+#: How the final slice's kernel runs over the window.
+_COMPILED = ExecutionPolicy(schedule="vectorized")
 
 
 def init_pass(
@@ -153,14 +174,10 @@ def run_initialized(
         Knowledge(graph.n, graph.delta, graph.d, policy.phi),
     )
     first = plan.get(0)
-    if (
-        first is None
-        or first.duration is None
-        or first.parallel_builder is not None
-        or first.resume is not None
-    ):
+    if not _alone(first) or first.duration is None:
         return None
-    registered = pass_for_program(first.builder(algorithm.build_program()))
+    host = algorithm.build_program()
+    registered = pass_for_program(first.builder(host))
     max_rounds = config.max_rounds
     if max_rounds is None:
         max_rounds = 8 * graph.n + 64
@@ -174,13 +191,20 @@ def run_initialized(
     started = perf_counter()
     csr = graph.csr
     decided = registered[0](csr, predictions)
-    if decided is None:
-        return None
+    undecided = _undecided(decided.rounds)
     model = config.model_for(algorithm)
-    sent = _account(decided, csr, model, graph.n, config.fast)
+    if not config.profile and max_rounds >= first.duration + len(undecided):
+        result = _run_compiled(
+            plan, host, graph, decided, undecided, model, config, max_rounds
+        )
+        if result is not None:
+            return result
+    if len(undecided) == csr.n:
+        return None
+    sent = _account(decided, csr, model, graph.n, config.fast, everyone=False)
     if sent is None:
         return None
-    window, inbound, events, departures = _boundary(decided, csr)
+    window, inbound, events, departures = _boundary(decided, csr, undecided)
     pass_seconds = perf_counter() - started
 
     owned = frozenset(window)
@@ -230,17 +254,95 @@ def run_initialized(
     return result
 
 
+def _run_compiled(
+    plan: Any,
+    host: Any,
+    graph: DistGraph,
+    decided: Decided,
+    undecided: List[int],
+    model: Any,
+    config: Any,
+    max_rounds: int,
+) -> Optional[RunResult]:
+    """B's messages by index, then the final slice's kernel over the
+    undecided window from B's last round on; ``None`` when the second
+    slice is not a final one with a registered kernel that chains, or a
+    message is over a strict budget."""
+    final = plan.get(1)
+    if not _alone(final) or final.duration is not None:
+        return None
+    kernel = kernel_for_program(final.builder(host))
+    if kernel is None or not kernel.chains:
+        return None
+    csr = graph.csr
+    sent = _account(decided, csr, model, graph.n, config.fast, everyone=True)
+    if sent is None:
+        return None
+    ids = csr.ids
+    start = plan.get(0).duration
+    try:
+        part = SyncEngine(
+            GraphWindow(graph, [ids[index] for index in undecided]),
+            lambda node: final.builder(host),
+            model=model,
+            max_rounds=max_rounds - start,
+            fast=config.fast,
+            policy=_COMPILED,
+        ).run()
+    except BandwidthExceeded:
+        return None
+    if undecided:
+        # The kernel counts its rounds from 1; they follow B's.
+        rounds = part.records.termination_rounds
+        for node in rounds:
+            rounds[node] += start
+        part.rounds += start
+        part.rounds_executed += start
+    region = _region(decided, csr, sent)
+    result = fold_runs([part, region])
+    result.init_decided = len(region.outputs)
+    result.compiled_slices = (plan.get(0).key, final.key)
+    return result
+
+
+def _alone(slice_: Any) -> bool:
+    """Whether a planned slice runs one component alone: no parallel
+    part, no resumed component."""
+    return (
+        slice_ is not None
+        and slice_.parallel_builder is None
+        and slice_.resume is None
+    )
+
+
+def _undecided(rounds: bytearray) -> List[int]:
+    """The indices an initialization leaves undecided, ascending."""
+    found: List[int] = []
+    index = rounds.find(0)
+    while index >= 0:
+        found.append(index)
+        index = rounds.find(0, index + 1)
+    return found
+
+
 def _account(
-    decided: Decided, csr: CSRTopology, model: Any, n: int, fast: bool
+    decided: Decided,
+    csr: CSRTopology,
+    model: Any,
+    n: int,
+    fast: bool,
+    everyone: bool,
 ) -> Optional[Dict[int, Tuple[int, int, int, int]]]:
-    """The decided region's messages: round -> ``(messages, bits, widest,
-    violations)``, or ``None`` when one is over a strict budget.
+    """B's messages: round -> ``(messages, bits, widest, violations)``,
+    every node's or (``everyone=False``) the decided nodes' only; ``None``
+    when one is over a strict budget.
 
     A strict run raises at the first over-budget message in compose
-    order, which may be a decided node's; only the full interpreted run
-    knows that order, so such runs keep it.
+    order; only the full interpreted run knows that order, so such runs
+    keep it.
     """
     indptr = csr.indptr
+    rounds = decided.rounds
     budget = model.bandwidth_bits(n)
     strict = model.strict
     sent: Dict[int, Tuple[int, int, int, int]] = {}
@@ -248,7 +350,7 @@ def _account(
         messages = bits = widest = violations = 0
         for index, payload in senders.items():
             degree = indptr[index + 1] - indptr[index]
-            if not degree:
+            if not degree or not (everyone or rounds[index]):
                 continue
             messages += degree
             if fast:
@@ -266,7 +368,7 @@ def _account(
 
 
 def _boundary(
-    decided: Decided, csr: CSRTopology
+    decided: Decided, csr: CSRTopology, undecided: List[int]
 ) -> Tuple[List[int], Dict[int, List[Message]], Dict[int, List[Event]], Dict[int, int]]:
     """The window and what it sees of the decided region.
 
@@ -282,8 +384,7 @@ def _boundary(
     window: List[int] = []
     inbound: Dict[int, List[Message]] = {}
     boundary = set()
-    index = rounds.find(0)
-    while index >= 0:
+    for index in undecided:
         node = ids[index]
         window.append(node)
         for position in range(indptr[index], indptr[index + 1]):
@@ -296,7 +397,6 @@ def _boundary(
                     inbound.setdefault(round_index, []).append(
                         (ids[other], 0, node, senders[other])
                     )
-        index = rounds.find(0, index + 1)
     events: Dict[int, List[Event]] = {}
     departures: Dict[int, int] = {}
     outputs = decided.outputs
@@ -321,7 +421,7 @@ def _region(
     region = [index for index in range(csr.n) if rounds[index]]
     outputs = {ids[index]: decided.outputs[index] for index in region}
     termination_rounds = {ids[index]: rounds[index] for index in region}
-    last = max(termination_rounds.values())
+    last = max(termination_rounds.values(), default=0)
     part = RunResult(
         outputs=outputs,
         records=NodeRecords(list(outputs), outputs, termination_rounds),

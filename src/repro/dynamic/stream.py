@@ -71,14 +71,20 @@ def apply_batch(graph: DistGraph, batch: EpochBatch, name: str = "") -> DistGrap
     The adjacency built here is symmetric and loop-free by construction,
     so it becomes the new graph's topology directly, without a second
     pass through the :class:`DistGraph` constructor; identifiers are
-    still checked to be positive.
+    still checked to be positive.  It starts from the parent's CSR rows,
+    so no neighbor set of ``graph`` is built.
     """
     removed = set(batch.remove_nodes)
-    adjacency: Dict[int, Set[int]] = {
-        node: {other for other in graph.neighbors(node) if other not in removed}
-        for node in graph.nodes
-        if node not in removed
-    }
+    csr = graph.csr
+    indptr = csr.indptr
+    indices = csr.indices
+    identifier = csr.ids.__getitem__
+    adjacency: Dict[int, Set[int]] = {}
+    for index, node in enumerate(csr.ids):
+        if node not in removed:
+            row = set(map(identifier, indices[indptr[index] : indptr[index + 1]]))
+            row -= removed
+            adjacency[node] = row
     for u, v in batch.delete_edges:
         if u in adjacency and v in adjacency:
             adjacency[u].discard(v)

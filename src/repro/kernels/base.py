@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.graphs.csr import ensure_topology
+from repro.graphs.window import GraphWindow
 from repro.simulator.metrics import NodeSnapshot, StuckReport
 from repro.simulator.transport import BandwidthExceeded
 
@@ -46,17 +47,30 @@ class FrontierKernel:
 
     name: str = ""
     program_class: Optional[type] = None
+    #: Whether the kernel may follow an initialization's pass over the
+    #: window it leaves undecided (:mod:`repro.core.initpass`): its
+    #: program does nothing at setup and reads only its active
+    #: neighbors, so the nodes that terminated before its round 1 are
+    #: invisible to it, whatever they output.
+    chains: bool = False
 
     # ------------------------------------------------------------------
     # Binding
     # ------------------------------------------------------------------
     def bind(self, rt: Any) -> None:
-        """Attach the engine (a weak proxy) and the topology's array view."""
+        """Attach the engine (a weak proxy) and the topology's array view.
+
+        Over a :class:`~repro.graphs.window.GraphWindow` the kernel runs
+        on the parent's arrays and starts with only the window's nodes
+        active: every other node counts as terminated before round 1.
+        """
         self.rt = rt
         self.result = rt.result
         self.model = rt.model
         self.fast = rt.fast
-        csr = ensure_topology(rt.graph)
+        graph = rt.graph
+        window = isinstance(graph, GraphWindow)
+        csr = ensure_topology(graph.parent if window else graph)
         self.csr = csr
         self.n = csr.n
         arrays = csr.arrays
@@ -70,9 +84,15 @@ class FrontierKernel:
         #: Neighbor *internal indices*, row-sorted ascending.
         self.nbr = arrays.indices
         self.deg = arrays.degrees
-        #: CONGEST budget in bits, or ``None`` under LOCAL.
-        self.bits_budget = self.model.bandwidth_bits(self.n)
-        self.active = np.ones(self.n, dtype=bool)
+        #: CONGEST budget in bits, or ``None`` under LOCAL: for the ``n``
+        #: the nodes know, as the interpreter's transport reads it (a
+        #: component shard's view pins its parent's).
+        self.bits_budget = self.model.bandwidth_bits(graph.n)
+        if window:
+            self.active = np.zeros(self.n, dtype=bool)
+            self.active[np.searchsorted(self.ids, graph.nodes)] = True
+        else:
+            self.active = np.ones(self.n, dtype=bool)
         #: Termination round per node, -1 while still running.
         self.term_round = np.full(self.n, -1, dtype=np.int64)
         self._flushed = False

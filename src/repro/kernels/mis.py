@@ -26,6 +26,7 @@ class GreedyMISKernel(FrontierKernel):
 
     name = "greedy-mis"
     program_class = GreedyMISProgram
+    chains = True
 
     def bind(self, rt: Any) -> None:
         super().bind(rt)

@@ -53,8 +53,11 @@ PATHS: Dict[str, Row] = {
     "window": Row(
         ("eager", "quiescent"),
         ("profile", "metrics"),
-        "it decides its region by index before round 1, beyond the reach "
-        "of faults, sinks and deadlines (result.init_decided counts it)",
+        "it decides its region by index before round 1, and runs the rest "
+        "as a compiled kernel where the template's final slice has one that "
+        "chains and the run is not profiled, beyond the reach of faults, "
+        "sinks and deadlines (result.init_decided and result.compiled_slices "
+        "record it)",
         automatic=True,
     ),
     "edgecut": Row(

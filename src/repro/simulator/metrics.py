@@ -10,9 +10,20 @@ checked against an actual execution.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Set
+from typing import (
+    Any,
+    DefaultDict,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.simulator.models import ExecutionModel
 
@@ -224,6 +235,12 @@ class RunResult:
             was computed by index instead of interpreted (see
             :mod:`repro.core.initpass`); 0 when every node was
             interpreted.
+        compiled_slices: Keys of the template slices that ran as array
+            programs when no node was interpreted at all — ``("B", "R")``
+            for a Simple Template whose initialization has a by-index
+            pass and whose reference has a kernel (see
+            :mod:`repro.core.initpass`); ``()`` otherwise.  ``kernel``
+            stays ``None`` on that path.
     """
 
     outputs: Dict[int, Any] = field(default_factory=dict)
@@ -246,6 +263,7 @@ class RunResult:
     profile: Optional[Any] = None
     kernel: Optional[str] = None
     init_decided: int = 0
+    compiled_slices: Tuple[str, ...] = ()
 
     def termination_round(self, node_id: int) -> Optional[int]:
         """Round in which ``node_id`` terminated, or ``None``."""
@@ -292,27 +310,35 @@ _MAXIMA = ("rounds", "rounds_executed", "max_message_bits")
 def fold_runs(parts: Sequence[RunResult]) -> RunResult:
     """The one result of a run whose nodes ``parts`` split between them.
 
-    Each part interpreted some of the nodes of one connected run (an
-    edge-cut shard, or an initialization's decided region and the window
-    it leaves), so the fold is the run that interpreted every node:
-    outputs and termination rounds in the order the interpreter writes
-    them (termination round, then id), summed counters, the maximum of
-    ``rounds``, ``rounds_executed`` and the widest message, and one stuck
-    report over every part's live nodes.  The parts carry no crash or
-    recovery columns, and the model is the first part's.
+    Each part ran some of the nodes of one connected run (an edge-cut
+    shard, or an initialization's decided region and the window it
+    leaves, interpreted or run by a kernel), so the fold is the run that
+    interpreted every node: outputs and termination rounds in the order
+    the interpreter writes them (termination round, then id), summed
+    counters, the maximum of ``rounds``, ``rounds_executed`` and the
+    widest message, and one stuck report over every part's live nodes.
+    The parts carry no crash or recovery columns, and the model is the
+    first part's.  A part's outputs may come in any order: the fold
+    buckets them by round and orders the ids within each round.
     """
-    terminations = sorted(
-        (part.records.termination_rounds[node], node, output)
-        for part in parts
-        for node, output in part.outputs.items()
-    )
-    outputs = {node: output for _, node, output in terminations}
+    merged: Dict[int, Any] = {}
+    by_round: DefaultDict[int, List[int]] = defaultdict(list)
+    for part in parts:
+        part_outputs = part.outputs
+        merged.update(part_outputs)
+        rounds = part.records.termination_rounds
+        for node in part_outputs:
+            by_round[rounds[node]].append(node)
+    termination_rounds = {
+        node: round_
+        for round_ in sorted(by_round)
+        for node in sorted(by_round[round_])
+    }
+    outputs = {node: merged[node] for node in termination_rounds}
     ids = sorted(node for part in parts for node in part.records.ids)
     folded = RunResult(
         outputs=outputs,
-        records=NodeRecords(
-            ids, outputs, {node: round_ for round_, node, _ in terminations}
-        ),
+        records=NodeRecords(ids, outputs, termination_rounds),
         model=parts[0].model,
         **{name: sum(getattr(part, name) for part in parts) for name in _SUMS},
         **{name: max(getattr(part, name) for part in parts) for name in _MAXIMA},

@@ -24,7 +24,7 @@ from repro.dynamic import (
     synthetic_temporal_events,
     temporal_stream,
 )
-from repro.graphs import DistGraph, erdos_renyi, line
+from repro.graphs import CSRTopology, DistGraph, erdos_renyi, line
 from repro.problems import MATCHING, MIS
 
 
@@ -97,6 +97,83 @@ class TestApplyBatch:
         assert updated.node_attrs(1) == graph.node_attrs(1)
         assert updated.node_attrs(1) is not graph.node_attrs(1)
         assert not updated.node_attrs(26)
+
+
+def _apply_batch_oracle(graph, batch, name=""):
+    """``apply_batch`` as it was when it read ``graph.neighbors``, kept
+    verbatim as an oracle for the CSR-row version."""
+    removed = set(batch.remove_nodes)
+    adjacency = {
+        node: {other for other in graph.neighbors(node) if other not in removed}
+        for node in graph.nodes
+        if node not in removed
+    }
+    for u, v in batch.delete_edges:
+        if u in adjacency and v in adjacency:
+            adjacency[u].discard(v)
+            adjacency[v].discard(u)
+    for node in batch.add_nodes:
+        adjacency.setdefault(int(node), set())
+    for u, v in batch.insert_edges:
+        if u in adjacency and v in adjacency and u != v:
+            adjacency[u].add(v)
+            adjacency[v].add(u)
+    top = max(adjacency, default=0)
+    attrs = {
+        node: graph.node_attrs(node)
+        for node in adjacency
+        if node in graph and graph.node_attrs(node)
+    }
+    return DistGraph._from_csr(
+        CSRTopology.from_adjacency(adjacency),
+        d=max(graph.d, top),
+        attrs=attrs,
+        name=name or graph.name,
+    )
+
+
+def _sloppy(batch, graph, rng):
+    """``batch`` plus events a temporal stream may carry: deletions of
+    absent edges, and inserts with a removed or an unknown endpoint."""
+    nodes = graph.nodes
+    pairs = [tuple(sorted(rng.sample(nodes, 2))) for _ in range(4)]
+    absent = tuple(pair for pair in pairs if not graph.has_edge(*pair))
+    inserts = [(rng.choice(nodes), graph.d + 1000)]
+    for gone in batch.remove_nodes:
+        other = rng.choice([node for node in nodes if node != gone])
+        inserts.append((min(gone, other), max(gone, other)))
+    return EpochBatch(
+        insert_edges=batch.insert_edges + tuple(inserts),
+        delete_edges=batch.delete_edges + absent,
+        add_nodes=batch.add_nodes,
+        remove_nodes=batch.remove_nodes,
+    )
+
+
+class TestApplyBatchOracle:
+    def test_the_same_graphs_as_reading_neighbor_sets(self):
+        """100 seeded churn epochs with node departures and arrivals and
+        sloppy events: the CSR-row version builds the oracle's graph
+        (ids, rows, ``d``, attrs, name) and no neighbor set of its input."""
+        base = erdos_renyi(60, 0.08, seed=11)
+        base = base.with_attrs({node: {"w": node} for node in base.nodes[::4]})
+        stream = SyntheticChurnStream(
+            base, 100, add=4, remove=4, add_nodes=1, remove_nodes=1, seed=5
+        )
+        rng = random.Random(7)
+        graph = base
+        for epoch, batch in enumerate(stream.batches(), start=1):
+            batch = _sloppy(batch, graph, rng)
+            updated = apply_batch(graph, batch, name=f"e{epoch}")
+            assert graph._neighbor_cache == {}
+            expected = _apply_batch_oracle(graph, batch, name=f"e{epoch}")
+            assert updated.csr.ids == expected.csr.ids
+            assert updated.csr.indptr == expected.csr.indptr
+            assert updated.csr.indices == expected.csr.indices
+            assert updated.d == expected.d and updated.name == expected.name
+            assert updated._attrs == expected._attrs
+            graph = updated
+        assert graph.d > base.d and len(graph._attrs) > 0
 
 
 class TestSyntheticChurnStream:

@@ -217,17 +217,28 @@ class TestCLI:
     @pytest.mark.parametrize("command", ("run", "profile"))
     def test_reports_the_initialization_pass(self, command, capsys):
         """A noisy MIS template decides most nodes by index; the greedy
-        algorithm (no template) interprets every node and says nothing."""
+        algorithm (no template) interprets every node and says nothing.
+        ``repro run`` then runs the rest as a kernel and names the
+        compiled slices next; ``repro profile`` profiles, which keeps the
+        interpreted window, and names none."""
         from repro.cli import main
 
         graph = ["--problem", "mis", "--graph", "gnp:30:0.1:2", "--noise", "0.2"]
         assert main([command, "--template", "simple", *graph]) == 0
         lines = capsys.readouterr().out.splitlines()
-        line = next(line for line in lines if line.startswith("init pass  : "))
+        at = next(i for i, line in enumerate(lines) if line.startswith("init pass  : "))
+        line = lines[at]
         decided = int(line.split(":")[1].split()[0])
         assert 0 < decided <= 30 and line.endswith("of 30 node(s) decided by index")
+        compiled = [line for line in lines if line.startswith("compiled   : ")]
+        if command == "run":
+            assert compiled == [lines[at + 1]]
+            assert compiled[0] == "compiled   : slices B, R (no node interpreted)"
+        else:
+            assert compiled == []
         assert main([command, "--template", "greedy", *graph]) == 0
-        assert "init pass" not in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "init pass" not in out and "compiled" not in out
 
     def test_sweep_csv(self, tmp_path, capsys):
         from repro.cli import main

@@ -6,21 +6,26 @@ built exactly as ``run()`` builds one for every node: the outputs in
 termination order, the records, the round and message counters, the
 bandwidth accounting, stuck reports and raised errors, and, for profiled
 runs, the per-round message and live-node counts.  The hypothesis fuzz
-draws graphs × predictions × every MIS template × schedule × ``fast`` ×
-model and also asserts that the by-index path ran wherever the MIS
-Initialization Algorithm decides a node.  The ineligible runs below keep
-today's path and today's result.
+draws graphs × predictions (including predictions that decide nobody) ×
+every MIS template × schedule × ``fast`` × model and also asserts that
+the by-index path ran wherever the MIS Initialization Algorithm decides
+a node, and that ``mis_simple`` ran compiled — the pass, then the
+``greedy-mis`` kernel over the undecided window — wherever it may.  The
+ineligible runs below keep today's path and today's result.
 """
 
 from __future__ import annotations
 
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms.matching import GreedyMatchingAlgorithm
 from repro.algorithms.mis.initialization import (
+    MISInitializationAlgorithm,
     MISInitializationProgram,
     mis_initialization_pass,
 )
@@ -38,18 +43,21 @@ from repro.bench.algorithms import (
 from repro.bench.workloads import sorted_line
 from repro.core import RunConfig, run
 from repro.core.initpass import pass_for_program
+from repro.core.templates import SimpleTemplate
 from repro.faults import FaultPlan
 from repro.graphs import DistGraph, erdos_renyi, random_tree
 from repro.graphs.rooted_trees import random_rooted_tree
 from repro.graphs.window import GraphWindow
 from repro.kernels import UnsupportedScheduleError
+from repro.kernels.matching import GreedyMatchingKernel
 from repro.obs import MemoryEventSink
 from repro.predictions import noisy_predictions, perfect_predictions
 from repro.problems import MIS
 from repro.simulator import ExecutionPolicy, SyncEngine
 from repro.simulator.engine import RoundLimitExceeded
 from repro.simulator.metrics import RunResult
-from repro.simulator.models import CONGEST, LOCAL, strict_congest
+from repro.shard.plan import shard_view
+from repro.simulator.models import CONGEST, LOCAL, ExecutionModel, strict_congest
 from repro.simulator.transport import BandwidthExceeded, WindowTransport
 
 #: Templates whose initialization is the MIS Initialization Algorithm.
@@ -65,6 +73,12 @@ WITH_PASS = (
 #: Junk predictions: values a node may be handed that are not 0 or 1
 #: (``True`` and ``1.0`` equal 1, so they count as predicting 1).
 JUNK = (None, "1", "x", 1.0, 0.5, True, False, 2, -1, (1,))
+
+#: The junk values that never equal 1: with only these, B decides nobody.
+NEVER_ONE = tuple(value for value in JUNK if value != 1)
+
+#: What a compiled ``mis_simple`` run names in ``result.compiled_slices``.
+COMPILED = ("B", "R")
 
 COUNTERS = (
     "rounds",
@@ -104,12 +118,14 @@ def _outcome(call):
 
 
 def _assert_same_outcome(factory, graph, predictions, config):
-    """Both paths return identical results or raise identical errors."""
+    """Both paths return identical results or raise identical errors;
+    returns the result, if any."""
     mine, error = _outcome(lambda: run(factory(), graph, predictions, config=config))
     full, full_error = _outcome(lambda: _full(factory, graph, predictions, config))
     assert error == full_error
     if error is None:
         _assert_identical(mine, full)
+    return mine
 
 
 def _decided_by_interpreting(graph, predictions):
@@ -178,9 +194,19 @@ def instances(draw):
         graph = DistGraph(adjacency)
     else:
         graph = DistGraph({})
-    noise = draw(st.sampled_from(("exact", "noisy", "junk")))
+    noise = draw(st.sampled_from(("exact", "noisy", "junk", "nobody")))
     predictions = perfect_predictions(MIS, graph, seed=seed)
-    if noise == "noisy":
+    if noise == "nobody":
+        # B decides nobody: all zeros or junk that never equals 1, with
+        # some (or all) keys missing.
+        junk = draw(st.booleans())
+        predictions = {
+            node: draw(st.sampled_from(NEVER_ONE)) if junk else 0
+            for node in graph.nodes
+        }
+        for node in graph.nodes[: draw(st.integers(0, graph.n))]:
+            del predictions[node]
+    elif noise == "noisy":
         rate = draw(st.sampled_from((0.05, 0.2, 0.6)))
         predictions = noisy_predictions(MIS, graph, rate, seed=seed, base=predictions)
     elif noise == "junk":
@@ -219,7 +245,37 @@ class TestDifferentialFuzz:
         _assert_identical(result, _full(factory, graph, predictions, config))
         decided = _decided_by_interpreting(graph, predictions)
         expected = decided if factory in WITH_PASS else 0
-        assert result.init_decided == expected
+        if factory is mis_simple and not profile and graph.nodes:
+            assert result.compiled_slices == COMPILED
+            assert result.init_decided == decided
+        else:
+            assert result.compiled_slices == ()
+            assert result.init_decided == expected
+
+    @given(
+        instances(),
+        st.sampled_from(("raise", "partial")),
+        st.sampled_from(("eager", "quiescent")),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_budget_of_the_initialization_plus_the_window(
+        self, instance, mode, schedule, short
+    ):
+        """B's 3 rounds plus the window's node count compile; one round
+        fewer keeps today's path.  Both match the full run."""
+        graph, predictions = instance
+        window = graph.n - _decided_by_interpreting(graph, predictions)
+        config = RunConfig(
+            seed=1,
+            max_rounds=3 + window - short,
+            on_round_limit=mode,
+            policy=ExecutionPolicy(schedule=schedule),
+        )
+        result = _assert_same_outcome(mis_simple, graph, predictions, config)
+        if result is not None:
+            compiled = not short and graph.nodes
+            assert result.compiled_slices == (COMPILED if compiled else ())
 
     @given(
         instances(),
@@ -244,7 +300,11 @@ class TestDifferentialFuzz:
     def test_strict_congest_matches(self, instance, factory, factor):
         graph, predictions = instance
         config = RunConfig(seed=2, model=strict_congest(factor=factor))
-        _assert_same_outcome(factory, graph, predictions, config)
+        result = _assert_same_outcome(factory, graph, predictions, config)
+        if result is not None and factory is mis_simple and graph.nodes:
+            # A message over the strict budget raises; one that fits
+            # compiles.
+            assert result.compiled_slices == COMPILED
 
 
 # ----------------------------------------------------------------------
@@ -280,9 +340,14 @@ class TestPass:
         }
 
     def test_decides_nobody_without_a_prediction_of_one(self):
+        """Nobody is decided, and round 1 — every node's prediction to
+        every neighbor — is all B sends."""
         graph = erdos_renyi(20, 0.2, seed=1)
-        predictions = {node: 0 for node in graph.nodes}
-        assert mis_initialization_pass(graph.csr, predictions) is None
+        predictions = {node: 0 for node in graph.nodes[1:]}
+        decided = mis_initialization_pass(graph.csr, predictions)
+        assert decided.rounds == bytearray(graph.n)
+        round_one = dict(enumerate(map(predictions.get, graph.nodes)))
+        assert decided.broadcasts == {1: round_one, 2: {}}
 
     def test_exact_predictions_leave_an_empty_window(self):
         graph = erdos_renyi(60, 0.08, seed=2)
@@ -355,18 +420,139 @@ class TestWindowTransport:
 
 
 # ----------------------------------------------------------------------
-# Ineligible runs keep today's path and today's result
+# Compiled runs: the pass, then the greedy-mis kernel over the window
 # ----------------------------------------------------------------------
 def _noisy_instance(seed=5, n=50):
     graph = erdos_renyi(n, 0.1, seed=seed)
     return graph, noisy_predictions(MIS, graph, 0.2, seed=seed)
 
 
+def _assert_compiled(instance=None, **overrides):
+    graph, predictions = instance or _noisy_instance()
+    config = RunConfig(seed=3).with_overrides(**overrides)
+    result = run(mis_simple(), graph, predictions, config=config)
+    assert result.compiled_slices == COMPILED
+    _assert_identical(result, _full(mis_simple, graph, predictions, config))
+    return result
+
+
+class TestCompiledRuns:
+    @staticmethod
+    def _engines(graph, predictions):
+        """The engines a ``mis_simple`` run builds: (graph, schedule)."""
+        built = []
+        construct = SyncEngine.__init__
+
+        def recording(engine, view, *args, **kwargs):
+            construct(engine, view, *args, **kwargs)
+            built.append((view, engine.policy.schedule))
+
+        with mock.patch.object(SyncEngine, "__init__", recording):
+            result = run(mis_simple(), graph, predictions, seed=3)
+        return result, built
+
+    def test_the_kernel_runs_over_exactly_the_window(self):
+        graph, predictions = _noisy_instance()
+        result, built = self._engines(graph, predictions)
+        [(view, schedule)] = built
+        assert isinstance(view, GraphWindow) and view.parent is graph
+        assert schedule == "vectorized"
+        assert len(view.nodes) == graph.n - result.init_decided > 0
+        decided = mis_initialization_pass(graph.csr, predictions)
+        assert view.nodes == tuple(
+            node
+            for index, node in enumerate(graph.nodes)
+            if not decided.rounds[index]
+        )
+        assert result.kernel is None and result.compiled_slices == COMPILED
+
+    def test_exact_predictions_run_the_kernel_over_an_empty_window(self):
+        graph = erdos_renyi(60, 0.08, seed=2)
+        predictions = perfect_predictions(MIS, graph, seed=2)
+        result, built = self._engines(graph, predictions)
+        assert [(view.nodes, schedule) for view, schedule in built] == [
+            ((), "vectorized")
+        ]
+        assert result.init_decided == graph.n
+        _assert_compiled(instance=(graph, predictions))
+
+    def test_pass_that_decides_nobody(self):
+        graph, _ = _noisy_instance()
+        zeros = {node: 0 for node in graph.nodes}
+        result = _assert_compiled(instance=(graph, zeros))
+        assert result.init_decided == 0
+
+    def test_component_shard_view(self):
+        """A component shard's view pins its parent's ``n``, which sets
+        the CONGEST budget of B's messages and of the kernel's alike."""
+        parent = erdos_renyi(1000, 0.001, seed=3)
+        largest = max(parent.csr.components(), key=len)
+        view = shard_view(parent, [parent.csr.ids[index] for index in largest])
+        for predictions in (
+            {node: 0 for node in view.nodes},
+            noisy_predictions(MIS, view, 0.3, seed=1),
+        ):
+            _assert_compiled(
+                instance=(view, predictions),
+                model=ExecutionModel("CONGEST", bandwidth_factor=2),
+            )
+
+    def test_a_final_kernel_that_does_not_chain(self):
+        """The matching kernel retires neighborless nodes at setup by
+        their full degree, so it does not chain: MIS initialization plus
+        greedy matching keeps the interpreted window."""
+
+        def factory():
+            return SimpleTemplate(
+                MISInitializationAlgorithm(), GreedyMatchingAlgorithm()
+            )
+
+        assert not GreedyMatchingKernel.chains
+        for seed in range(6):
+            graph = erdos_renyi(40, 0.1, seed=seed)
+            predictions = noisy_predictions(MIS, graph, 0.3, seed=seed)
+            config = RunConfig(seed=3)
+            result = run(factory(), graph, predictions, config=config)
+            assert result.compiled_slices == () and result.init_decided > 0
+            _assert_identical(result, _full(factory, graph, predictions, config))
+
+    def test_profiled_runs_keep_todays_path(self):
+        graph, predictions = _noisy_instance()
+        config = RunConfig(seed=3, profile=True)
+        result = run(mis_simple(), graph, predictions, config=config)
+        assert result.compiled_slices == () and result.init_decided > 0
+        _assert_identical(result, _full(mis_simple, graph, predictions, config))
+        zeros = {node: 0 for node in graph.nodes}
+        _assert_todays_path(instance=(graph, zeros), profile=True)
+
+    @pytest.mark.parametrize("decides", (True, False))
+    def test_strict_congest_over_budget_join(self, decides):
+        """At factor 1 the 16-bit ``"in"`` is over the 6-bit budget, as B's
+        message or the kernel's; the run keeps today's path and raises the
+        interpreted error."""
+        graph, predictions = _noisy_instance(n=40)
+        if not decides:
+            predictions = {node: 0 for node in graph.nodes}
+        config = RunConfig(seed=3, model=strict_congest(factor=1))
+        assert config.model.bandwidth_bits(graph.n) < 16
+        mine, error = _outcome(
+            lambda: run(mis_simple(), graph, predictions, config=config)
+        )
+        _, full_error = _outcome(
+            lambda: _full(mis_simple, graph, predictions, config)
+        )
+        assert mine is None and error[0] is BandwidthExceeded
+        assert error == full_error
+
+
+# ----------------------------------------------------------------------
+# Ineligible runs keep today's path and today's result
+# ----------------------------------------------------------------------
 def _assert_todays_path(factory=mis_simple, instance=None, **overrides):
     graph, predictions = instance or _noisy_instance()
     config = RunConfig(seed=3).with_overrides(**overrides)
     result = run(factory(), graph, predictions, config=config)
-    assert result.init_decided == 0
+    assert result.init_decided == 0 and result.compiled_slices == ()
     _assert_identical(result, _full(factory, graph, predictions, config))
     return result
 
@@ -433,11 +619,6 @@ class TestIneligibleRuns:
         predictions = noisy_predictions(MIS, tree, 0.2, seed=2)
         for factory in (mis_rooted_simple, mis_rooted_parallel):
             _assert_todays_path(factory, instance=(tree, predictions))
-
-    def test_pass_that_decides_nobody(self):
-        graph, _ = _noisy_instance()
-        zeros = {node: 0 for node in graph.nodes}
-        _assert_todays_path(instance=(graph, zeros))
 
     def test_strict_congest_over_budget_initialization_message(self):
         """A decided node's round-1 message over a strict budget: the

@@ -25,7 +25,10 @@ from repro.core import RunConfig, run
 from repro.graphs import erdos_renyi, line, random_rooted_tree
 from repro.predictions import noisy_predictions
 from repro.problems import EDGE_COLORING, MATCHING, MIS, VERTEX_COLORING
+from repro.graphs.window import GraphWindow
+from repro.shard.plan import shard_view
 from repro.simulator import ExecutionPolicy, SyncEngine
+from repro.simulator.metrics import NodeRecords, RunResult, fold_runs
 from repro.simulator.models import LOCAL, strict_congest
 
 #: 1.x spellings that 2.0 removed; each must now fail to bind.
@@ -149,6 +152,71 @@ class TestRunResultDetails:
         result = run(GreedyMISAlgorithm(), path5)
         for node in path5.nodes:
             assert result.records[node].output == result.outputs[node]
+
+
+class TestFoldRuns:
+    """``fold_runs`` writes the interpreter's order — termination round,
+    then id — whatever order its parts list their nodes in."""
+
+    def test_kernel_part_with_an_interpreted_part(self):
+        # A kernel writes its outputs in id order; an interpreted part in
+        # termination order.
+        kernel_outputs = {1: 1, 4: 0, 6: 1, 8: 0}
+        kernel = RunResult(
+            outputs=kernel_outputs,
+            records=NodeRecords(
+                (1, 4, 6, 8), kernel_outputs, {1: 3, 4: 2, 6: 1, 8: 2}
+            ),
+            rounds=3,
+            rounds_executed=3,
+            message_count=5,
+        )
+        interpreted_outputs = {5: 1, 2: 0, 7: 0, 3: 1}
+        interpreted = RunResult(
+            outputs=interpreted_outputs,
+            records=NodeRecords(
+                (2, 3, 5, 7), interpreted_outputs, {5: 1, 2: 2, 7: 2, 3: 3}
+            ),
+            rounds=3,
+            rounds_executed=4,
+            message_count=7,
+        )
+        folded = fold_runs([kernel, interpreted])
+        order = [5, 6, 2, 4, 7, 8, 1, 3]
+        assert list(folded.outputs) == order
+        assert list(folded.records.termination_rounds) == order
+        assert list(folded.records.termination_rounds.values()) == [
+            1, 1, 2, 2, 2, 2, 3, 3,
+        ]
+        assert folded.outputs == {**kernel_outputs, **interpreted_outputs}
+        assert list(folded.records) == list(range(1, 9))
+        assert (folded.rounds, folded.rounds_executed) == (3, 4)
+        assert folded.message_count == 12
+
+    def test_a_kernel_window_and_its_interpreted_complement(self):
+        graph = erdos_renyi(80, 0.06, seed=4)
+        nodes = graph.nodes[::3]
+        rest = [node for node in graph.nodes if node not in set(nodes)]
+        kernel = SyncEngine(
+            GraphWindow(graph, nodes),
+            lambda node: GreedyMISAlgorithm().build_program(),
+            policy=ExecutionPolicy(schedule="vectorized"),
+        ).run()
+        interpreted = SyncEngine(
+            shard_view(graph, rest),
+            lambda node: GreedyMISAlgorithm().build_program(),
+        ).run()
+        assert list(kernel.outputs) == sorted(kernel.outputs)
+        folded = fold_runs([kernel, interpreted])
+        rounds = folded.records.termination_rounds
+        assert list(folded.outputs) == sorted(
+            folded.outputs, key=lambda node: (rounds[node], node)
+        )
+        assert list(rounds) == list(folded.outputs)
+        assert rounds == {
+            **kernel.records.termination_rounds,
+            **interpreted.records.termination_rounds,
+        }
 
 
 MIS_FACTORIES = [

@@ -13,6 +13,7 @@ surface around the backend: :class:`repro.ExecutionPolicy`,
 exports.
 """
 
+import random
 import warnings
 
 import pytest
@@ -24,11 +25,16 @@ from repro import ExecutionPolicy, RunConfig, UnsupportedScheduleError, run
 from repro.algorithms.coloring import PaletteGreedyColoringAlgorithm
 from repro.algorithms.matching import GreedyMatchingAlgorithm
 from repro.algorithms.mis import GreedyMISAlgorithm
+from repro.algorithms.mis.greedy import GreedyMISProgram
 from repro.bench.algorithms import mis_simple
 from repro.graphs import erdos_renyi, line, random_tree
+from repro.graphs.window import GraphWindow
+from repro.kernels.mis import GreedyMISKernel
 from repro.predictions import noisy_predictions, perfect_predictions
 from repro.problems import MATCHING, MIS, UNMATCHED, VERTEX_COLORING
-from repro.simulator import CONGEST, schedule_capabilities
+from repro.shard.plan import shard_view
+from repro.simulator import CONGEST, SyncEngine, schedule_capabilities
+from repro.simulator.models import LOCAL, ExecutionModel
 
 FAMILIES = [
     ("mis", MIS, GreedyMISAlgorithm, "greedy-mis"),
@@ -137,6 +143,65 @@ class TestDifferentialFuzz:
             vectorized.records.termination_rounds
             == interpreted.records.termination_rounds
         )
+
+
+# ----------------------------------------------------------------------
+# A kernel over a window: the parent's arrays, the window as active mask
+# ----------------------------------------------------------------------
+class TestKernelOnAWindow:
+    """``greedy-mis`` over ``GraphWindow(graph, nodes)`` is interpreted
+    bare greedy on ``graph.subgraph(nodes)``, with the parent's ``n`` for
+    the CONGEST budget (``shard_view`` pins it), bit for bit: what its
+    ``chains`` declares."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=10**6),
+        p=st.sampled_from((0.05, 0.15, 0.4)),
+        share=st.sampled_from((0.0, 0.2, 0.6, 1.0)),
+        model=st.sampled_from(
+            (LOCAL, CONGEST, ExecutionModel("CONGEST", bandwidth_factor=1))
+        ),
+        fast=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_interpreted_greedy_on_the_induced_subgraph(
+        self, seed, p, share, model, fast
+    ):
+        rng = random.Random(seed)
+        graph = erdos_renyi(1 + seed % 60, p, seed=seed)
+        nodes = sorted(rng.sample(graph.nodes, round(share * graph.n)))
+        window = SyncEngine(
+            GraphWindow(graph, nodes),
+            lambda node: GreedyMISProgram(),
+            model=model,
+            fast=fast,
+            policy=VECTORIZED,
+        ).run()
+        interpreted = SyncEngine(
+            shard_view(graph, nodes),
+            lambda node: GreedyMISProgram(),
+            model=model,
+            fast=fast,
+        ).run()
+        assert GreedyMISKernel.chains
+        assert window.kernel == ("greedy-mis" if nodes else "empty")
+        assert _footprint(window) == _footprint(interpreted)
+        assert list(window.records) == nodes
+
+    def test_budget_of_a_component_shard_reads_the_pinned_n(self):
+        """A component shard's view pins its parent's ``n``; the kernel's
+        CONGEST budget reads it, as the interpreter's transport does.
+        At factor 2 the 16-bit JOIN fits the parent's 20 bits and not the
+        43-node component's 12."""
+        parent = erdos_renyi(1000, 0.001, seed=3)
+        largest = max(parent.csr.components(), key=len)
+        view = shard_view(parent, [parent.csr.ids[index] for index in largest])
+        assert view.n == 1000 and view.csr.n == 43
+        model = ExecutionModel("CONGEST", bandwidth_factor=2)
+        interpreted = run(GreedyMISAlgorithm(), view, model=model)
+        vectorized = run(GreedyMISAlgorithm(), view, model=model, policy=VECTORIZED)
+        assert _footprint(vectorized) == _footprint(interpreted)
+        assert vectorized.bandwidth_violations == 0
 
 
 # ----------------------------------------------------------------------
