@@ -27,6 +27,7 @@ from repro.algorithms.matching import GreedyMatchingAlgorithm
 from repro.algorithms.mis import GreedyMISAlgorithm
 from repro.core import ExecutionPolicy, run
 from repro.graphs import erdos_renyi, random_tree
+from repro.predictions import noisy_predictions
 from repro.problems import MATCHING, MIS, VERTEX_COLORING
 from repro.simulator import SyncEngine
 
@@ -123,32 +124,50 @@ def test_e28_million_node_scaling(once):
     """The headline scale: greedy MIS on a random tree at REPRO_E28_N
     (10^6 by default) end to end through run(), with a scaling table.
 
-    Each size is verified right after its own run and only its numbers
-    are kept, so no smaller size's graph or result is alive while the
-    next size is timed.
+    Each size times four phases separately: building the graph, building
+    noisy MIS predictions on it at rate 0.1 (the input an algorithm with
+    predictions needs; this run does not read them), the run, and its
+    validation.  Each size is verified right after its own run and only
+    its numbers are kept, so no smaller size's graph or result is alive
+    while the next size is timed.
     """
     sizes = [max(N // 100, 1000), max(N // 10, 10_000), N]
 
     def execute():
         rows = []
         for n in sizes:
+            start = time.perf_counter()
             graph = random_tree(n, seed=2)
+            build_s = time.perf_counter() - start
+            start = time.perf_counter()
+            predictions = noisy_predictions(MIS, graph, 0.1, seed=2)
+            predictions_s = time.perf_counter() - start
             start = time.perf_counter()
             result = run(GreedyMISAlgorithm(), graph, fast=True,
                          policy=VECTORIZED)
             elapsed = time.perf_counter() - start
             assert result.kernel == "greedy-mis"
             assert result.all_terminated
-            assert not MIS.verify_solution(graph, result.outputs)
-            rows.append((n, result.rounds, result.message_count, elapsed))
-            del graph, result
+            start = time.perf_counter()
+            violations = MIS.verify_solution(graph, result.outputs)
+            validate_s = time.perf_counter() - start
+            assert not violations
+            rows.append(
+                (n, result.rounds, result.message_count, build_s,
+                 predictions_s, elapsed, validate_s)
+            )
+            del graph, predictions, result
         return rows
 
     rows = once(execute)
     print(f"\nE28 scaling (greedy-mis/random-tree, schedule=vectorized):")
-    print(f"{'n':>9}  {'rounds':>6}  {'messages':>9}  {'run s':>8}  {'nodes/s':>10}")
-    for n, rounds, messages, elapsed in rows:
+    print(
+        f"{'n':>9}  {'rounds':>6}  {'messages':>9}  {'build s':>8}  "
+        f"{'predict s':>9}  {'run s':>8}  {'validate s':>10}  {'nodes/s':>10}"
+    )
+    for n, rounds, messages, build_s, predictions_s, elapsed, validate_s in rows:
         print(
-            f"{n:>9}  {rounds:>6}  {messages:>9}  "
-            f"{elapsed:>8.3f}  {n / elapsed if elapsed else 0:>10.0f}"
+            f"{n:>9}  {rounds:>6}  {messages:>9}  {build_s:>8.3f}  "
+            f"{predictions_s:>9.3f}  {elapsed:>8.3f}  {validate_s:>10.3f}  "
+            f"{n / elapsed if elapsed else 0:>10.0f}"
         )

@@ -116,7 +116,15 @@ class GreedyEdgeColoringProgram(NodeProgram):
             ctx.terminate()
             return
         for sender, payload in inbox.items():
-            if isinstance(payload, tuple) and payload and payload[0] == "color":
+            if (
+                isinstance(payload, tuple)
+                and payload
+                and payload[0] == "color"
+                # Only a lossy run can have colored this end already (the
+                # message that told the sender was dropped); keep the
+                # first color and leave the clash to the validators.
+                and ctx.output_part(sender) is None
+            ):
                 ctx.set_output_part(sender, payload[1])
         self._maybe_finish(ctx)
 

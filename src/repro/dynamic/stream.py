@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Set, Tuple
+from typing import Iterator, List, Set, Tuple
+
+import numpy as np
 
 from repro.graphs.churn import sample_non_edges
 from repro.graphs.csr import CSRTopology
@@ -68,42 +70,66 @@ def apply_batch(graph: DistGraph, batch: EpochBatch, name: str = "") -> DistGrap
     ``d`` grows to cover added identifiers and never shrinks, so carried
     predictions stay inside the identifier bound.
 
-    The adjacency built here is symmetric and loop-free by construction,
-    so it becomes the new graph's topology directly, without a second
-    pass through the :class:`DistGraph` constructor; identifiers are
-    still checked to be positive.  It starts from the parent's CSR rows,
-    so no neighbor set of ``graph`` is built.
+    The new rows come from the parent's CSR arrays: entries of removed
+    nodes and deleted edges (found by edge key) are dropped, inserted
+    edges are added, and indices are renumbered when nodes arrive or
+    leave; :meth:`CSRTopology.from_edges` sorts the result.  So no
+    neighbor set of ``graph`` is built.  Identifiers are still checked
+    to be positive.
     """
-    removed = set(batch.remove_nodes)
     csr = graph.csr
-    indptr = csr.indptr
-    indices = csr.indices
-    identifier = csr.ids.__getitem__
-    adjacency: Dict[int, Set[int]] = {}
-    for index, node in enumerate(csr.ids):
-        if node not in removed:
-            row = set(map(identifier, indices[indptr[index] : indptr[index + 1]]))
-            row -= removed
-            adjacency[node] = row
-    for u, v in batch.delete_edges:
-        if u in adjacency and v in adjacency:
-            adjacency[u].discard(v)
-            adjacency[v].discard(u)
-    for node in batch.add_nodes:
-        adjacency.setdefault(int(node), set())
-    for u, v in batch.insert_edges:
-        if u in adjacency and v in adjacency and u != v:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-    top = max(adjacency, default=0)
+    n = csr.n
+    index_of = csr.index_of
+    removed = {index_of[node] for node in batch.remove_nodes if node in index_of}
+    arrivals = sorted(
+        node
+        for node in {int(node) for node in batch.add_nodes}
+        if node not in index_of or index_of[node] in removed
+    )
+    arrays = csr.arrays
+    upward = arrays.higher
+    lo = arrays.sources[upward]
+    hi = arrays.indices[upward]
+    keep = np.ones(lo.size, dtype=bool)
+    if removed:
+        gone = np.zeros(n, dtype=bool)
+        gone[list(removed)] = True
+        keep &= ~(gone[lo] | gone[hi])
+    deleted = [
+        min(index_of[u], index_of[v]) * n + max(index_of[u], index_of[v])
+        for u, v in batch.delete_edges
+        if u in index_of and v in index_of
+    ]
+    if deleted:
+        keep &= ~np.isin(lo * n + hi, deleted)
+    lo = lo[keep]
+    hi = hi[keep]
+    ids = csr.ids
+    new_index = index_of
+    if removed or arrivals:
+        survivors = [node for index, node in enumerate(ids) if index not in removed]
+        ids = tuple(sorted(survivors + arrivals))
+        new_index = {node: index for index, node in enumerate(ids)}
+        position = np.array(
+            [new_index.get(node, -1) for node in csr.ids], dtype=np.int64
+        )
+        lo = position[lo]
+        hi = position[hi]
+    lookup = new_index.get
+    inserted = [(lookup(u), lookup(v)) for u, v in batch.insert_edges if u != v]
+    inserted = [pair for pair in inserted if None not in pair]
+    if inserted:
+        extra = np.array(inserted, dtype=np.int64)
+        lo = np.concatenate((lo, extra[:, 0]))
+        hi = np.concatenate((hi, extra[:, 1]))
     attrs = {
-        node: graph.node_attrs(node)
-        for node in adjacency
-        if node in graph and graph.node_attrs(node)
+        node: mapping
+        for node, mapping in graph._attrs.items()
+        if mapping and node in index_of and node in new_index
     }
     return DistGraph._from_csr(
-        CSRTopology.from_adjacency(adjacency),
-        d=max(graph.d, top),
+        CSRTopology.from_edges(ids, lo, hi),
+        d=max(graph.d, ids[-1] if ids else 0),
         attrs=attrs,
         name=name or graph.name,
     )

@@ -42,6 +42,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Mapping,
@@ -91,8 +92,10 @@ def plain_reduce() -> Iterator[None]:
 class CSRTopology:
     """Immutable CSR view of an undirected graph.
 
-    Build via :meth:`from_adjacency` (validated, symmetric input expected);
-    consumers usually get one from :attr:`repro.graphs.graph.DistGraph.csr`.
+    Build via :meth:`from_edges` (index pairs, as the generators and
+    derived graphs produce them) or :meth:`from_adjacency` (hand-written
+    input, validated); consumers usually get one from
+    :attr:`repro.graphs.graph.DistGraph.csr`.
 
     Attributes:
         ids: Node identifiers in ascending order; ``ids[i]`` is the
@@ -135,24 +138,69 @@ class CSRTopology:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_adjacency(cls, adjacency: Mapping[int, Any]) -> "CSRTopology":
-        """Build from a symmetric ``id -> iterable of neighbor ids`` map.
+    def from_edges(
+        cls, ids: Tuple[int, ...], lo: np.ndarray, hi: np.ndarray
+    ) -> "CSRTopology":
+        """Build from edges given as index pairs into ``ids``.
 
-        The input must already be symmetric and self-loop-free (the
-        :class:`~repro.graphs.graph.DistGraph` constructor guarantees
-        both); identifiers may be arbitrary positive ints.
+        ``ids`` ascends; edge ``k`` joins internal indices ``lo[k]`` and
+        ``hi[k]`` (int64 arrays or ``array('q')`` buffers of equal length,
+        no self-loops).  An edge
+        may be listed once or twice, in either orientation; duplicates
+        collapse.  This is the one place where rows are sorted: each
+        orientation of each edge becomes the key ``row * n + neighbor``,
+        one sort of the keys orders every row, repeats are dropped, and
+        the row lengths are counted into ``indptr``.  The id→index table
+        is built lazily.
         """
-        ids = tuple(sorted(adjacency))
+        n = len(ids)
+        lo = np.asarray(lo, dtype=np.int64)
+        hi = np.asarray(hi, dtype=np.int64)
+        keys = np.sort(np.concatenate((lo * n + hi, hi * n + lo)))
+        if keys.size:
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+        sources = keys // max(n, 1)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(sources, minlength=n), out=indptr[1:])
+        indices = keys - sources * n
+        return cls(ids, array("q", indptr.tobytes()), array("q", indices.tobytes()))
+
+    @classmethod
+    def from_adjacency(
+        cls, adjacency: Mapping[int, Iterable[int]]
+    ) -> "CSRTopology":
+        """Build from hand-written ``id -> iterable of neighbor ids`` input.
+
+        An edge may be listed at either end or at both.  Identifiers are
+        interned in ascending order and every listed neighbor is checked
+        to be another listed node; the first offender in iteration order
+        raises ``ValueError``.  The index pairs go to :meth:`from_edges`.
+        """
+        ids = tuple(sorted({int(node) for node in adjacency}))
         index_of = {node: index for index, node in enumerate(ids)}
-        indptr = array("q", bytes(8 * (len(ids) + 1)))
-        indices = array("q")
-        position = 0
-        for index, node in enumerate(ids):
-            row = sorted(index_of[other] for other in adjacency[node])
-            indices.extend(row)
-            position += len(row)
-            indptr[index + 1] = position
-        topology = cls(ids, indptr, indices)
+        lookup = index_of.get
+        lo = array("q")
+        hi = array("q")
+        for node, neighbors in adjacency.items():
+            node = int(node)
+            source = index_of[node]
+            listed = list(neighbors)
+            try:
+                row = [lookup(int(other), -1) for other in listed]
+            except (TypeError, ValueError, OverflowError):
+                row = [-1]
+            if -1 in row or source in row:
+                # Raise what checking one neighbor at a time meets first.
+                for other in map(int, listed):
+                    if other == node:
+                        raise ValueError(f"self-loop at node {node}")
+                    if other not in index_of:
+                        raise ValueError(
+                            f"edge ({node}, {other}) references unknown node {other}"
+                        )
+            lo.extend([source] * len(row))
+            hi.extend(row)
+        topology = cls.from_edges(ids, lo, hi)
         topology._index_of = index_of
         return topology
 
@@ -238,10 +286,8 @@ class CSRTopology:
     def max_degree(self) -> int:
         """Maximum degree (0 for the empty graph), computed once."""
         if self._max_degree is None:
-            indptr = self.indptr
-            self._max_degree = max(
-                (indptr[i + 1] - indptr[i] for i in range(self.n)), default=0
-            )
+            degrees = np.diff(np.frombuffer(self.indptr, dtype=np.int64))
+            self._max_degree = int(degrees.max()) if self.n else 0
         return self._max_degree
 
     def edges(self) -> Tuple[Tuple[int, int], ...]:

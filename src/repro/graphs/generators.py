@@ -7,38 +7,53 @@ rings, stars and cliques (the extremes of the μ₂ measure), grids
 short paths (the Section 10 Luby workload), and caterpillars.
 
 All generators assign sequential identifiers ``1..n`` by default; use
-:mod:`repro.graphs.identifiers` to reassign identifiers afterwards.
+:mod:`repro.graphs.identifiers` to reassign identifiers afterwards.  Each
+one lists its edges as index arrays and builds its rows with
+:meth:`~repro.graphs.csr.CSRTopology.from_edges`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
+import numpy as np
+
+from repro.graphs.csr import CSRTopology
 from repro.graphs.graph import DistGraph
+
+_NO_EDGES = np.zeros(0, dtype=np.int64)
+
+
+def _numbered(
+    n: int,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    name: str,
+    attrs: Optional[Mapping[int, Mapping[str, Any]]] = None,
+) -> DistGraph:
+    """The graph on ids ``1..n`` whose edges join indices ``lo[k]`` and
+    ``hi[k]`` (index ``i`` is id ``i + 1``)."""
+    ids = tuple(range(1, n + 1))
+    return DistGraph._from_csr(CSRTopology.from_edges(ids, lo, hi), None, attrs, name)
 
 
 def empty_graph(n: int, name: str = "") -> DistGraph:
     """``n`` isolated nodes with ids ``1..n``."""
-    return DistGraph({v: [] for v in range(1, n + 1)}, name=name or f"empty-{n}")
+    return _numbered(n, _NO_EDGES, _NO_EDGES, name or f"empty-{n}")
 
 
 def line(n: int) -> DistGraph:
     """A path (the paper's "line") on ``n`` nodes: 1 - 2 - ... - n."""
-    adjacency: Dict[int, List[int]] = {v: [] for v in range(1, n + 1)}
-    for v in range(1, n):
-        adjacency[v].append(v + 1)
-    return DistGraph(adjacency, name=f"line-{n}")
+    index = np.arange(max(n - 1, 0))
+    return _numbered(n, index, index + 1, f"line-{n}")
 
 
 def ring(n: int) -> DistGraph:
     """A cycle on ``n >= 3`` nodes."""
     if n < 3:
         raise ValueError("a ring needs at least 3 nodes")
-    adjacency: Dict[int, List[int]] = {v: [] for v in range(1, n + 1)}
-    for v in range(1, n):
-        adjacency[v].append(v + 1)
-    adjacency[n].append(1)
-    return DistGraph(adjacency, name=f"ring-{n}")
+    index = np.arange(n)
+    return _numbered(n, index, (index + 1) % n, f"ring-{n}")
 
 
 def star(n: int) -> DistGraph:
@@ -48,10 +63,7 @@ def star(n: int) -> DistGraph:
     """
     if n < 1:
         raise ValueError("a star needs at least 1 node")
-    adjacency: Dict[int, List[int]] = {v: [] for v in range(1, n + 1)}
-    for v in range(2, n + 1):
-        adjacency[1].append(v)
-    return DistGraph(adjacency, name=f"star-{n}")
+    return _numbered(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n), f"star-{n}")
 
 
 def clique(n: int) -> DistGraph:
@@ -59,19 +71,29 @@ def clique(n: int) -> DistGraph:
 
     Cliques witness α(G) = 1, making μ₂ far smaller than μ₁ (Section 5).
     """
-    adjacency = {
-        v: [u for u in range(1, n + 1) if u != v] for v in range(1, n + 1)
-    }
-    return DistGraph(adjacency, name=f"clique-{n}")
+    lo, hi = np.triu_indices(max(n, 0), 1)
+    return _numbered(n, lo, hi, f"clique-{n}")
 
 
 def complete_bipartite(a: int, b: int) -> DistGraph:
     """``K_{a,b}``: left part ``1..a``, right part ``a+1..a+b``."""
-    adjacency: Dict[int, List[int]] = {v: [] for v in range(1, a + b + 1)}
-    for left in range(1, a + 1):
-        for right in range(a + 1, a + b + 1):
-            adjacency[left].append(right)
-    return DistGraph(adjacency, name=f"K{a},{b}")
+    lo = np.repeat(np.arange(a), max(b, 0))
+    hi = np.tile(np.arange(a, a + b), max(a, 0))
+    return _numbered(a + b, lo, hi, f"K{a},{b}")
+
+
+def _grid_index(rows: int, cols: int) -> np.ndarray:
+    """Indices laid out row-major in a ``rows x cols`` array (empty when
+    a dimension is not positive)."""
+    shape = (max(rows, 0), max(cols, 0))
+    return np.arange(shape[0] * shape[1]).reshape(shape)
+
+
+def _positions(rows: int, cols: int) -> Dict[int, Dict[str, Tuple[int, int]]]:
+    """The ``pos=(i, j)`` attrs of a grid's ids, in id order."""
+    return {
+        i * cols + j + 1: {"pos": (i, j)} for i in range(rows) for j in range(cols)
+    }
 
 
 def grid2d(rows: int, cols: int) -> DistGraph:
@@ -80,21 +102,12 @@ def grid2d(rows: int, cols: int) -> DistGraph:
     Node with coordinates ``(i, j)`` (0-based) has id ``i * cols + j + 1``.
     This is the instance family of Figure 2.
     """
-    def node_id(i: int, j: int) -> int:
-        return i * cols + j + 1
-
-    adjacency: Dict[int, List[int]] = {}
-    attrs: Dict[int, Dict[str, Tuple[int, int]]] = {}
-    for i in range(rows):
-        for j in range(cols):
-            node = node_id(i, j)
-            adjacency.setdefault(node, [])
-            attrs[node] = {"pos": (i, j)}
-            if i + 1 < rows:
-                adjacency[node].append(node_id(i + 1, j))
-            if j + 1 < cols:
-                adjacency[node].append(node_id(i, j + 1))
-    return DistGraph(adjacency, attrs=attrs, name=f"grid-{rows}x{cols}")
+    index = _grid_index(rows, cols)
+    lo = np.concatenate((index[:-1, :].ravel(), index[:, :-1].ravel()))
+    hi = np.concatenate((index[1:, :].ravel(), index[:, 1:].ravel()))
+    return _numbered(
+        index.size, lo, hi, f"grid-{rows}x{cols}", _positions(rows, cols)
+    )
 
 
 def wheel_fk(k: int) -> DistGraph:
@@ -112,18 +125,15 @@ def wheel_fk(k: int) -> DistGraph:
     """
     if k < 3:
         raise ValueError("F_k needs at least 3 rim nodes")
-    center = 2 * k + 1
-    adjacency: Dict[int, List[int]] = {v: [] for v in range(1, 2 * k + 2)}
     attrs: Dict[int, Dict[str, str]] = {}
     for i in range(1, k + 1):
         attrs[i] = {"role": "rim"}
         attrs[k + i] = {"role": "spoke"}
-        rim_next = i % k + 1
-        adjacency[i].append(rim_next)
-        adjacency[i].append(k + i)
-        adjacency[k + i].append(center)
-    attrs[center] = {"role": "center"}
-    return DistGraph(adjacency, attrs=attrs, name=f"F{k}")
+    attrs[2 * k + 1] = {"role": "center"}
+    rim = np.arange(k)
+    lo = np.concatenate((rim, rim, rim + k))
+    hi = np.concatenate(((rim + 1) % k, rim + k, np.full(k, 2 * k)))
+    return _numbered(2 * k + 1, lo, hi, f"F{k}", attrs)
 
 
 def path_forest(num_paths: int, path_length: int) -> DistGraph:
@@ -133,16 +143,13 @@ def path_forest(num_paths: int, path_length: int) -> DistGraph:
     algorithm's *maximum* round count over components exceeds the expected
     rounds of any single component.
     """
-    adjacency: Dict[int, List[int]] = {}
-    node = 0
-    for _ in range(num_paths):
-        first = node + 1
-        for offset in range(path_length):
-            node += 1
-            adjacency.setdefault(node, [])
-            if node > first:
-                adjacency[node - 1].append(node)
-    return DistGraph(adjacency, name=f"paths-{num_paths}x{path_length}")
+    index = _grid_index(num_paths, path_length)
+    return _numbered(
+        index.size,
+        index[:, :-1].ravel(),
+        index[:, 1:].ravel(),
+        f"paths-{num_paths}x{path_length}",
+    )
 
 
 def hypercube(dimension: int) -> DistGraph:
@@ -155,13 +162,11 @@ def hypercube(dimension: int) -> DistGraph:
     if dimension < 0:
         raise ValueError("dimension must be non-negative")
     size = 2**dimension
-    adjacency: Dict[int, List[int]] = {v: [] for v in range(1, size + 1)}
-    for v in range(size):
-        for bit in range(dimension):
-            u = v ^ (1 << bit)
-            if v < u:
-                adjacency[v + 1].append(u + 1)
-    return DistGraph(adjacency, name=f"hypercube-{dimension}")
+    index = np.arange(size)[:, None]
+    flipped = index ^ (1 << np.arange(dimension))[None, :]
+    upward = index < flipped
+    lo = np.broadcast_to(index, flipped.shape)[upward]
+    return _numbered(size, lo, flipped[upward], f"hypercube-{dimension}")
 
 
 def torus(rows: int, cols: int) -> DistGraph:
@@ -172,42 +177,31 @@ def torus(rows: int, cols: int) -> DistGraph:
     """
     if rows < 3 or cols < 3:
         raise ValueError("a torus needs both dimensions >= 3")
-
-    def node_id(i: int, j: int) -> int:
-        return i * cols + j + 1
-
-    adjacency: Dict[int, List[int]] = {}
-    attrs: Dict[int, Dict[str, Tuple[int, int]]] = {}
-    for i in range(rows):
-        for j in range(cols):
-            node = node_id(i, j)
-            adjacency.setdefault(node, [])
-            attrs[node] = {"pos": (i, j)}
-            adjacency[node].append(node_id((i + 1) % rows, j))
-            adjacency[node].append(node_id(i, (j + 1) % cols))
-    return DistGraph(adjacency, attrs=attrs, name=f"torus-{rows}x{cols}")
+    index = _grid_index(rows, cols)
+    lo = np.concatenate((index.ravel(), index.ravel()))
+    hi = np.concatenate(
+        (np.roll(index, -1, axis=0).ravel(), np.roll(index, -1, axis=1).ravel())
+    )
+    return _numbered(
+        index.size, lo, hi, f"torus-{rows}x{cols}", _positions(rows, cols)
+    )
 
 
 def complete_kary_tree(arity: int, height: int) -> DistGraph:
     """A complete ``arity``-ary tree of the given height (root id 1).
 
     An unrooted instance (no parent attributes); for the rooted version
-    see :mod:`repro.graphs.rooted_trees`.
+    see :mod:`repro.graphs.rooted_trees`.  Ids follow BFS order, so the
+    child at index ``c >= 1`` hangs under index ``(c - 1) // arity``.
     """
     if arity < 1:
         raise ValueError("arity must be at least 1")
-    adjacency: Dict[int, List[int]] = {1: []}
-    frontier = [1]
-    next_id = 2
+    total = level = 1
     for _ in range(height):
-        new_frontier = []
-        for parent in frontier:
-            for _ in range(arity):
-                adjacency[next_id] = [parent]
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-    return DistGraph(adjacency, name=f"karytree-{arity}-h{height}")
+        level *= arity
+        total += level
+    child = np.arange(1, total)
+    return _numbered(total, (child - 1) // arity, child, f"karytree-{arity}-h{height}")
 
 
 def preorder_kary_tree(arity: int, height: int) -> DistGraph:
@@ -233,19 +227,22 @@ def preorder_kary_tree(arity: int, height: int) -> DistGraph:
     sizes = [1] * (height + 1)
     for depth in range(height - 1, -1, -1):
         sizes[depth] = 1 + arity * sizes[depth + 1]
-    adjacency: Dict[int, List[int]] = {1: []}
-    stack = [(1, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if depth == height:
-            continue
-        child = node + 1
-        step = sizes[depth + 1]
-        for _ in range(arity):
-            adjacency[child] = [node]
-            stack.append((child, depth + 1))
-            child += step
-    return DistGraph(adjacency, name=f"preorder-karytree-{arity}-h{height}")
+    # A node's children start right after it, one subtree size apart;
+    # expand one depth at a time.
+    parents = [_NO_EDGES]
+    children = [_NO_EDGES]
+    level = np.zeros(1, dtype=np.int64)
+    for depth in range(height):
+        offsets = 1 + np.arange(arity) * sizes[depth + 1]
+        parents.append(np.repeat(level, arity))
+        level = (level[:, None] + offsets[None, :]).ravel()
+        children.append(level)
+    return _numbered(
+        sizes[0],
+        np.concatenate(parents),
+        np.concatenate(children),
+        f"preorder-karytree-{arity}-h{height}",
+    )
 
 
 def caterpillar(spine: int, legs_per_node: int) -> DistGraph:
@@ -253,12 +250,11 @@ def caterpillar(spine: int, legs_per_node: int) -> DistGraph:
 
     Ids: spine is ``1..spine``; leaves follow in spine order.
     """
-    adjacency: Dict[int, List[int]] = {v: [] for v in range(1, spine + 1)}
-    for v in range(1, spine):
-        adjacency[v].append(v + 1)
-    next_id = spine + 1
-    for v in range(1, spine + 1):
-        for _ in range(legs_per_node):
-            adjacency[next_id] = [v]
-            next_id += 1
-    return DistGraph(adjacency, name=f"caterpillar-{spine}x{legs_per_node}")
+    count = max(spine, 0)
+    legs = max(legs_per_node, 0)
+    index = np.arange(count)
+    lo = np.concatenate((index[:-1], np.repeat(index, legs)))
+    hi = np.concatenate((index[1:], np.arange(count, count + count * legs)))
+    return _numbered(
+        count + count * legs, lo, hi, f"caterpillar-{spine}x{legs_per_node}"
+    )

@@ -19,6 +19,7 @@ never mutated, so they can never go stale.
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from typing import (
     Any,
@@ -31,6 +32,8 @@ from typing import (
     Optional,
     Tuple,
 )
+
+import numpy as np
 
 from repro.graphs.csr import CSRTopology
 
@@ -56,22 +59,8 @@ class DistGraph:
         attrs: Optional[Mapping[int, Mapping[str, Any]]] = None,
         name: str = "",
     ) -> None:
-        neighbor_sets: Dict[int, set] = {int(v): set() for v in adjacency}
-        for node, neighbors in adjacency.items():
-            node = int(node)
-            for other in neighbors:
-                other = int(other)
-                if other == node:
-                    raise ValueError(f"self-loop at node {node}")
-                if other not in neighbor_sets:
-                    raise ValueError(
-                        f"edge ({node}, {other}) references unknown node {other}"
-                    )
-                neighbor_sets[node].add(other)
-                neighbor_sets[other].add(node)
-
         self._init_from_csr(
-            CSRTopology.from_adjacency(neighbor_sets), d, attrs, name
+            CSRTopology.from_adjacency(adjacency), d, attrs, name
         )
 
     def _init_from_csr(
@@ -84,7 +73,8 @@ class DistGraph:
         """Shared tail of construction over an already-built topology."""
         self._csr = csr
         self.nodes: Tuple[int, ...] = csr.ids
-        if any(node < 1 for node in self.nodes):
+        # Identifiers ascend, so the first is the smallest.
+        if self.nodes and self.nodes[0] < 1:
             raise ValueError("node identifiers must be positive integers")
         self.n = csr.n
         self.d = d if d is not None else (self.nodes[-1] if self.nodes else 0)
@@ -238,22 +228,28 @@ class DistGraph:
         parent view.
         """
         keep = set(nodes)
-        index_of = self._csr.index_of
+        csr = self._csr
+        index_of = csr.index_of
         unknown = keep - index_of.keys()
         if unknown:
             raise ValueError(f"unknown nodes in subgraph request: {sorted(unknown)}")
-        csr = self._csr
-        ids = csr.ids
-        adjacency = {
-            node: [
-                ids[other]
-                for other in csr.row(index_of[node])
-                if ids[other] in keep
-            ]
-            for node in keep
-        }
+        # Renumbering by a cumsum over the mask keeps every row ascending,
+        # so the parent's rows filter straight into the subgraph's.
+        inside = np.zeros(csr.n, dtype=bool)
+        inside[np.fromiter(map(index_of.__getitem__, keep), np.int64, len(keep))] = True
+        arrays = csr.arrays
+        renumber = np.cumsum(inside) - 1
+        entries = inside[arrays.sources] & inside[arrays.indices]
+        indptr = np.zeros(len(keep) + 1, dtype=np.int64)
+        np.cumsum(arrays.segment_count(entries)[inside], out=indptr[1:])
+        indices = renumber[arrays.indices[entries]]
+        topology = CSRTopology(
+            tuple(arrays.ids[inside].tolist()),
+            array("q", indptr.tobytes()),
+            array("q", indices.tobytes()),
+        )
         attrs = {node: self._attrs[node] for node in keep if node in self._attrs}
-        return DistGraph(adjacency, d=self.d, attrs=attrs, name=name or self.name)
+        return DistGraph._from_csr(topology, self.d, attrs, name or self.name)
 
     def components(self) -> List[FrozenSet[int]]:
         """Connected components, each as a frozenset, sorted by min id.

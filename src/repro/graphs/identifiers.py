@@ -13,6 +13,9 @@ from __future__ import annotations
 import random
 from typing import Dict, Mapping, Optional
 
+import numpy as np
+
+from repro.graphs.csr import CSRTopology
 from repro.graphs.graph import DistGraph
 
 
@@ -24,10 +27,19 @@ def relabel(
         raise ValueError("relabel mapping must cover exactly the graph's nodes")
     if len(set(mapping.values())) != graph.n:
         raise ValueError("relabel mapping must be injective")
-    adjacency = {
-        mapping[node]: [mapping[other] for other in graph.neighbors(node)]
-        for node in graph.nodes
-    }
+    csr = graph.csr
+    new_ids = [int(mapping[node]) for node in csr.ids]
+    # Old index -> new index: the rank of its new id.
+    order = sorted(range(csr.n), key=new_ids.__getitem__)
+    rank = np.empty(csr.n, dtype=np.int64)
+    rank[np.array(order, dtype=np.int64)] = np.arange(csr.n)
+    arrays = csr.arrays
+    upward = arrays.higher
+    topology = CSRTopology.from_edges(
+        tuple(new_ids[index] for index in order),
+        rank[arrays.sources[upward]],
+        rank[arrays.indices[upward]],
+    )
     attrs = {
         mapping[node]: dict(graph.node_attrs(node))
         for node in graph.nodes
@@ -37,7 +49,7 @@ def relabel(
     for new_attrs in attrs.values():
         if new_attrs.get("parent") is not None:
             new_attrs["parent"] = mapping[new_attrs["parent"]]
-    return DistGraph(adjacency, d=d, attrs=attrs, name=graph.name)
+    return DistGraph._from_csr(topology, d, attrs, graph.name)
 
 
 def sequential_ids(graph: DistGraph) -> DistGraph:
@@ -68,25 +80,26 @@ def sorted_path_ids(graph: DistGraph, reverse: bool = False) -> DistGraph:
     its Θ(n) worst case.  Requires the instance to be a path; ``reverse``
     makes ids decrease instead.
     """
-    endpoints = [v for v in graph.nodes if graph.degree(v) <= 1]
-    if graph.n > 1 and (
-        len(endpoints) != 2 or any(graph.degree(v) > 2 for v in graph.nodes)
-    ):
+    csr = graph.csr
+    degrees = csr.degrees()
+    endpoints = [index for index, degree in enumerate(degrees) if degree <= 1]
+    if graph.n > 1 and (len(endpoints) != 2 or max(degrees) > 2):
         raise ValueError("sorted_path_ids requires a path instance")
+    # Walk the path by index from its smaller endpoint.
     order = []
     if graph.n == 1:
-        order = [graph.nodes[0]]
+        order = [0]
     elif graph.n > 1:
-        current = min(endpoints)
-        previous = None
-        while current is not None:
+        current = endpoints[0]
+        previous = -1
+        while current >= 0:
             order.append(current)
-            successors = [
-                other for other in graph.neighbors(current) if other != previous
-            ]
+            successors = [other for other in csr.row(current) if other != previous]
             previous = current
-            current = successors[0] if successors else None
+            current = successors[0] if successors else -1
     if reverse:
         order.reverse()
-    mapping: Dict[int, int] = {node: index + 1 for index, node in enumerate(order)}
+    mapping: Dict[int, int] = {
+        csr.ids[index]: rank + 1 for rank, index in enumerate(order)
+    }
     return relabel(graph, mapping)

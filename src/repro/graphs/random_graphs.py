@@ -10,10 +10,15 @@ about 20 MB of resident memory).
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import random
-from typing import Dict, List
+from array import array
+from typing import Dict, List, Tuple
 
+import numpy as np
+
+from repro.graphs.csr import CSRTopology
+from repro.graphs.generators import _NO_EDGES, _numbered
 from repro.graphs.graph import DistGraph
 
 
@@ -25,29 +30,35 @@ def _from_nx_zero_based(nx_graph, name: str) -> DistGraph:
     return DistGraph(adjacency, name=name)
 
 
-def _gnp_adjacency(n: int, p: float, seed: int) -> Dict[int, List[int]]:
-    """The edges of a ``G(n, p)`` sample on ids ``1..n``, each listed at
-    its smaller end.
+def _gnp_edges(n: int, p: float, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The edges of a ``G(n, p)`` sample on ids ``1..n``, as index pairs.
 
     The same sample as networkx's ``gnp_random_graph(n, p, seed)``: one
     ``Random(seed)`` draw per node pair, in ``combinations`` order, keeps
     the pair when it falls below ``p``.
     """
-    adjacency: Dict[int, List[int]] = {node: [] for node in range(1, n + 1)}
-    pairs = itertools.combinations(range(1, n + 1), 2)
+    size = max(n, 0)
     if p <= 0:
-        pairs = ()
-    elif p < 1:
-        draw = random.Random(seed).random
-        pairs = [pair for pair in pairs if draw() < p]
-    for u, v in pairs:
-        adjacency[u].append(v)
-    return adjacency
+        return _NO_EDGES, _NO_EDGES
+    if p >= 1:
+        return np.triu_indices(size, 1)
+    draw = random.Random(seed).random
+    kept = np.array(
+        [pair for pair in range(size * (size - 1) // 2) if draw() < p],
+        dtype=np.int64,
+    )
+    # Pair ``k`` of ``combinations`` order lies in the row of the last
+    # node whose pairs start at or before ``k``.
+    lengths = np.arange(size - 1, -1, -1)
+    starts = np.cumsum(lengths) - lengths
+    lo = np.searchsorted(starts, kept, side="right") - 1
+    return lo, kept - starts[lo] + lo + 1
 
 
 def erdos_renyi(n: int, p: float, seed: int = 0) -> DistGraph:
     """An Erdős–Rényi ``G(n, p)`` graph with ids ``1..n``."""
-    return DistGraph(_gnp_adjacency(n, p, seed), name=f"gnp-{n}-{p}-s{seed}")
+    lo, hi = _gnp_edges(n, p, seed)
+    return _numbered(n, lo, hi, f"gnp-{n}-{p}-s{seed}")
 
 
 def connected_erdos_renyi(n: int, p: float, seed: int = 0) -> DistGraph:
@@ -58,13 +69,19 @@ def connected_erdos_renyi(n: int, p: float, seed: int = 0) -> DistGraph:
     trick for connected benchmark instances; the patch adds at most
     ``#components - 1`` edges).
     """
-    adjacency = _gnp_adjacency(n, p, seed)
-    csr = DistGraph(adjacency).csr
+    lo, hi = _gnp_edges(n, p, seed)
+    parts = CSRTopology.from_edges(tuple(range(1, n + 1)), lo, hi).components()
     rng = random.Random(f"{seed}:connect")
-    components = [[csr.ids[index] for index in part] for part in csr.components()]
-    for previous, current in zip(components, components[1:]):
-        adjacency[rng.choice(previous)].append(rng.choice(current))
-    return DistGraph(adjacency, name=f"gnp-conn-{n}-{p}-s{seed}")
+    patch = np.array(
+        [
+            (rng.choice(previous), rng.choice(current))
+            for previous, current in zip(parts, parts[1:])
+        ],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    lo = np.concatenate((lo, patch[:, 0]))
+    hi = np.concatenate((hi, patch[:, 1]))
+    return _numbered(n, lo, hi, f"gnp-conn-{n}-{p}-s{seed}")
 
 
 def random_regular(n: int, degree: int, seed: int = 0) -> DistGraph:
@@ -86,7 +103,7 @@ def barabasi_albert(n: int, m: int, seed: int = 0) -> DistGraph:
 def random_tree(n: int, seed: int = 0) -> DistGraph:
     """A uniformly random (unrooted) tree with ids ``1..n``."""
     if n == 1:
-        return DistGraph({1: []}, name=f"tree-1-s{seed}")
+        return _numbered(1, _NO_EDGES, _NO_EDGES, f"tree-1-s{seed}")
     # Sample a Prüfer sequence directly: uniform over labelled trees and
     # independent of networkx version differences.
     rng = random.Random(f"{seed}:tree")
@@ -94,20 +111,19 @@ def random_tree(n: int, seed: int = 0) -> DistGraph:
     degree = [1] * n
     for value in sequence:
         degree[value] += 1
-    adjacency: Dict[int, List[int]] = {v: [] for v in range(1, n + 1)}
-    import heapq
-
+    lo = array("q")
+    hi = array("q")
     leaves = [v for v in range(n) if degree[v] == 1]
     heapq.heapify(leaves)
     for value in sequence:
         leaf = heapq.heappop(leaves)
-        adjacency[leaf + 1].append(value + 1)
+        lo.append(leaf)
+        hi.append(value)
         degree[value] -= 1
         if degree[value] == 1:
             heapq.heappush(leaves, value)
     # After consuming the sequence exactly two nodes of residual degree 1
     # remain in the heap; join them.
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    adjacency[u + 1].append(v + 1)
-    return DistGraph(adjacency, name=f"tree-{n}-s{seed}")
+    lo.append(heapq.heappop(leaves))
+    hi.append(heapq.heappop(leaves))
+    return _numbered(n, lo, hi, f"tree-{n}-s{seed}")

@@ -52,13 +52,19 @@ def noisy_predictions(
         raise ValueError(f"noise rate must be in [0, 1], got {rate}")
     rng = random.Random(f"{seed}:noise")
     solution = dict(base) if base is not None else perfect_predictions(problem, graph)
+    csr = graph.csr
+    ids = csr.ids
+    indptr = csr.indptr
+    indices = csr.indices
+    delta = graph.delta
+    name = problem.name
 
     corrupted: Dict[int, Any] = {}
-    for node in graph.nodes:
+    for index, node in enumerate(ids):
         value = solution[node]
-        if problem.name == "edge-coloring":
+        if name == "edge-coloring":
             entry = dict(value or {})
-            palette_size = max(1, 2 * graph.delta - 1)
+            palette_size = max(1, 2 * delta - 1)
             for other in list(entry):
                 if rng.random() < rate:
                     entry[other] = rng.randint(1, palette_size)
@@ -67,18 +73,18 @@ def noisy_predictions(
         if rng.random() >= rate:
             corrupted[node] = value
             continue
-        if problem.name == "mis":
+        if name == "mis":
             corrupted[node] = 1 - value
-        elif problem.name == "matching":
-            neighbors = sorted(graph.neighbors(node))
-            choices = [UNMATCHED] + neighbors
+        elif name == "matching":
+            # The CSR row ascends, as sorted neighbor ids do.
+            row = indices[indptr[index] : indptr[index + 1]]
+            choices = [UNMATCHED, *map(ids.__getitem__, row)]
             choices = [choice for choice in choices if choice != value]
             corrupted[node] = rng.choice(choices) if choices else value
-        elif problem.name == "vertex-coloring":
-            palette_size = graph.delta + 1
-            corrupted[node] = rng.randint(1, palette_size)
+        elif name == "vertex-coloring":
+            corrupted[node] = rng.randint(1, delta + 1)
         else:
-            raise ValueError(f"no noise model for problem {problem.name!r}")
+            raise ValueError(f"no noise model for problem {name!r}")
     return corrupted
 
 

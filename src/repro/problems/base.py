@@ -123,6 +123,17 @@ def output_indices(csr: CSRTopology, outputs: Outputs) -> Optional[np.ndarray]:
         return None
 
 
+def processing_order(
+    csr: CSRTopology, order: Optional[Sequence[int]]
+) -> Sequence[int]:
+    """CSR indices in a sequential solver's processing order: ascending
+    identifiers without ``order``, else ``order``'s nodes (``KeyError``
+    for a node outside the graph)."""
+    if order is None:
+        return range(csr.n)
+    return [csr.index_of[node] for node in order]
+
+
 def clashing_neighbors(
     graph: DistGraph, index: int, values: List[Any], value: Any
 ) -> List[int]:

@@ -19,6 +19,7 @@ from repro.problems.base import (
     clashing_neighbors,
     lookup,
     output_indices,
+    processing_order,
 )
 
 #: The ⊥ output: the node ends up unmatched.
@@ -165,23 +166,52 @@ class MaximalMatchingProblem(GraphProblem):
     def solve_sequential(
         self, graph: DistGraph, order: Optional[Sequence[int]] = None
     ) -> Outputs:
-        """Greedy maximal matching: match each node to its first free neighbor."""
-        order = list(order) if order is not None else list(graph.nodes)
-        position = {node: index for index, node in enumerate(order)}
-        partner = {}
-        for node in order:
-            if node in partner:
+        """Greedy maximal matching: match each node to its first free neighbor.
+
+        Free neighbors rank by their position in ``order`` (default:
+        ascending identifiers), a neighbor that ``order`` leaves out by
+        its identifier.  Equal ranks go to the first in
+        ``graph.neighbors(node)`` order, so that set is read only on a
+        tie, which a full order never has.
+        """
+        csr = graph.csr
+        ids = csr.ids
+        indptr = csr.indptr
+        indices = csr.indices
+        sequence = processing_order(csr, order)
+        rank: Sequence[int] = sequence
+        if order is not None:
+            rank = list(ids)
+            for position, index in enumerate(sequence):
+                rank[index] = position
+        mate = [-1] * csr.n
+        for index in sequence:
+            if mate[index] >= 0:
                 continue
-            candidates = sorted(
-                (other for other in graph.neighbors(node) if other not in partner),
-                key=lambda other: position.get(other, other),
-            )
-            if candidates:
-                other = candidates[0]
-                partner[node] = other
-                partner[other] = node
+            best = -1
+            tied = False
+            for other in indices[indptr[index] : indptr[index + 1]]:
+                if mate[other] < 0:
+                    if best < 0 or rank[other] < rank[best]:
+                        best = other
+                        tied = False
+                    elif rank[other] == rank[best]:
+                        tied = True
+            if best < 0:
+                continue
+            if tied:
+                key = rank[best]
+                neighbors = map(csr.index_of.__getitem__, graph.neighbors(ids[index]))
+                best = next(
+                    other
+                    for other in neighbors
+                    if mate[other] < 0 and rank[other] == key
+                )
+            mate[index] = best
+            mate[best] = index
         return {
-            node: partner.get(node, UNMATCHED) for node in graph.nodes
+            node: ids[mate[index]] if mate[index] >= 0 else UNMATCHED
+            for index, node in enumerate(ids)
         }
 
     # ------------------------------------------------------------------

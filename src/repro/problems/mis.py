@@ -14,7 +14,12 @@ from typing import Any, Iterable, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.graphs.graph import DistGraph
-from repro.problems.base import GraphProblem, Outputs, output_indices
+from repro.problems.base import (
+    GraphProblem,
+    Outputs,
+    output_indices,
+    processing_order,
+)
 
 #: Codes of :func:`bit_codes`: the value equals 1, or equals 0.
 ONE = 1
@@ -155,12 +160,18 @@ class MaximalIndependentSetProblem(GraphProblem):
         self, graph: DistGraph, order: Optional[Sequence[int]] = None
     ) -> Outputs:
         """Greedy MIS: scan nodes in order, add when no neighbor is in yet."""
-        order = list(order) if order is not None else list(graph.nodes)
-        chosen: Set[int] = set()
-        for node in order:
-            if not any(other in chosen for other in graph.neighbors(node)):
-                chosen.add(node)
-        return {node: (1 if node in chosen else 0) for node in graph.nodes}
+        csr = graph.csr
+        indptr = csr.indptr
+        indices = csr.indices
+        chosen = bytearray(csr.n)
+        # blocked[i]: some neighbor of i is in the set already.
+        blocked = bytearray(csr.n)
+        for index in processing_order(csr, order):
+            if not blocked[index]:
+                chosen[index] = 1
+                for other in indices[indptr[index] : indptr[index + 1]]:
+                    blocked[other] = 1
+        return dict(zip(csr.ids, chosen))
 
     # ------------------------------------------------------------------
     # Exact machinery for small instances (tests and the η_H measure)

@@ -20,6 +20,7 @@ from repro.problems.base import (
     Outputs,
     clashing_neighbors,
     output_indices,
+    processing_order,
 )
 
 
@@ -132,17 +133,25 @@ class VertexColoringProblem(GraphProblem):
     def solve_sequential(
         self, graph: DistGraph, order: Optional[Sequence[int]] = None
     ) -> Outputs:
-        """Greedy coloring: each node takes the smallest free color."""
-        order = list(order) if order is not None else list(graph.nodes)
+        """Greedy coloring: each node takes the smallest free color.
+
+        The result is keyed in processing order.
+        """
+        csr = graph.csr
+        ids = csr.ids
+        indptr = csr.indptr
+        indices = csr.indices
+        # 0 marks a node not colored yet; colors start at 1.
+        color_at = [0] * csr.n
         colors: Outputs = {}
-        for node in order:
-            used: Set[int] = {
-                colors[other] for other in graph.neighbors(node) if other in colors
-            }
+        for index in processing_order(csr, order):
+            row = indices[indptr[index] : indptr[index + 1]]
+            used = set(map(color_at.__getitem__, row))
             color = 1
             while color in used:
                 color += 1
-            colors[node] = color
+            color_at[index] = color
+            colors[ids[index]] = color
         return colors
 
     def remaining_palette(

@@ -310,6 +310,31 @@ class TestCLI:
             "  ! drop=0.2 seed=0: adjacent nodes 9 and 10 both output 1"
         )
 
+    def test_lossy_edge_coloring_reports_instead_of_aborting(self, capsys):
+        """A dropped color message leaves an edge colored at one end only;
+        the other end colors it again and must not then crash on the late
+        message, so the sweep prints its row and the survivors' clashes."""
+        from repro.cli import main
+
+        code = main(
+            [
+                "faults", "--problem", "edge-coloring", "--template", "simple",
+                "--graph", "gnp:30:0.15", "--rates", "0.2",
+            ]
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        header = lines.index(
+            "  drop   rounds  coverage     |S|  stuck  dropped  violations"
+        )
+        assert lines[header + 1].split() == [
+            "0.2", "8.7", "1.000", "30.0", "0", "155", "35"
+        ]
+        start = lines.index("! 35 safety violation(s) among survivors")
+        assert "  ! drop=0.2 seed=0: edge (5,30) colored 8 by 5 but 6 by 30" in (
+            lines[start + 1:]
+        )
+
     def test_faults_csv_has_one_sweep_row_per_run(self, tmp_path, capsys):
         import csv
 
