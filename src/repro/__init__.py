@@ -90,7 +90,7 @@ def schedules():
     "kernels": tuple, "paths": tuple}}`` — one entry per registered
     :class:`~repro.simulator.scheduling.Scheduler`; ``paths`` names the
     rows of :mod:`repro.simulator.capabilities` that accept it, and
-    ``kernels`` the compiled kernels it can run (numpy permitting).
+    ``kernels`` the compiled kernels it can run.
     The CLI's ``--schedule`` choices and
     :class:`ExecutionPolicy` validation are derived from the same
     registry, so this is the authoritative list::

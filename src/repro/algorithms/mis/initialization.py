@@ -10,11 +10,7 @@ with predictions that starts with it is consistent.
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping
-
 from repro.core.algorithm import DistributedAlgorithm
-from repro.core.initpass import Decided, init_pass
-from repro.graphs.csr import CSRTopology
 from repro.simulator.context import NodeContext
 from repro.simulator.program import Inbox, NodeProgram, Outbox
 
@@ -51,55 +47,6 @@ class MISInitializationProgram(NodeProgram):
         elif ctx.round == 3 and self._dominated:
             ctx.set_output(0)
             ctx.terminate()
-
-
-@init_pass(MISInitializationProgram, rounds=3)
-def mis_initialization_pass(
-    csr: CSRTopology, predictions: Mapping[int, Any]
-) -> Decided:
-    """The program above over every node at once, by CSR index.
-
-    In round 1 every node sends its prediction to every neighbor; a node
-    predicted 1 whose neighbors predicted 1 all have smaller identifiers
-    joins ``I`` (indices ascend with identifiers).  In round 2 the nodes
-    of ``I`` send ``"in"`` to every neighbor, output 1 and terminate; in
-    round 3 their neighbors output 0 and terminate.  With no node
-    predicted 1, no node is decided.
-    """
-    indptr = csr.indptr
-    indices = csr.indices
-    values = list(map(predictions.get, csr.ids))
-    ones = [index for index, value in enumerate(values) if value == 1]
-    predicted = bytearray(csr.n)
-    for index in ones:
-        predicted[index] = 1
-    joined = []
-    for index in ones:
-        # Rows ascend: scan down from the top to the first neighbor below
-        # ``index``; only a neighbor above it predicted 1 blocks it.
-        for position in range(indptr[index + 1] - 1, indptr[index] - 1, -1):
-            other = indices[position]
-            if other < index:
-                joined.append(index)
-                break
-            if predicted[other]:
-                break
-        else:
-            joined.append(index)
-    rounds = bytearray(csr.n)
-    outputs: List[Any] = [None] * csr.n
-    join = MISInitializationProgram.JOIN
-    for index in joined:
-        rounds[index] = 2
-        outputs[index] = 1
-    for index in joined:
-        for position in range(indptr[index], indptr[index + 1]):
-            other = indices[position]
-            if not rounds[other]:
-                rounds[other] = 3
-                outputs[other] = 0
-    broadcasts = {1: dict(enumerate(values)), 2: dict.fromkeys(joined, join)}
-    return Decided(rounds, outputs, broadcasts)
 
 
 class MISInitializationAlgorithm(DistributedAlgorithm):

@@ -8,15 +8,14 @@ the components they induce are what the paper's error measure η₁ counts
 B.  This module computes B's decided region *by index* instead, over the
 CSR buffers, and interprets only the undecided nodes.
 
-**The pass.**  A family registers, per initialization *program class*
-(exact class, as kernels are registered), a pass ``pass(csr,
-predictions)`` that restates B's per-node program over the whole graph
-and returns a :class:`Decided` record — each node's termination round
-and output, and every message B sends.  :func:`init_pass` registers
-one.
+**The pass.**  The table of compiled forms (:mod:`repro.kernels`) maps
+an initialization's exact program class to its pass, which restates B's
+per-node program over the whole graph and returns a
+:class:`~repro.kernels.base.Decided` record — each node's termination
+round and output, and every message B sends.
 
 **The chain.**  When B's slice is followed by a final slice whose
-program has a registered kernel that chains (``FrontierKernel.chains``:
+program's form is a kernel that chains (``FrontierKernel.chains``:
 ``greedy-mis``), no node is interpreted at all: every message of B is
 charged by index, and the kernel runs over the undecided window on
 ``schedule="vectorized"`` — from the parent graph's arrays, with the
@@ -44,8 +43,8 @@ bit-identical to interpreting every node.
 :mod:`repro.simulator.capabilities` allows, and :func:`run_initialized`
 returns ``None`` — ``run()`` then takes the full interpreted path,
 unchanged — unless the run has a template host over a
-:class:`~repro.graphs.graph.DistGraph`; a first slice that runs a
-registered initialization alone for at least the pass's rounds; a round
+:class:`~repro.graphs.graph.DistGraph`; a first slice that runs an
+initialization with a pass alone for at least the pass's rounds; a round
 budget that covers the slice; no decided node's message over a strict
 CONGEST budget; and at least one node decided.  The chain further needs
 a budget of B's rounds plus the window's node count (Greedy MIS ends
@@ -59,23 +58,15 @@ from __future__ import annotations
 
 from dataclasses import replace
 from time import perf_counter
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.composition import Knowledge, _shared_plan
 from repro.core.templates import _TemplateBase
 from repro.graphs.csr import CSRTopology
 from repro.graphs.graph import DistGraph
 from repro.graphs.window import GraphWindow
-from repro.kernels import kernel_for_program
+from repro.kernels import compiled_form
+from repro.kernels.base import Decided, FrontierKernel, InitPass
 from repro.obs.profile import RoundSample
 from repro.simulator.engine import SyncEngine
 from repro.simulator.message import estimate_bits
@@ -83,26 +74,7 @@ from repro.simulator.metrics import NodeRecords, RunResult, fold_runs
 from repro.simulator.scheduling import ExecutionPolicy
 from repro.simulator.transport import BandwidthExceeded, WindowTransport
 
-__all__ = ["Decided", "init_pass", "pass_for_program", "run_initialized"]
-
-
-class Decided(NamedTuple):
-    """What an initialization decides, by CSR index.
-
-    Attributes:
-        rounds: Per index, the round the node terminates in, or 0 for a
-            node the initialization leaves undecided.
-        outputs: Per index, a decided node's output.
-        broadcasts: Round -> ``{sender index: payload}`` (ascending
-            senders): every message B sends, by decided and undecided
-            nodes alike, each sent to all of its sender's neighbors, all
-            of them still active that round.
-    """
-
-    rounds: bytearray
-    outputs: List[Any]
-    broadcasts: Dict[int, Dict[int, Any]]
-
+__all__ = ["run_initialized"]
 
 #: ``(sender, seq, receiver, payload)``: a message as boundary transports
 #: land it.
@@ -111,38 +83,8 @@ Message = Tuple[int, int, int, Any]
 #: ``(kind, node, output)``: a departure as the lifecycle publishes it.
 Event = Tuple[str, int, Any]
 
-#: A registered pass: ``(csr, predictions) -> Decided``.
-InitPass = Callable[[CSRTopology, Mapping[int, Any]], Decided]
-
-#: Initialization program class -> (its pass, the rounds within which its
-#: decided nodes terminate).
-_PASSES: Dict[type, Tuple[InitPass, int]] = {}
-
 #: How the final slice's kernel runs over the window.
 _COMPILED = ExecutionPolicy(schedule="vectorized")
-
-
-def init_pass(
-    program_class: type, *, rounds: int
-) -> Callable[[InitPass], InitPass]:
-    """Register the decorated function as ``program_class``'s pass.
-
-    ``rounds`` bounds the rounds in which the pass's decided nodes
-    terminate; a template whose first slice is shorter keeps the full
-    interpreted path.  Matching is on the exact class: a subclass may
-    override ``compose``/``process`` and diverge from the pass.
-    """
-
-    def register(function: InitPass) -> InitPass:
-        _PASSES[program_class] = (function, rounds)
-        return function
-
-    return register
-
-
-def pass_for_program(program: Any) -> Optional[Tuple[InitPass, int]]:
-    """The registered ``(pass, rounds)`` for ``type(program)``, or ``None``."""
-    return _PASSES.get(type(program))
 
 
 def run_initialized(
@@ -177,20 +119,16 @@ def run_initialized(
     if not _alone(first) or first.duration is None:
         return None
     host = algorithm.build_program()
-    registered = pass_for_program(first.builder(host))
+    init = compiled_form(first.builder(host), InitPass)
     max_rounds = config.max_rounds
     if max_rounds is None:
         max_rounds = 8 * graph.n + 64
-    if (
-        registered is None
-        or first.duration < registered[1]
-        or max_rounds < first.duration
-    ):
+    if init is None or not init.rounds <= first.duration <= max_rounds:
         return None
 
     started = perf_counter()
     csr = graph.csr
-    decided = registered[0](csr, predictions)
+    decided = init.decide(csr, predictions)
     undecided = _undecided(decided.rounds)
     model = config.model_for(algorithm)
     if not config.profile and max_rounds >= first.duration + len(undecided):
@@ -266,12 +204,12 @@ def _run_compiled(
 ) -> Optional[RunResult]:
     """B's messages by index, then the final slice's kernel over the
     undecided window from B's last round on; ``None`` when the second
-    slice is not a final one with a registered kernel that chains, or a
+    slice is not a final one whose form is a kernel that chains, or a
     message is over a strict budget."""
     final = plan.get(1)
     if not _alone(final) or final.duration is not None:
         return None
-    kernel = kernel_for_program(final.builder(host))
+    kernel = compiled_form(final.builder(host), FrontierKernel)
     if kernel is None or not kernel.chains:
         return None
     csr = graph.csr

@@ -8,16 +8,16 @@ checkers answer that:
 * :func:`survivor_nodes` — nodes that were never removed, or that
   recovered and stayed;
 * :func:`survivor_violations` — safety violations among the survivors'
-  partial outputs (independence/domination for MIS, partial-solution
-  legality for the other problems);
+  partial outputs (independence/domination for MIS, partners for
+  matching, partial-solution legality for the other problems);
 * :func:`survivor_coverage` — the fraction of survivors that decided,
   the degradation benchmark's quality axis.
 
-The MIS check is problem-specific on purpose: a surviving 0-node may be
-legitimately dominated by a node that terminated with output 1 *before*
-a later fault removed a neighbor — checking the induced surviving
-subgraph alone would report a false violation, so domination is checked
-against every recorded output while independence is checked outright.
+Survivors are judged on the whole graph against every recorded output:
+a surviving 0-node may be legitimately dominated by a node that output 1
+*before* a later fault removed it, and a survivor's partner may have
+crashed.  So MIS independence is checked outright, and a matched
+survivor's partner must be its neighbor and, if it output, name it back.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import Any, Dict, List
 
 from repro.graphs.graph import DistGraph
 from repro.problems.base import GraphProblem
+from repro.problems.matching import UNMATCHED
 from repro.simulator.metrics import RunResult
 
 
@@ -62,10 +63,10 @@ def survivor_violations(
     outputs = result.outputs
     if problem.name == "mis":
         return _mis_survivor_violations(graph, survivors, outputs)
-    decided = [node for node in survivors if node in outputs]
-    induced = graph.subgraph(decided, name=f"{graph.name}|survivors")
+    if problem.name == "matching":
+        return _matching_survivor_violations(graph, survivors, outputs)
     return problem.verify_partial(
-        induced, {node: outputs[node] for node in decided}
+        graph, {node: outputs[node] for node in survivors if node in outputs}
     )
 
 
@@ -90,4 +91,30 @@ def _mis_survivor_violations(
     for node in sorted(survivors):
         if outputs.get(node) == 0 and not (graph.neighbors(node) & ones):
             violations.append(f"node {node} output 0 without any 1-neighbor")
+    return violations
+
+
+def _matching_survivor_violations(
+    graph: DistGraph, survivors: set, outputs: Dict[int, Any]
+) -> List[str]:
+    violations: List[str] = []
+    unmatched = set()
+    for node in sorted(survivors & set(outputs)):
+        value = outputs[node]
+        if value == UNMATCHED:
+            unmatched.add(node)
+        elif value not in graph.neighbors(node):
+            violations.append(f"node {node} matched to non-neighbor {value!r}")
+        # A partner that never output is undecided, which coverage counts.
+        elif value in outputs and outputs[value] != node:
+            violations.append(
+                f"match {node}->{value} not reciprocated "
+                f"(partner output {outputs[value]!r})"
+            )
+    # Maximality only among the decided survivors: a neighbor's crash can
+    # leave a node nobody to match.
+    for node in sorted(unmatched):
+        for other in sorted(graph.neighbors(node) & unmatched):
+            if other > node:
+                violations.append(f"adjacent unmatched nodes {node} and {other}")
     return violations

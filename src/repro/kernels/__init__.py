@@ -1,4 +1,5 @@
-"""Whole-frontier vectorized kernels for ``schedule="vectorized"``.
+"""Compiled forms of per-node programs: whole-frontier kernels and
+initialization passes.
 
 The interpreted engine runs one Python ``compose``/``process`` call per
 node per round.  For the paper's greedy families that is pure overhead:
@@ -9,90 +10,77 @@ aggregation over the ``indptr``/``indices`` buffers, and batched
 message/bit accounting that reproduces the interpreted engine's CONGEST
 counters bit-for-bit.
 
-One kernel per algorithm family lives in its own module:
+One module per algorithm family holds its forms:
 
-* :mod:`repro.kernels.mis` — Greedy MIS (Algorithm 1).
+* :mod:`repro.kernels.mis` — Greedy MIS (Algorithm 1) and the MIS
+  Initialization Algorithm's pass.
 * :mod:`repro.kernels.matching` — proposal-based Maximal Matching.
 * :mod:`repro.kernels.coloring` — palette greedy (Δ+1)-coloring.
 
-The registry is keyed by the template (algorithm) name; resolution
-matches the *program class* a run would execute, so a kernel only ever
-replaces the exact per-node program it was verified bit-identical
-against (tests/test_vectorized.py fuzzes that equivalence); the
-features a kernel run may use are the ``"kernel"`` row of
-:mod:`repro.simulator.capabilities`.
+One table maps the *exact* program class a run would execute to its
+compiled form — a :class:`~repro.kernels.base.FrontierKernel` subclass,
+or an :class:`~repro.kernels.base.InitPass` that decides a template's
+initialization by index (:mod:`repro.core.initpass`) — so a form only
+ever replaces the per-node program it was verified bit-identical
+against (tests/test_vectorized.py and tests/test_initpass.py fuzz that
+equivalence); the features a kernel run may use are the ``"kernel"``
+row of :mod:`repro.simulator.capabilities`.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from repro.kernels.base import EmptyGraphKernel, FrontierKernel, InitPass
 from repro.simulator.capabilities import UnsupportedScheduleError
 
 __all__ = [
-    "KERNELS",
     "UnsupportedScheduleError",
     "available_kernels",
-    "kernel_for_program",
-    "numpy_available",
+    "compiled_form",
     "resolve_kernel",
 ]
 
-
-def numpy_available() -> bool:
-    """Whether the numpy runtime the kernels compile against is present."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a declared dep
-        return False
-    return True
+_TABLE: Optional[Dict[type, Any]] = None
 
 
-_REGISTRY: Optional[Dict[str, type]] = None
-
-
-def _registry() -> Dict[str, type]:
-    """Template name -> kernel class, loaded lazily (numpy-gated)."""
-    global _REGISTRY
-    if _REGISTRY is None:
+def _table() -> Dict[type, Any]:
+    """Exact program class -> compiled form, built on first use, so that
+    importing the runner loads no kernel module."""
+    global _TABLE
+    if _TABLE is None:
+        from repro.algorithms.mis.initialization import MISInitializationProgram
         from repro.kernels.coloring import GreedyColoringKernel
         from repro.kernels.matching import GreedyMatchingKernel
-        from repro.kernels.mis import GreedyMISKernel
+        from repro.kernels.mis import GreedyMISKernel, mis_initialization_pass
 
-        _REGISTRY = {
-            kernel.name: kernel
-            for kernel in (
+        _TABLE = {
+            form.program_class: form
+            for form in (
                 GreedyMISKernel,
                 GreedyMatchingKernel,
                 GreedyColoringKernel,
+                InitPass(MISInitializationProgram, 3, mis_initialization_pass),
             )
         }
-    return _REGISTRY
+    return _TABLE
 
 
-def KERNELS() -> Dict[str, type]:
-    """The kernel registry (template name -> kernel class)."""
-    return dict(_registry())
+def compiled_form(program: Any, kind: type) -> Any:
+    """The form of ``kind`` (``FrontierKernel`` or ``InitPass``) compiled
+    for ``type(program)``, or ``None``, also where its form is the other
+    kind.  Matches the exact class (not subclasses): a subclass may
+    override ``compose``/``process`` and silently diverge from the
+    verified array semantics.
+    """
+    form = _table().get(type(program))
+    return form if isinstance(form, InitPass) == (kind is InitPass) else None
 
 
 def available_kernels() -> Tuple[str, ...]:
-    """Names of the registered kernels, ``()`` when numpy is missing."""
-    if not numpy_available():  # pragma: no cover - numpy is a declared dep
-        return ()
-    return tuple(sorted(_registry()))
-
-
-def kernel_for_program(program: Any) -> Optional[type]:
-    """The kernel class compiled for ``type(program)``, or ``None``.
-
-    Matches the exact class (not subclasses): a subclass may override
-    ``compose``/``process`` and silently diverge from the verified
-    array semantics.
-    """
-    for kernel in _registry().values():
-        if kernel.program_class is type(program):
-            return kernel
-    return None
+    """Names of the table's kernels, sorted."""
+    kernels = [form for form in _table().values() if not isinstance(form, InitPass)]
+    return tuple(sorted(kernel.name for kernel in kernels))
 
 
 def resolve_kernel(programs: Any, nodes: Any) -> Any:
@@ -100,25 +88,19 @@ def resolve_kernel(programs: Any, nodes: Any) -> Any:
 
     ``programs`` is the run's program source and ``nodes`` its graph's
     nodes.  Raises :class:`UnsupportedScheduleError` with an actionable
-    reason when no registered kernel runs the program.
+    reason when no kernel in the table runs the program.
     """
-    if not numpy_available():  # pragma: no cover - numpy is a declared dep
-        raise UnsupportedScheduleError(
-            "schedule='vectorized' requires numpy, which is not importable"
-        )
     if not callable(programs):
         raise UnsupportedScheduleError(
             "per-node program mappings may mix program types; "
             "schedule='vectorized' needs a program factory (an algorithm)"
         )
     if not nodes:
-        from repro.kernels.base import EmptyGraphKernel
-
         return EmptyGraphKernel()
     probe = programs(min(nodes))
-    kernel_class = kernel_for_program(probe)
+    kernel_class = compiled_form(probe, FrontierKernel)
     if kernel_class is None:
-        names = ", ".join(sorted(_registry()))
+        names = ", ".join(available_kernels())
         raise UnsupportedScheduleError(
             f"no vectorized kernel is registered for program "
             f"{type(probe).__name__}; compiled kernels exist for: {names}"

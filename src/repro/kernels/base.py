@@ -21,15 +21,16 @@ bulk update each, in :meth:`flush` (called from the scheduler's
 values of the terminated nodes at once (:meth:`output_values`), so at
 n≈10⁶ neither the round loop nor the write-back calls Python code per
 node, and no :class:`~repro.simulator.metrics.NodeRecord` is ever built.
+An initialization compiles to an :class:`InitPass` instead.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from repro.graphs.csr import ensure_topology
+from repro.graphs.csr import CSRTopology, ensure_topology
 from repro.graphs.window import GraphWindow
 from repro.simulator.metrics import NodeSnapshot, StuckReport
 from repro.simulator.transport import BandwidthExceeded
@@ -39,10 +40,11 @@ class FrontierKernel:
     """Base class: the topology's array view, batched accounting and
     the bulk result write-back.
 
-    Subclasses set :attr:`name` (the template name the registry is keyed
-    by) and :attr:`program_class` (the exact per-node program class the
-    kernel replaces), and implement :meth:`run_round`,
-    :meth:`output_values` and :meth:`state_snapshot`.
+    Subclasses set :attr:`name` (what ``result.kernel`` and
+    ``repro.schedules()`` call the kernel) and :attr:`program_class` (the
+    exact per-node program class the kernel replaces, its key in the
+    table of compiled forms, :mod:`repro.kernels`), and implement
+    :meth:`run_round`, :meth:`output_values` and :meth:`state_snapshot`.
     """
 
     name: str = ""
@@ -251,3 +253,32 @@ class EmptyGraphKernel(FrontierKernel):
 
     def output_values(self, done: np.ndarray) -> List[Any]:
         return []
+
+
+class Decided(NamedTuple):
+    """What an initialization decides, by CSR index.
+
+    Attributes:
+        rounds: Per index, the round the node terminates in, or 0 for a
+            node the initialization leaves undecided.
+        outputs: Per index, a decided node's output.
+        broadcasts: Round -> ``{sender index: payload}`` (ascending
+            senders): every message B sends, by decided and undecided
+            nodes alike, each sent to all of its sender's neighbors, all
+            of them still active that round.
+    """
+
+    rounds: bytearray
+    outputs: List[Any]
+    broadcasts: Dict[int, Dict[int, Any]]
+
+
+class InitPass(NamedTuple):
+    """An initialization's compiled form: ``decide(csr, predictions)``
+    restates ``program_class`` over the whole graph by CSR index, and its
+    decided nodes terminate within ``rounds`` (a template whose first
+    slice is shorter keeps the full interpreted path)."""
+
+    program_class: type
+    rounds: int
+    decide: Callable[[CSRTopology, Mapping[int, Any]], Decided]

@@ -1,23 +1,27 @@
-"""Whole-frontier kernel for the Greedy MIS Algorithm (Algorithm 1).
+"""Compiled forms of the MIS programs: Greedy MIS and its initialization.
 
-Array form of :class:`~repro.algorithms.mis.greedy.GreedyMISProgram`:
+:class:`GreedyMISKernel` is the array form of
+:class:`~repro.algorithms.mis.greedy.GreedyMISProgram` (Algorithm 1):
 in each odd round every active local-identifier-maximum joins the
 independent set, notifies its active neighbors (one JOIN per active
 neighbor, 16 bits each under the interpreted estimator), outputs 1 and
 terminates; in the following even round every notified node outputs 0
 and terminates.  Winners are never adjacent, so the per-round update is
 a pure function of the active mask — one ``segment_any`` for the local
-maxima, one scatter for the dominated set.
+maxima, one scatter for the dominated set.  :func:`mis_initialization_pass`
+is the Section 4 initialization by index.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Mapping
 
 import numpy as np
 
 from repro.algorithms.mis.greedy import GreedyMISProgram
-from repro.kernels.base import FrontierKernel
+from repro.algorithms.mis.initialization import MISInitializationProgram
+from repro.graphs.csr import CSRTopology
+from repro.kernels.base import Decided, FrontierKernel
 from repro.simulator.message import estimate_bits
 
 
@@ -60,3 +64,52 @@ class GreedyMISKernel(FrontierKernel):
 
     def state_snapshot(self, index: int) -> Dict[str, str]:
         return {"_dominated": repr(bool(self.dominated[index]))}
+
+
+def mis_initialization_pass(
+    csr: CSRTopology, predictions: Mapping[int, Any]
+) -> Decided:
+    """:class:`MISInitializationProgram` over every node at once, by CSR
+    index.
+
+    In round 1 every node sends its prediction to every neighbor; a node
+    predicted 1 whose neighbors predicted 1 all have smaller identifiers
+    joins ``I`` (indices ascend with identifiers).  In round 2 the nodes
+    of ``I`` send ``"in"`` to every neighbor, output 1 and terminate; in
+    round 3 their neighbors output 0 and terminate.  With no node
+    predicted 1, no node is decided.
+    """
+    indptr = csr.indptr
+    indices = csr.indices
+    values = list(map(predictions.get, csr.ids))
+    ones = [index for index, value in enumerate(values) if value == 1]
+    predicted = bytearray(csr.n)
+    for index in ones:
+        predicted[index] = 1
+    joined = []
+    for index in ones:
+        # Rows ascend: scan down from the top to the first neighbor below
+        # ``index``; only a neighbor above it predicted 1 blocks it.
+        for position in range(indptr[index + 1] - 1, indptr[index] - 1, -1):
+            other = indices[position]
+            if other < index:
+                joined.append(index)
+                break
+            if predicted[other]:
+                break
+        else:
+            joined.append(index)
+    rounds = bytearray(csr.n)
+    outputs: List[Any] = [None] * csr.n
+    join = MISInitializationProgram.JOIN
+    for index in joined:
+        rounds[index] = 2
+        outputs[index] = 1
+    for index in joined:
+        for position in range(indptr[index], indptr[index + 1]):
+            other = indices[position]
+            if not rounds[other]:
+                rounds[other] = 3
+                outputs[other] = 0
+    broadcasts = {1: dict(enumerate(values)), 2: dict.fromkeys(joined, join)}
+    return Decided(rounds, outputs, broadcasts)

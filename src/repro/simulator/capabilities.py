@@ -3,8 +3,8 @@
 The rows are an engine's ``"interpreter"`` and compiled ``"kernel"``,
 the init ``"window"`` that ``run()`` takes by itself where it can, and a
 sweep cell's ``"edgecut"`` and ``"components"`` shards.  Every layer
-asks :func:`require`; program families stay with the kernel and pass
-registries.  ``fallback="interpret"`` is the only downgrade, and
+asks :func:`require`; program families stay with the table of compiled
+forms (:mod:`repro.kernels`).  ``fallback="interpret"`` is the only downgrade, and
 ``share_graph`` (what a process pool ships) is accepted everywhere.
 """
 

@@ -140,9 +140,10 @@ class Transport:
     # Accounting
     # ------------------------------------------------------------------
     def account(
-        self, payload: Any, sender: int = -1, receiver: int = -1
+        self, payload: Any, sender: int = -1, receiver: int = -1, seq: int = 0
     ) -> None:
-        """Charge one message's bits against the run and the budget."""
+        """Charge one message's bits against the run and the budget
+        (``seq``: the sender shard's compose order, for :meth:`_over_budget`)."""
         bits = estimate_bits(payload)
         result = self.result
         result.message_count += 1
@@ -153,7 +154,11 @@ class Transport:
         if budget is not None and bits > budget:
             result.bandwidth_violations += 1
             if self.model.strict:
-                raise bandwidth_error(bits, budget, sender, receiver, self.round)
+                self._over_budget(bits, sender, receiver, seq)
+
+    def _over_budget(self, bits: int, sender: int, receiver: int, seq: int) -> None:
+        """A strict-CONGEST violation, already counted: abort the run."""
+        raise bandwidth_error(bits, self.budget, sender, receiver, self.round)
 
     # ------------------------------------------------------------------
     # Boundary hooks (no-ops for a fully local run)
@@ -335,7 +340,7 @@ class BoundaryTransport(Transport):
         if self.fast:
             self.result.message_count += 1
         else:
-            self._account_deferred(payload, sender, receiver, self._seq)
+            self.account(payload, sender, receiver, self._seq)
         self.inboxes[receiver][sender] = payload
 
     def export(self, sender: int, receiver: int, payload: Any) -> None:
@@ -360,25 +365,10 @@ class BoundaryTransport(Transport):
         return violations
 
     # -- accounting -----------------------------------------------------
-    def _account_deferred(
-        self, payload: Any, sender: int, receiver: int, seq: int
-    ) -> None:
-        """:meth:`Transport.account`, but strict raises are deferred.
-
-        The counters update exactly as locally; only the abort moves to
-        the round barrier where the globally-first violation is known.
-        """
-        bits = estimate_bits(payload)
-        result = self.result
-        result.message_count += 1
-        result.total_bits += bits
-        if bits > result.max_message_bits:
-            result.max_message_bits = bits
-        budget = self.budget
-        if budget is not None and bits > budget:
-            result.bandwidth_violations += 1
-            if self.model.strict:
-                self.violations.append((sender, seq, receiver, bits))
+    def _over_budget(self, bits: int, sender: int, receiver: int, seq: int) -> None:
+        """Defer the abort to the round barrier, where the globally-first
+        violation is known; the counters were updated as locally."""
+        self.violations.append((sender, seq, receiver, bits))
 
     # -- the barrier ----------------------------------------------------
     def sync(
@@ -408,7 +398,7 @@ class BoundaryTransport(Transport):
         if self.fast:
             self.result.message_count += 1
         else:
-            self._account_deferred(payload, sender, receiver, seq)
+            self.account(payload, sender, receiver, seq)
 
 
 def event_order(event: Tuple[str, int, Any]) -> Tuple[bool, int]:

@@ -31,8 +31,10 @@ from repro.faults import (
 )
 from repro.graphs import erdos_renyi, grid2d, line, perturb_edges, ring
 from repro.predictions import perfect_predictions
-from repro.problems import MIS
+from repro.problems import MATCHING, MIS
+from repro.problems.matching import UNMATCHED
 from repro.simulator import StuckReport, SyncEngine
+from repro.simulator.metrics import NodeRecords, RunResult
 
 
 class TestFaultPlan:
@@ -382,6 +384,29 @@ class TestValidatorsAndHarness:
         result.outputs[1] = 1
         result.outputs[2] = 1
         assert survivor_violations(MIS, graph, result)
+
+    def test_matching_survivors_are_judged_on_the_whole_graph(self):
+        graph = line(6)  # 1-2-3-4-5-6; node 2 crashed before it output
+        outputs = {1: 2, 3: 4, 4: 3, 6: UNMATCHED}
+        result = RunResult(
+            outputs=outputs, records=NodeRecords(sorted(graph.nodes), outputs)
+        )
+        result.records.crashed.add(2)
+        # 1's partner is its neighbor and never output; 5 is undecided.
+        assert survivor_violations(MATCHING, graph, result) == []
+        # A partner that did output, crashed or not, must name 1 back.
+        outputs[2] = 3
+        outputs[5] = 1
+        assert survivor_violations(MATCHING, graph, result) == [
+            "match 1->2 not reciprocated (partner output 3)",
+            "node 5 matched to non-neighbor 1",
+        ]
+        # Two adjacent decided survivors left unmatched clash.
+        outputs[5] = UNMATCHED
+        del outputs[2]
+        assert survivor_violations(MATCHING, graph, result) == [
+            "adjacent unmatched nodes 5 and 6"
+        ]
 
     def test_random_crash_plan_is_seeded(self):
         graph = erdos_renyi(30, 0.2, seed=0)

@@ -335,6 +335,26 @@ class TestCLI:
             lines[start + 1:]
         )
 
+    def test_crashed_matching_partners_are_still_neighbors(self, capsys):
+        """A survivor matched to a neighbor that crashed is judged on the
+        whole graph, where the two are adjacent."""
+        from repro.cli import main, parse_graph
+
+        main(
+            [
+                "faults", "--problem", "matching", "--template", "simple",
+                "--graph", "gnp:40:0.1", "--crash-frac", "0.2",
+            ]
+        )
+        out = capsys.readouterr().out
+        graph = parse_graph("gnp:40:0.1")
+        pairs = re.findall(r"node (\d+) matched to non-neighbor (\d+)", out)
+        assert [
+            (node, other)
+            for node, other in pairs
+            if int(other) in graph.neighbors(int(node))
+        ] == []
+
     def test_faults_csv_has_one_sweep_row_per_run(self, tmp_path, capsys):
         import csv
 

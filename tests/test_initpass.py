@@ -23,11 +23,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.matching import GreedyMatchingAlgorithm
+import repro.kernels
+from repro.algorithms.coloring import (
+    PaletteGreedyColoringAlgorithm,
+    VertexColoringInitializationAlgorithm,
+)
+from repro.algorithms.matching import (
+    GreedyMatchingAlgorithm,
+    MatchingInitializationAlgorithm,
+)
+from repro.algorithms.mis import GreedyMISAlgorithm
 from repro.algorithms.mis.initialization import (
     MISInitializationAlgorithm,
     MISInitializationProgram,
-    mis_initialization_pass,
 )
 from repro.bench.algorithms import (
     mis_blackwhite_simple,
@@ -42,14 +50,15 @@ from repro.bench.algorithms import (
 )
 from repro.bench.workloads import sorted_line
 from repro.core import RunConfig, run
-from repro.core.initpass import pass_for_program
 from repro.core.templates import SimpleTemplate
 from repro.faults import FaultPlan
 from repro.graphs import DistGraph, erdos_renyi, random_tree
 from repro.graphs.rooted_trees import random_rooted_tree
 from repro.graphs.window import GraphWindow
-from repro.kernels import UnsupportedScheduleError
+from repro.kernels import UnsupportedScheduleError, compiled_form
+from repro.kernels.base import FrontierKernel, InitPass
 from repro.kernels.matching import GreedyMatchingKernel
+from repro.kernels.mis import mis_initialization_pass
 from repro.obs import MemoryEventSink
 from repro.predictions import noisy_predictions, perfect_predictions
 from repro.problems import MIS
@@ -308,16 +317,100 @@ class TestDifferentialFuzz:
 
 
 # ----------------------------------------------------------------------
+# The table of compiled forms, keyed by exact program class
+# ----------------------------------------------------------------------
+#: Every entry of the table: the algorithm whose program it compiles,
+#: the kind of its form, a Simple Template that runs the program in the
+#: slot the form replaces, and the slices that template compiles (the
+#: matching and coloring initializations have no pass yet).
+FORMS = {
+    MISInitializationAlgorithm: (
+        InitPass,
+        lambda b: SimpleTemplate(b, GreedyMISAlgorithm()),
+        COMPILED,
+    ),
+    GreedyMISAlgorithm: (
+        FrontierKernel,
+        lambda r: SimpleTemplate(MISInitializationAlgorithm(), r),
+        COMPILED,
+    ),
+    GreedyMatchingAlgorithm: (
+        FrontierKernel,
+        lambda r: SimpleTemplate(MatchingInitializationAlgorithm(), r),
+        (),
+    ),
+    PaletteGreedyColoringAlgorithm: (
+        FrontierKernel,
+        lambda r: SimpleTemplate(VertexColoringInitializationAlgorithm(), r),
+        (),
+    ),
+}
+
+
+def _variant(algorithm_class):
+    """``algorithm_class``, building a subclass of its program that
+    overrides nothing."""
+    program_class = type(algorithm_class().build_program())
+    variant = type("Variant", (program_class,), {})
+    return type(
+        algorithm_class.__name__,
+        (algorithm_class,),
+        {"build_program": lambda self: variant()},
+    )()
+
+
+class TestTheTable:
+    def test_every_entry_is_listed(self):
+        assert set(repro.kernels._table()) == {
+            type(algorithm().build_program()) for algorithm in FORMS
+        }
+
+    @pytest.mark.parametrize("algorithm", FORMS, ids=lambda a: a.__name__)
+    def test_exact_program_class(self, algorithm):
+        kind, template, slices = FORMS[algorithm]
+        program = algorithm().build_program()
+        form = compiled_form(program, kind)
+        assert form is not None and form.program_class is type(program)
+        other = FrontierKernel if kind is InitPass else InitPass
+        assert compiled_form(program, other) is None
+        variant = _variant(algorithm)
+        assert compiled_form(variant.build_program(), kind) is None
+
+        graph = erdos_renyi(50, 0.1, seed=5)
+        vectorized = ExecutionPolicy(schedule="vectorized")
+        refusal = (
+            "no vectorized kernel is registered for program {}; compiled "
+            "kernels exist for: greedy-coloring, greedy-matching, greedy-mis"
+        )
+        with pytest.raises(UnsupportedScheduleError) as refused:
+            run(variant, graph, {}, policy=vectorized)
+        assert str(refused.value) == refusal.format("Variant")
+        if kind is InitPass:
+            # A pass is no kernel: the bare initialization keeps its refusal.
+            with pytest.raises(UnsupportedScheduleError) as refused:
+                run(algorithm(), graph, {}, policy=vectorized)
+            assert str(refused.value) == refusal.format(type(program).__name__)
+        else:
+            assert run(algorithm(), graph, {}, policy=vectorized).kernel == form.name
+
+        # No node is predicted, so B decides nobody: only the variant's
+        # missing entry keeps the template's slices from compiling.
+        _assert_todays_path(lambda: template(variant), (graph, {}))
+        compiled = run(template(algorithm()), graph, {}, seed=3)
+        assert compiled.compiled_slices == slices
+
+
+# ----------------------------------------------------------------------
 # The pass and the window
 # ----------------------------------------------------------------------
 class TestPass:
     def test_registered_for_the_exact_program_class(self):
-        assert pass_for_program(MISInitializationProgram()) is not None
+        assert compiled_form(MISInitializationProgram(), InitPass) is not None
 
         class Variant(MISInitializationProgram):
             pass
 
-        assert pass_for_program(Variant()) is None
+        assert compiled_form(Variant(), InitPass) is None
 
     def test_matches_the_interpreted_initialization(self):
         graph = erdos_renyi(80, 0.06, seed=4)

@@ -1,5 +1,7 @@
-"""Repository hygiene: packaging, exports, docstrings, documentation."""
+"""Repository hygiene: packaging, exports, layering, docstrings,
+documentation."""
 
+import ast
 import importlib
 import importlib.metadata
 import pathlib
@@ -44,6 +46,7 @@ class TestPackaging:
             "repro.core",
             "repro.exec",
             "repro.faults",
+            "repro.kernels",
             "repro.obs",
             "repro.simulator",
             "repro.algorithms.mis",
@@ -55,6 +58,38 @@ class TestPackaging:
             module = importlib.import_module(module_name)
             for name in getattr(module, "__all__", []):
                 assert hasattr(module, name), (module_name, name)
+
+    def test_algorithms_import_no_compiled_layer(self):
+        """Per-node programs see only ``NodeContext``; compiled forms see
+        the CSR.  So no module under ``repro/algorithms/`` imports the
+        runner, the init pass, the compiled forms or the CSR topology."""
+        forbidden = (
+            "repro.core.initpass",
+            "repro.core.runner",
+            "repro.kernels",
+            "repro.graphs.csr",
+        )
+        root = pathlib.Path(repro.__file__).parent / "algorithms"
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.module:
+                    names = [node.module] + [
+                        f"{node.module}.{alias.name}" for alias in node.names
+                    ]
+                else:
+                    continue
+                found.extend(
+                    (path.relative_to(root).as_posix(), name)
+                    for name in names
+                    if any(
+                        name == module or name.startswith(module + ".")
+                        for module in forbidden
+                    )
+                )
+        assert found == []
 
     @pytest.mark.parametrize("module_name", all_repro_modules())
     def test_every_module_imports_and_is_documented(self, module_name):
