@@ -45,11 +45,6 @@ def sorted_line(n: int) -> DistGraph:
     return sorted_path_ids(line(n))
 
 
-def perfect_for(graph: DistGraph, problem: str, seed: Optional[int] = None):
-    """Graph-first wrapper around :func:`perfect_predictions`."""
-    return perfect_predictions(get_problem(problem), graph, seed=seed)
-
-
 def noisy_for(graph: DistGraph, problem: str, rate: float, seed: int = 0):
     """Graph-first wrapper around :func:`noisy_predictions`."""
     return noisy_predictions(get_problem(problem), graph, rate, seed=seed)

@@ -57,6 +57,7 @@ full interpreted path, as above.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from time import perf_counter
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -68,7 +69,7 @@ from repro.graphs.window import GraphWindow
 from repro.kernels import compiled_form
 from repro.kernels.base import Decided, FrontierKernel, InitPass
 from repro.obs.profile import RoundSample
-from repro.simulator.engine import SyncEngine
+from repro.simulator.engine import SyncEngine, round_budget
 from repro.simulator.message import estimate_bits
 from repro.simulator.metrics import NodeRecords, RunResult, fold_runs
 from repro.simulator.scheduling import ExecutionPolicy
@@ -100,7 +101,6 @@ def run_initialized(
     bit-identical to a full interpreted run, or ``None`` when the run is
     not eligible (see the module docstring).
     """
-    policy = config.policy
     if (
         predictions is None
         or not isinstance(algorithm, _TemplateBase)
@@ -113,16 +113,14 @@ def run_initialized(
     plan = _shared_plan(
         type(algorithm)._slice_schedule,
         algorithm,
-        Knowledge(graph.n, graph.delta, graph.d, policy.phi),
+        Knowledge(graph.n, graph.delta, graph.d, config.policy.phi),
     )
     first = plan.get(0)
     if not _alone(first) or first.duration is None:
         return None
     host = algorithm.build_program()
     init = compiled_form(first.builder(host), InitPass)
-    max_rounds = config.max_rounds
-    if max_rounds is None:
-        max_rounds = 8 * graph.n + 64
+    max_rounds = round_budget(config.max_rounds, graph.n)
     if init is None or not init.rounds <= first.duration <= max_rounds:
         return None
 
@@ -145,34 +143,14 @@ def run_initialized(
     window, inbound, events, departures = _boundary(decided, csr, undecided)
     pass_seconds = perf_counter() - started
 
-    owned = frozenset(window)
-
-    def transport(nodes, result, model, n, fast):
-        return WindowTransport(
-            nodes,
-            result,
-            model,
-            n,
-            fast,
-            owned=owned,
-            inbound=inbound,
-            events=events,
-            departures=departures,
-        )
-
-    window_result = SyncEngine(
+    transport = partial(
+        WindowTransport, owned=frozenset(window), inbound=inbound,
+        events=events, departures=departures,
+    )
+    window_result = config._engine_for(
+        algorithm,
         GraphWindow(graph, window),
-        lambda node: algorithm.build_program(),
-        predictions={
-            node: predictions[node] for node in window if node in predictions
-        },
-        model=model,
-        max_rounds=max_rounds,
-        seed=config.effective_seed,
-        profile=config.profile,
-        on_round_limit=config.on_round_limit,
-        fast=config.fast,
-        policy=policy,
+        {node: predictions[node] for node in window if node in predictions},
         transport=transport,
     ).run()
     region = _region(decided, csr, sent)

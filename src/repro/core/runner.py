@@ -42,7 +42,7 @@ class RunConfig:
         model: Execution model override; ``None`` uses the algorithm's
             (see :meth:`model_for`).
         max_rounds: Round budget; ``None`` uses the engine default
-            (``8 * n + 64``).
+            (:func:`~repro.simulator.engine.round_budget`: ``8 * n + 64``).
         seed: Seed for the per-node random streams.  ``None`` means
             *unset*: single runs fall back to seed 0, while sweep cells
             derive a deterministic per-cell seed.  An explicit ``0`` is
@@ -100,6 +100,30 @@ class RunConfig:
             key: value for key, value in overrides.items() if value is not _UNSET
         }
         return replace(self, **changes) if changes else self
+
+    def _engine_for(
+        self, algorithm: Any, graph: Any, predictions: Any, *,
+        sinks: Any = None, transport: Any = None,
+    ) -> SyncEngine:
+        """The engine this config describes for ``algorithm`` on ``graph``
+        (whole, an edge-cut shard's view or an initialization window);
+        its trace, if asked for, is ``engine.trace``."""
+        return SyncEngine(
+            graph,
+            lambda node: algorithm.build_program(),
+            predictions=predictions,
+            model=self.model_for(algorithm),
+            max_rounds=self.max_rounds,
+            seed=self.effective_seed,
+            trace=TraceRecorder() if self.trace else None,
+            sinks=sinks,
+            profile=self.profile,
+            faults=self.faults,
+            on_round_limit=self.on_round_limit,
+            fast=self.fast,
+            policy=self.policy,
+            transport=transport,
+        )
 
 
 def run(
@@ -179,22 +203,7 @@ def run(
         result = run_initialized(algorithm, graph, predictions, config)
         if result is not None:
             return result
-    recorder = TraceRecorder() if config.trace else None
-    engine = SyncEngine(
-        graph,
-        lambda node: algorithm.build_program(),
-        predictions=predictions,
-        model=config.model_for(algorithm),
-        max_rounds=config.max_rounds,
-        seed=config.effective_seed,
-        trace=recorder,
-        sinks=sinks,
-        profile=config.profile,
-        faults=config.faults,
-        on_round_limit=config.on_round_limit,
-        fast=config.fast,
-        policy=config.policy,
-    )
+    engine = config._engine_for(algorithm, graph, predictions, sinks=sinks)
     result = engine.run()
-    result.trace = recorder
+    result.trace = engine.trace
     return result

@@ -23,7 +23,7 @@ machinery all apply unchanged.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.runner import ExecutionPolicy, RunConfig, run
 from repro.dynamic.stream import EpochBatch, EpochStream, apply_batch
@@ -71,11 +71,6 @@ class DynamicResult(SweepResult):
     def repair_curve(self) -> List[Tuple[int, int, Optional[int]]]:
         """``(epoch, warm rounds, scratch rounds)`` per epoch."""
         return [(row.epoch, row.rounds, row.scratch_rounds) for row in self.rows]
-
-    def error_curve(self) -> List[Tuple[int, Optional[int]]]:
-        """``(epoch, eta1 of carried predictions)`` per epoch."""
-        return [(row.epoch, row.error) for row in self.rows]
-
 
 class DynamicRunner:
     """Replay an :class:`~repro.dynamic.stream.EpochStream`.

@@ -153,8 +153,3 @@ def clashing_neighbors(
         return clashes
     wanted = set(clashes)
     return [other for other in graph.neighbors(ids[index]) if other in wanted]
-
-
-def decided_nodes(outputs: Outputs) -> List[int]:
-    """Nodes that have produced an output, sorted."""
-    return sorted(outputs)

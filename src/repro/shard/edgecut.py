@@ -7,7 +7,11 @@ partitioned (:func:`~repro.shard.plan.edgecut_node_ids`), each shard runs
 a full :class:`~repro.simulator.engine.SyncEngine` over an
 :class:`~repro.shard.plan.EdgecutView` of its contiguous block, and the
 messages that cross the cut travel through a per-round barrier owned by a
-coordinator.  Two execution modes share every line of round logic:
+coordinator.  A shard runs the engine's own round loop
+(:meth:`~repro.simulator.engine.SyncEngine.loop`): its transport meets
+the coordinator at the message barrier inside each round and at the
+event barrier at each round boundary.  Two execution modes share every
+line of that logic:
 
 * **threads** (``serial`` backend, :func:`run_edgecut`) — one thread per
   shard inside this process, meeting at a :class:`_Rendezvous`;
@@ -25,10 +29,11 @@ three driver-side rules:
   every shard exports them and the coordinator broadcasts one globally
   sorted list per round, reproducing the unsharded per-round
   ``neighbor_outputs`` insertion order.
-* **Global continuation** — the run continues while the *sum* of shard
-  active counts is positive, and the violation / deadline /
-  ``on_round_limit`` decisions are taken once, centrally, with the same
-  precedence as :meth:`SyncEngine.run`.
+* **One stop rule** — at the event barrier the coordinator asks the
+  engine's :class:`~repro.simulator.engine.StopRule` once for the whole
+  run, over the *sum* of the shards' active counts, after a deferred
+  strict violation; every shard's loop returns that decision, and what
+  the run raises is raised once every shard has stopped.
 * **One fold** — both modes fold the shards' results with
   :func:`~repro.simulator.metrics.fold_runs`, which writes the outputs in
   the interpreter's order (termination round, then id).
@@ -42,14 +47,21 @@ import time
 import traceback
 from bisect import bisect_right
 from dataclasses import replace
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.graphs.graph import DistGraph
 from repro.shard.plan import EdgecutView, edgecut_bounds
 from repro.simulator.capabilities import UnsupportedScheduleError, fall_back, require
-from repro.simulator.engine import RoundLimitExceeded, SyncEngine
+from repro.simulator.engine import (
+    RoundLimitExceeded,
+    StopRule,
+    SyncEngine,
+    round_budget,
+)
 from repro.simulator.metrics import RunResult, fold_runs
 from repro.simulator.transport import (
+    BandwidthExceeded,
     BoundaryTransport,
     bandwidth_error,
     event_order,
@@ -67,12 +79,12 @@ class _Aborted(Exception):
 
 
 class EdgecutPlan:
-    """Shared routing + continuation policy for one edge-cut run.
+    """Shared routing + stop decision for one edge-cut run.
 
     Both coordinators (thread rendezvous and process parent) delegate to
     one plan instance, so the two modes cannot drift: message routing,
-    event ordering, violation adjudication and the continue/stop decision
-    are single-sourced here.  The plan also owns the run's boundary
+    event ordering, violation adjudication and the stop decision are
+    single-sourced here.  The plan also owns the run's boundary
     telemetry — each shard's per-round outbound batch is serialized and
     its size accumulated into ``boundary_bytes``/``boundary_msgs`` (the
     thread mode serializes too, purely for the measurement, so the two
@@ -96,12 +108,13 @@ class EdgecutPlan:
         #: First owned identifier of each shard, for owner lookup (none
         #: on an empty graph, where no owner is ever looked up).
         self._starts = [nodes[b] for b in bounds[:-1] if b < len(nodes)]
-        self.max_rounds = max_rounds
-        self.on_round_limit = on_round_limit
-        self.deadline = (
-            None if deadline_s is None else time.perf_counter() + deadline_s
-        )
+        #: The run's stop rule, asked once per round boundary.
+        self.stop_rule = StopRule(max_rounds, on_round_limit, deadline_s)
         self.bandwidth_budget = bandwidth_budget
+        #: What the run raises once every shard has stopped: the globally
+        #: first strict violation, or a blown budget under
+        #: ``on_round_limit="raise"``.
+        self.error: Optional[Exception] = None
         self.boundary_msgs = 0
         self.boundary_bytes = 0
 
@@ -139,50 +152,41 @@ class EdgecutPlan:
     def decide(
         self, round_index: int, submissions: Mapping[int, tuple]
     ) -> Dict[int, tuple]:
-        """Merge the round's events and pick the global continuation.
+        """Merge the round's events and take the run's stop decision.
 
         ``submissions`` maps shard -> ``(events, active_count, preview,
-        violations)`` as drained at the barrier after ``round_index``
-        rounds have executed.  Returns per-shard ``(events, command,
-        extra)`` replies; the events list is globally sorted
-        (terminations before crashes, each ascending by node, matching
-        the unsharded publication order) and routed only to shards
-        owning at least one neighbor of the event node.  Decision
-        precedence mirrors :meth:`SyncEngine.run`: a strict violation
-        aborts first (it would have raised mid-round unsharded), then
-        global quiescence stops the run, then the wall-clock deadline,
-        then the round budget.
+        violations)`` as handed over at the event barrier after
+        ``round_index`` rounds.  Returns per-shard ``(events, reason)``
+        replies; the events list is globally sorted (terminations before
+        crashes, each ascending by node, matching the unsharded
+        publication order) and routed only to shards owning at least one
+        neighbor of the event node.  The reason is :attr:`stop_rule`'s
+        over the summed active counts, after a strict violation (which
+        unsharded would have raised mid-round); a raising decision
+        becomes :attr:`error` and stops every shard with ``"done"``.
         """
         events: List[tuple] = []
         violations: List[tuple] = []
-        total_active = 0
+        active = 0
         preview: List[int] = []
         for shard in sorted(submissions):
-            shard_events, active, shard_preview, shard_violations = (
+            shard_events, shard_active, shard_preview, shard_violations = (
                 submissions[shard]
             )
             events.extend(shard_events)
             violations.extend(shard_violations)
-            total_active += active
+            active += shard_active
             preview.extend(shard_preview)
         events.sort(key=event_order)
-
-        command = "continue"
-        extra: Any = None
-        if violations:
-            sender, seq, receiver, bits = min(violations)
-            command = "violation"
-            extra = (bits, self.bandwidth_budget, sender, receiver, round_index)
-        elif total_active == 0:
-            command = "stop"
-        elif self.deadline is not None and time.perf_counter() >= self.deadline:
-            command = "deadline"
-        elif round_index >= self.max_rounds:
-            if self.on_round_limit == "partial":
-                command = "round-limit-partial"
-            else:
-                command = "round-limit"
-                extra = (total_active, sorted(preview)[:10])
+        try:
+            if violations:
+                sender, _, receiver, bits = min(violations)
+                raise bandwidth_error(
+                    bits, self.bandwidth_budget, sender, receiver, round_index
+                )
+            reason = self.stop_rule(round_index, active, preview)
+        except (BandwidthExceeded, RoundLimitExceeded) as exc:
+            self.error, reason = exc, "done"
 
         owner = self.owner
         neighbors = self.graph.neighbors
@@ -193,21 +197,15 @@ class EdgecutPlan:
             for shard in {owner(v) for v in neighbors(event[1])}:
                 routed[shard].append(event)
         return {
-            shard: (routed[shard], command, extra)
-            for shard in range(self.shard_count)
+            shard: (routed[shard], reason) for shard in range(self.shard_count)
         }
 
-    def raise_for(self, command: str, extra: Any) -> None:
-        """Re-raise the exception a stopping command stands for, if any."""
-        if command == "violation":
-            bits, budget, sender, receiver, round_index = extra
-            raise bandwidth_error(bits, budget, sender, receiver, round_index)
-        if command == "round-limit":
-            total_active, preview = extra
-            raise RoundLimitExceeded(
-                f"{total_active} node(s) still active after "
-                f"{self.max_rounds} rounds: {preview}"
-            )
+    def fold(self, parts: List[RunResult]) -> RunResult:
+        """The run's result once every shard has stopped: :attr:`error`
+        raised, else the shards' results folded."""
+        if self.error is not None:
+            raise self.error
+        return fold_runs(parts)
 
 
 class _Rendezvous:
@@ -306,7 +304,7 @@ class _PipeCoordinator:
 
 
 # ----------------------------------------------------------------------
-# Per-shard round loop (identical in both modes)
+# One shard (identical in both modes)
 # ----------------------------------------------------------------------
 def _build_shard_engine(
     graph: DistGraph,
@@ -317,93 +315,25 @@ def _build_shard_engine(
     shard_count: int,
     coordinator: Any,
 ) -> SyncEngine:
-    """One shard's engine: an :class:`EdgecutView` plus a boundary
-    transport, constructed exactly as :func:`repro.core.runner.run`
-    builds the unsharded engine (same model/seed/budget resolution).
-    The policy's ``deadline_s`` stays with the coordinator — a shard
-    stopping on its own clock would desert the barrier.
-    """
+    """One shard's engine, as ``config`` describes it: an
+    :class:`EdgecutView` plus a boundary transport bound to the
+    coordinator."""
     view = EdgecutView(graph, shard, shard_count)
-    restricted = None
-    if predictions is not None:
-        restricted = {
-            node: predictions[node]
-            for node in view.nodes
-            if node in predictions
-        }
-    owned = frozenset(view.nodes)
-
-    def transport_factory(nodes, result, model, n, fast):
-        return BoundaryTransport(
-            nodes,
-            result,
-            model,
-            n,
-            fast,
-            owned=owned,
-            shard=shard,
-            coordinator=coordinator,
-        )
-
-    return SyncEngine(
-        view,
-        lambda node: algorithm.build_program(),
-        predictions=restricted,
-        model=config.model_for(algorithm),
-        max_rounds=config.max_rounds,
-        seed=config.effective_seed,
-        on_round_limit=config.on_round_limit,
-        fast=config.fast,
-        policy=replace(config.policy, deadline_s=None, shard=None),
-        transport=transport_factory,
+    restricted = None if predictions is None else {
+        node: predictions[node] for node in view.nodes if node in predictions
+    }
+    transport = partial(
+        BoundaryTransport,
+        owned=frozenset(view.nodes), shard=shard, coordinator=coordinator,
     )
+    return config._engine_for(algorithm, view, restricted, transport=transport)
 
 
-def _drive(engine: SyncEngine, coordinator: Any) -> Tuple[str, Any]:
-    """Run one shard to the global stop decision.
-
-    Returns the coordinator's ``(command, extra)``.  The loop shape
-    matches :meth:`SyncEngine.run` with the control checks hoisted to
-    the coordinator: setup, then — per round — an event barrier (apply
-    the previous round's global events, learn whether to continue) and,
-    inside ``run_round``, the message barrier.
-    """
-    transport = engine.transport
-    scheduler = engine._scheduler
-    result = engine.result
-    engine._setup_phase()
-    round_index = 0
-    while True:
-        events, command, extra = coordinator.exchange_events(
-            transport.shard,
-            round_index,
-            (
-                transport.take_events(),
-                len(engine._active),
-                engine._active_order[:10],
-                transport.take_violations(),
-            ),
-        )
-        engine._lifecycle.publish(events)
-        if command != "continue":
-            break
-        round_index += 1
-        scheduler.run_round(round_index)
-    scheduler.finish()
-    result.rounds_executed = round_index
-    result.rounds = max(result.records.termination_rounds.values(), default=0)
-    if command == "deadline":
-        result.stuck = engine._build_stuck_report(round_index, reason="deadline")
-    elif command == "round-limit-partial":
-        result.stuck = engine._build_stuck_report(round_index)
-    return command, extra
-
-
-def _resolved_max_rounds(config: Any, graph: DistGraph) -> int:
-    """The engine's effective round budget (``8n + 64`` default)."""
-    if config.max_rounds is not None:
-        return config.max_rounds
-    return 8 * graph.n + 64
+def _drive(engine: SyncEngine) -> RunResult:
+    """Run one shard to the global stop decision: the entry point of a
+    shard's thread or worker process, which enters the engine's own
+    round loop (its transport meets the coordinator at both barriers)."""
+    return engine.loop()
 
 
 def _admit(
@@ -413,7 +343,9 @@ def _admit(
     """The config the shard engines run and the plan that drives them,
     decided once per run before any engine exists: the ``"edgecut"`` row
     of the capability table refuses the run, or under
-    ``fallback="interpret"`` downgrades its schedule."""
+    ``fallback="interpret"`` downgrades its schedule.  The deadline stays
+    with the plan — a shard stopping on its own clock would desert the
+    barrier — so the shards' policy has none, and no shard mode."""
     if shard_count < 2:
         raise ValueError(
             f"edge-cut sharding needs >= 2 shards, got {shard_count}"
@@ -427,19 +359,22 @@ def _admit(
     try:
         require("edgecut", policy.schedule)
     except UnsupportedScheduleError as exc:
-        config = config.with_overrides(policy=fall_back(policy, exc))
+        policy = fall_back(policy, exc)
     if algorithm.uses_predictions and not has_predictions:
         raise ValueError(
             f"{algorithm.name or type(algorithm).__name__} requires predictions"
         )
-    return config, EdgecutPlan(
+    plan = EdgecutPlan(
         graph,
         shard_count,
-        max_rounds=_resolved_max_rounds(config, graph),
+        max_rounds=round_budget(config.max_rounds, graph.n),
         on_round_limit=config.on_round_limit,
-        deadline_s=config.policy.deadline_s,
+        deadline_s=policy.deadline_s,
         bandwidth_budget=config.model_for(algorithm).bandwidth_bits(graph.n),
     )
+    return config.with_overrides(
+        policy=replace(policy, deadline_s=None, shard=None)
+    ), plan
 
 
 # ----------------------------------------------------------------------
@@ -481,11 +416,9 @@ def run_edgecut(
         for shard in range(shard_count)
     ]
 
-    outcomes: Dict[int, Tuple[str, Any]] = {}
-
     def body(shard: int) -> None:
         try:
-            outcomes[shard] = _drive(engines[shard], coordinator)
+            _drive(engines[shard])
         except _Aborted:
             pass
         except BaseException as exc:  # noqa: BLE001 - released via abort
@@ -501,16 +434,15 @@ def run_edgecut(
         thread.join()
     if rendezvous.failure is not None:
         raise rendezvous.failure
-    plan.raise_for(*outcomes[0])
-    return fold_runs([engine.result for engine in engines])
+    return plan.fold([engine.result for engine in engines])
 
 
 # ----------------------------------------------------------------------
 # Process mode (process backend): parent routes, one worker per shard
 # ----------------------------------------------------------------------
 def _edgecut_worker(conn: Any) -> None:
-    """Shard process entry: receive init, drive the round loop, and send
-    the shard's :class:`RunResult` back for the parent to fold."""
+    """Shard process entry: receive init, run the shard, and send its
+    :class:`RunResult` back for the parent to fold."""
     from repro.shard.store import reset_worker_state
 
     try:
@@ -532,8 +464,7 @@ def _edgecut_worker(conn: Any) -> None:
             graph, algorithm, predictions, config, shard, shard_count,
             coordinator,
         )
-        _drive(engine, coordinator)
-        conn.send(("done", engine.result))
+        conn.send(("done", _drive(engine)))
     except _Aborted:
         pass
     except BaseException:  # noqa: BLE001 - ship the traceback to the parent
@@ -558,7 +489,7 @@ def _run_edgecut_process(
     :class:`~repro.shard.store.SharedCSRStore` (workers attach the one
     shared CSR segment instead of unpickling flat buffers).  The parent
     then serves as the coordinator: every shard is always in the same
-    phase (``msgs`` / ``events`` alternate; after a stopping command the
+    phase (``msgs`` / ``events`` alternate; after a stop decision the
     next message is ``done``), so one ``recv`` per shard per phase is
     the whole protocol.
     """
@@ -606,8 +537,6 @@ def _run_edgecut_process(
         finally:
             store.deactivate()
 
-        command = "continue"
-        extra: Any = None
         results: List[RunResult] = []
         while not results:
             messages: List[tuple] = []
@@ -632,12 +561,10 @@ def _run_edgecut_process(
                 for shard in range(shard_count):
                     conns[shard].send(("ok", routed[shard]))
             elif kind == "events":
-                round_index = messages[0][1]
                 replies = plan.decide(
-                    round_index,
+                    messages[0][1],
                     {shard: messages[shard][2] for shard in range(shard_count)},
                 )
-                command, extra = replies[0][1], replies[0][2]
                 for shard in range(shard_count):
                     conns[shard].send(("ok", replies[shard]))
             else:  # "done"
@@ -660,8 +587,7 @@ def _run_edgecut_process(
             store.release(graph.csr)
         store.close()
 
-    plan.raise_for(command, extra)
-    return fold_runs(results)
+    return plan.fold(results)
 
 
 # ----------------------------------------------------------------------

@@ -64,11 +64,6 @@ class DelayAdversary:
         rng = random.Random(f"{self._seed}:delay:{tick}:{sender}:{receiver}")
         return rng.randint(0, self.phi)
 
-    def describe(self) -> str:
-        """One-line human-readable description."""
-        return f"DelayAdversary(phi={self.phi})"
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Sender-side retransmission policy for lost messages.

@@ -22,8 +22,9 @@ async through one shared round loop, or vectorized kernels),
 ``FaultInterposer`` (the one fault surface; ``docs/MODEL.md``),
 ``NodeLifecycle`` (terminations, crashes, recoveries, stuck reports) and
 ``ObsDispatch`` (event fan-out + round profile).  The engine wires the
-stages and owns the run loop; it contains no scheduling policy and no
-message-path code.  The stages hold the engine through a weak proxy, so
+stages and owns the run loop, the simulator's only one (edge-cut shards
+run it too, stopped through their transport); it contains no scheduling
+policy and no message-path code.  The stages hold the engine through a weak proxy, so
 an engine and its per-node state are freed by reference counting as soon
 as the last user reference goes.  ``on_round_limit="partial"`` turns a
 blown round budget into a partial result carrying a ``StuckReport``
@@ -39,6 +40,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -86,6 +88,62 @@ class RoundLimitExceeded(RuntimeError):
     pass ``on_round_limit="partial"`` to record that outcome instead of
     raising.
     """
+
+
+def round_limit_error(
+    active: int, rounds: int, nodes: Iterable[int], stabilized: bool = False
+) -> RoundLimitExceeded:
+    """The canonical round-limit failure, naming the ten smallest of
+    ``nodes``: one text for the engine and the edge-cut coordinator."""
+    state = "stabilized without terminating" if stabilized else "still active"
+    return RoundLimitExceeded(
+        f"{active} node(s) {state} after {rounds} rounds: {sorted(nodes)[:10]}"
+    )
+
+
+def round_budget(max_rounds: Optional[int], n: int) -> int:
+    """A run's round budget: ``max_rounds``, else ``8 * n + 64``."""
+    return 8 * n + 64 if max_rounds is None else max_rounds
+
+
+class StopRule:
+    """Whether a run stops at a round boundary, and why: asked by an
+    engine about its own nodes, by the edge-cut coordinator about the sum
+    of its shards'.  The deadline counts from the rule's creation."""
+
+    __slots__ = ("max_rounds", "on_round_limit", "deadline")
+
+    def __init__(
+        self, max_rounds: int, on_round_limit: str, deadline_s: Optional[float]
+    ) -> None:
+        self.max_rounds = max_rounds
+        self.on_round_limit = on_round_limit
+        self.deadline = None if deadline_s is None else perf_counter() + deadline_s
+
+    def __call__(
+        self, round_index: int, active: int, nodes: Iterable[int], *,
+        pending: bool = False, stabilized: bool = False,
+    ) -> Optional[str]:
+        """``None`` runs another round; else the run stops after
+        ``round_index`` rounds with ``active`` nodes (``nodes`` holds the
+        ten smallest) for the first of: ``"stabilized"`` (the async
+        detector), ``"done"`` (no node active, no recovery ``pending``),
+        ``"deadline"`` (always graceful: a hung cell must never wedge a
+        sweep) and ``"round-limit"``.  Under ``on_round_limit="raise"`` a
+        stabilized or round-limited run raises instead."""
+        if stabilized:
+            reason, rounds = "stabilized", round_index
+        elif not active and not pending:
+            return "done"
+        elif self.deadline is not None and perf_counter() >= self.deadline:
+            return "deadline"
+        elif round_index >= self.max_rounds:
+            reason, rounds = "round-limit", self.max_rounds
+        else:
+            return None
+        if self.on_round_limit == "raise":
+            raise round_limit_error(active, rounds, nodes, stabilized)
+        return reason
 
 
 ProgramSource = Union[Mapping[int, NodeProgram], Callable[[int], NodeProgram]]
@@ -187,7 +245,7 @@ class SyncEngine:
         self.trace = trace
         #: The observability stage: event fan-out plus the round profile.
         self.obs = ObsDispatch(sinks=sinks, trace=trace, profile=profile)
-        self.max_rounds = max_rounds if max_rounds is not None else 8 * graph.n + 64
+        self.max_rounds = round_budget(max_rounds, graph.n)
         self.on_round_limit = on_round_limit
         self.fast = fast
         #: How this run executes (the async scheduler reads its knobs at
@@ -319,6 +377,13 @@ class SyncEngine:
         the partial record without raising — how tests observe the partial
         solution a bounded component (e.g. a base algorithm) leaves behind.
         """
+        return self.loop(stop_after)
+
+    def loop(self, stop_after: Optional[int] = None) -> RunResult:
+        """The simulator's one round loop, which edge-cut shards enter
+        directly (perfbench times them apart from engine runs): setup,
+        then rounds until ``stop_after`` or the transport's round-boundary
+        hook (``Transport.stop``) stops the run."""
         obs = self.obs
         profile = obs.profile
         result = self.result
@@ -339,29 +404,19 @@ class SyncEngine:
             profile.setup = perf_counter() - setup_start
         else:
             self._setup_phase()
+        #: What :meth:`stop_reason` asks; the deadline counts from here.
+        self._stop_rule = StopRule(
+            self.max_rounds, self.on_round_limit, self.policy.deadline_s
+        )
         run_round = self._scheduler.run_round
+        stop = self.transport.stop
         round_index = 0
-        deadline_s = self.policy.deadline_s
-        run_deadline = None if deadline_s is None else perf_counter() + deadline_s
-        while self._active or self._has_pending_recoveries(round_index):
-            if stop_after is not None and round_index >= stop_after:
+        while stop_after is None or round_index < stop_after:
+            reason = stop(round_index, self)
+            if reason is not None:
+                if reason != "done":
+                    result.stuck = self._build_stuck_report(round_index, reason)
                 break
-            if run_deadline is not None and perf_counter() >= run_deadline:
-                # Wall-clock deadlines always degrade gracefully: a hung
-                # cell must never wedge a sweep, whatever on_round_limit
-                # says about round budgets.
-                result.stuck = self._build_stuck_report(
-                    round_index, reason="deadline"
-                )
-                break
-            if round_index >= self.max_rounds:
-                if self.on_round_limit == "partial":
-                    result.stuck = self._build_stuck_report(round_index)
-                    break
-                raise RoundLimitExceeded(
-                    f"{len(self._active)} node(s) still active after "
-                    f"{self.max_rounds} rounds: {sorted(self._active)[:10]}"
-                )
             round_index += 1
             if obs:
                 obs.round_begin(round_index, len(self._active))
@@ -377,20 +432,6 @@ class SyncEngine:
                         "active": len(self._active),
                     },
                 )
-            if self._scheduler.quiesced and self._active:
-                # The async stabilization detector proved nothing can
-                # ever happen again; stop instead of spinning empty
-                # ticks to the round budget.
-                if self.on_round_limit != "partial":
-                    raise RoundLimitExceeded(
-                        f"{len(self._active)} node(s) stabilized without "
-                        f"terminating after {round_index} rounds: "
-                        f"{sorted(self._active)[:10]}"
-                    )
-                result.stuck = self._build_stuck_report(
-                    round_index, reason="stabilized"
-                )
-                break
         # Batched schedulers (vectorized kernels) write their buffered
         # per-node outcomes into ``result`` here; interpreted schedulers
         # already wrote through and this is a no-op.
@@ -411,6 +452,18 @@ class SyncEngine:
                 }
             )
         return result
+
+    def stop_reason(self, round_index: int) -> Optional[str]:
+        """This engine's own :class:`StopRule` decision after
+        ``round_index`` rounds."""
+        active = self._active
+        return self._stop_rule(
+            round_index,
+            len(active),
+            active,
+            pending=not active and self._has_pending_recoveries(round_index),
+            stabilized=bool(active) and self._scheduler.quiesced,
+        )
 
     def _has_pending_recoveries(self, round_index: int) -> bool:
         """Whether a crashed node is still scheduled to rejoin later.

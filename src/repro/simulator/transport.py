@@ -55,9 +55,9 @@ def bandwidth_error(
 ) -> BandwidthExceeded:
     """The canonical strict-CONGEST violation, naming the round and edge.
 
-    Built here so the unsharded transport and the edge-cut driver (which
-    defers violations to the round barrier) raise byte-identical text for
-    the same offending message.
+    Built here so the unsharded transport and the edge-cut coordinator
+    (which defers violations to the event barrier) raise byte-identical
+    text for the same offending message.
     """
     return BandwidthExceeded(
         f"{bits}-bit message from {sender} to {receiver} in round "
@@ -70,8 +70,8 @@ class Transport:
 
     This base class *is* the protocol: the engine and schedulers program
     against its surface (``inboxes``/``deposit``/``clear_inbox`` plus the
-    boundary hooks ``remote``/``export``/``boundary_events``/``sync``) and the
-    engine injects a concrete transport at construction.  The base
+    boundary hooks ``remote``/``export``/``boundary_events``/``sync``/``stop``)
+    and the engine injects a concrete transport at construction.  The base
     behavior is fully local; :class:`LocalTransport` is its alias-like
     subclass, and :class:`BoundaryTransport` overrides the hooks to speak
     to a shard coordinator.
@@ -202,6 +202,12 @@ class Transport:
         call it unconditionally.
         """
 
+    def stop(self, round_index: int, rt: Any) -> Optional[str]:
+        """Round-boundary hook of the engine's loop: ``None`` runs another
+        round, else why the run stops (the engine's ``StopRule``).  A
+        local run decides from its engine's own state."""
+        return rt.stop_reason(round_index)
+
     def _land(
         self,
         inbound: Sequence[Tuple[int, int, int, Any]],
@@ -270,10 +276,6 @@ class _RemoteSet:
     def __bool__(self) -> bool:
         return True
 
-    def isdisjoint(self, nodes: Iterable[int]) -> bool:
-        owned = self.owned
-        return all(node in owned for node in nodes)
-
 
 class BoundaryTransport(Transport):
     """Transport of one edge-cut shard, exchanging cut messages at a barrier.
@@ -282,8 +284,10 @@ class BoundaryTransport(Transport):
     owned nodes in ascending order, exports any send whose receiver is
     remote, then calls :meth:`sync`, which blocks on the shard
     coordinator until every shard has composed the round, and merges the
-    inbound cut messages into the local inboxes.  Two invariants keep the
-    merged run bit-identical to the unsharded one:
+    inbound cut messages into the local inboxes.  At every round boundary
+    the engine's loop calls :meth:`stop`, the event barrier, which
+    returns the coordinator's decision for the whole run.  Two invariants
+    keep the merged run bit-identical to the unsharded one:
 
     * **Inbox order** — unsharded inboxes are filled in ascending-sender
       order (compose iterates sorted identifiers), so after merging
@@ -293,8 +297,8 @@ class BoundaryTransport(Transport):
       outbox position).  A shard cannot know whether another shard holds
       an earlier violation, so every violation — local or inbound — is
       deferred and keyed by ``(sender, seq)``, where ``seq`` is the
-      sender shard's compose-order counter; the driver raises the
-      minimum-keyed one at the round barrier
+      sender shard's compose-order counter; the coordinator takes the
+      minimum-keyed one at the event barrier, and the run raises it
       (:func:`bandwidth_error` text, identical to the unsharded raise).
     """
 
@@ -330,7 +334,7 @@ class BoundaryTransport(Transport):
         #: Termination/crash announcements owed to remote neighbors.
         self.events: List[Tuple[str, int, Any]] = []
         #: Deferred strict-CONGEST violations: ``(sender, seq, receiver,
-        #: bits)``; adjudicated globally by the driver.
+        #: bits)``; adjudicated globally by the coordinator.
         self.violations: List[Tuple[int, int, int, int]] = []
         self._seq = 0
 
@@ -350,23 +354,13 @@ class BoundaryTransport(Transport):
     def boundary_events(
         self, round_index: int, events: List[Tuple[str, int, Any]]
     ) -> Sequence[Tuple[str, int, Any]]:
-        # Published at the barrier, in one global order across shards.
+        # Published at the event barrier, in one global order across shards.
         self.events.extend(events)
         return ()
 
-    def take_events(self) -> List[Tuple[str, int, Any]]:
-        """Drain the pending boundary events (driver, at the barrier)."""
-        events, self.events = self.events, []
-        return events
-
-    def take_violations(self) -> List[Tuple[int, int, int, int]]:
-        """Drain the deferred violations (driver, at the barrier)."""
-        violations, self.violations = self.violations, []
-        return violations
-
     # -- accounting -----------------------------------------------------
     def _over_budget(self, bits: int, sender: int, receiver: int, seq: int) -> None:
-        """Defer the abort to the round barrier, where the globally-first
+        """Defer the abort to the event barrier, where the globally-first
         violation is known; the counters were updated as locally."""
         self.violations.append((sender, seq, receiver, bits))
 
@@ -399,6 +393,21 @@ class BoundaryTransport(Transport):
             self.result.message_count += 1
         else:
             self.account(payload, sender, receiver, seq)
+
+    def stop(self, round_index: int, rt: Any) -> Optional[str]:
+        """The event barrier, at every round boundary: hand the
+        coordinator this shard's departures, active count, ten smallest
+        active nodes and deferred violations; publish the departures it
+        merges across shards; return its decision for the whole run."""
+        events, self.events = self.events, []
+        violations, self.violations = self.violations, []
+        merged, reason = self.coordinator.exchange_events(
+            self.shard,
+            round_index,
+            (events, len(rt._active), rt._active_order[:10], violations),
+        )
+        rt._lifecycle.publish(merged)
+        return reason
 
 
 def event_order(event: Tuple[str, int, Any]) -> Tuple[bool, int]:

@@ -27,7 +27,8 @@ from repro.bench.algorithms import (
 )
 from repro.core import RunConfig, run
 from repro.core.runner import ExecutionPolicy
-from repro.exec import GraphSpec, Sweep
+from repro.exec import AlgorithmSpec, GraphSpec, Sweep
+from repro.exec.plan import Cell
 from repro.graphs import (
     DistGraph,
     complete_kary_tree,
@@ -38,7 +39,13 @@ from repro.kernels import UnsupportedScheduleError
 from repro.predictions import noisy_predictions, perfect_predictions
 from repro.problems import PROBLEMS
 from repro.problems.mis import MIS
-from repro.shard import EdgecutView, edgecut_bounds, run_edgecut
+from repro.shard import (
+    EdgecutView,
+    edgecut,
+    edgecut_bounds,
+    execute_edgecut_cell,
+    run_edgecut,
+)
 from repro.simulator.engine import RoundLimitExceeded
 from repro.simulator.models import strict_congest
 from repro.simulator.transport import BandwidthExceeded
@@ -267,10 +274,84 @@ class TestLimitParity:
         )
         _assert_identical(sharded, reference)
         assert reference.stuck is not None and sharded.stuck is not None
-        assert sharded.stuck.live_nodes == reference.stuck.live_nodes
-        assert sharded.stuck.round == reference.stuck.round
-        assert sharded.stuck.total_nodes == reference.stuck.total_nodes
-        assert sharded.stuck.reason == reference.stuck.reason
+        _assert_same_stuck(sharded.stuck, reference.stuck)
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    @pytest.mark.parametrize("on_round_limit", ["raise", "partial"])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_budget_boundary_matches_unsharded(
+        self, offset, on_round_limit, mode, monkeypatch
+    ):
+        """Budgets of R - 1, R and R + 1 rounds, R the unsharded run's
+        ``rounds``: only R - 1 cuts the run, and the edge-cut run stops
+        as the unsharded one does — the same exception text, or the same
+        result and stuck report — in thread mode (:func:`run_edgecut`)
+        and process mode (``execute_edgecut_cell(mode="process")``)."""
+        graph = _fuzz_graph(41)
+        whole = run(greedy_mis_reference(), graph, config=RunConfig(seed=2))
+        config = RunConfig(
+            seed=2,
+            max_rounds=whole.rounds + offset,
+            on_round_limit=on_round_limit,
+        )
+        if offset < 0 and on_round_limit == "raise":
+            with pytest.raises(RoundLimitExceeded) as reference:
+                run(greedy_mis_reference(), graph, config=config)
+            with pytest.raises(RoundLimitExceeded) as sharded:
+                _limited_run(graph, config, mode, monkeypatch)
+            assert str(sharded.value) == str(reference.value)
+            return
+        reference = run(greedy_mis_reference(), graph, config=config)
+        sharded = _limited_run(graph, config, mode, monkeypatch)
+        _assert_identical(sharded, reference)
+        assert (reference.stuck is not None) == (offset < 0)
+        if reference.stuck is None:
+            assert sharded.stuck is None
+        else:
+            _assert_same_stuck(sharded.stuck, reference.stuck)
+
+
+def _assert_same_stuck(sharded, reference):
+    assert sharded is not None
+    assert sharded.live_nodes == reference.live_nodes
+    assert sharded.round == reference.round
+    assert sharded.total_nodes == reference.total_nodes
+    assert sharded.reason == reference.reason
+
+
+def _limited_run(graph, config, mode, monkeypatch, shards=3):
+    """The folded result of an edge-cut ``greedy_mis_reference`` run.
+
+    Process mode goes through ``execute_edgecut_cell``; the process
+    driver's result, whose row the cell builds, is kept on the way.
+    """
+    if mode == "thread":
+        return run_edgecut(
+            greedy_mis_reference(), graph, config=config, shard_count=shards
+        )
+    folded = []
+    driver = edgecut._run_edgecut_process
+
+    def kept(*args):
+        folded.append(driver(*args))
+        return folded[-1]
+
+    monkeypatch.setattr(edgecut, "_run_edgecut_process", kept)
+    cell = Cell(
+        label="limit",
+        graph=GraphSpec.literal(graph),
+        algorithm=AlgorithmSpec.of(greedy_mis_reference),
+        config=config,
+    )
+    row = execute_edgecut_cell(0, cell, config.seed, shards, mode="process")
+    (result,) = folded
+    assert (row.rounds, row.rounds_executed, row.message_count, row.stuck) == (
+        result.rounds,
+        result.rounds_executed,
+        result.message_count,
+        result.stuck is not None,
+    )
+    return result
 
 
 # ----------------------------------------------------------------------

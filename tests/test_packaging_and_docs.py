@@ -91,6 +91,27 @@ class TestPackaging:
                 )
         assert found == []
 
+    def test_one_round_loop(self):
+        """``SyncEngine`` holds the simulator's only round loop: no module
+        but ``simulator/engine.py`` reaches for a run's setup phase, its
+        scheduler's rounds or their finish (``simulator/scheduling.py``
+        drives its kernel's ``run_round``)."""
+        steps = {"_setup_phase", "run_round", "finish"}
+        allowed = {"simulator/engine.py", "simulator/scheduling.py"}
+        root = pathlib.Path(repro.__file__).parent
+        found = []
+        for path in sorted(root.rglob("*.py")):
+            name = path.relative_to(root).as_posix()
+            if name in allowed:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found.extend(
+                (name, node.lineno, node.attr)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr in steps
+            )
+        assert found == []
+
     @pytest.mark.parametrize("module_name", all_repro_modules())
     def test_every_module_imports_and_is_documented(self, module_name):
         module = importlib.import_module(module_name)
