@@ -25,7 +25,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.core.runner import ExecutionPolicy, RunConfig, run
+from repro.core.runner import RunConfig, run
 from repro.dynamic.stream import EpochBatch, EpochStream, apply_batch
 from repro.errors import eta1
 from repro.exec.plan import derive_cell_seed
@@ -84,8 +84,8 @@ class DynamicRunner:
             η₁).
         stream: The epoch source.
         config: Base :class:`RunConfig` for every execution (the per-
-            epoch seed overrides its ``seed``).
-        policy: :class:`ExecutionPolicy` for every execution.
+            epoch seed overrides its ``seed``); its ``policy`` says how
+            every execution runs.
         scratch: When true (default) each epoch also runs solve-from-
             scratch — same graph, same seed, default predictions — and
             records its rounds in ``scratch_rounds``.
@@ -103,7 +103,6 @@ class DynamicRunner:
         stream: EpochStream,
         *,
         config: Optional[RunConfig] = None,
-        policy: Optional[ExecutionPolicy] = None,
         scratch: bool = True,
         seed: int = 0,
         name: str = "",
@@ -112,7 +111,6 @@ class DynamicRunner:
         self.problem = problem
         self.stream = stream
         self.config = config
-        self.policy = policy
         self.scratch = scratch
         self.seed = seed
         self.name = name or getattr(stream, "name", "dynamic")
@@ -135,7 +133,6 @@ class DynamicRunner:
             graph,
             predictions,
             config=self.config,
-            policy=self.policy,
             seed=cell_seed,
         )
         scratch_rounds: Optional[int] = None
@@ -150,7 +147,6 @@ class DynamicRunner:
                     graph,
                     default_predictions(self.problem, graph),
                     config=self.config,
-                    policy=self.policy,
                     seed=cell_seed,
                 )
                 scratch_rounds = cold.rounds

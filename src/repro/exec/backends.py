@@ -1,10 +1,21 @@
 """Sweep execution backends: serial and process-pool.
 
-The process backend fans chunks of cells out over a
-:class:`concurrent.futures.ProcessPoolExecutor`; the serial backend runs
-the identical per-cell function in-process.  Because per-cell seeds are
-fixed before dispatch (explicit or derived — see
-:func:`repro.exec.plan.derive_cell_seed`) and cached artifacts are
+A sweep's cells are planned once into work units (:func:`_plan_units`):
+a whole cell, one component shard of a cell, or an edge-cut cell.  Every
+unit runs through one runner (:func:`_run_unit`) and every cell's rows
+through one fold (:func:`_collect_rows`), whichever backend runs them:
+
+* **serial** — every unit in this process, edge-cut shards on threads;
+* **process** — cell and shard units fan out in chunks over a
+  :class:`concurrent.futures.ProcessPoolExecutor`, and each edge-cut
+  unit then runs here, spawning one process per shard and routing their
+  barriers.  A sweep of one unsharded cell runs serially (one cell never
+  pays for a pool), and so does every unit where a pool worker or an
+  edge-cut shard process cannot be spawned; the result reports the
+  backend that ran.
+
+Because per-cell seeds are fixed before dispatch (explicit or derived —
+see :func:`repro.exec.plan.derive_cell_seed`) and cached artifacts are
 immutable, the two backends produce row-for-row identical
 :class:`~repro.exec.results.SweepResult` tables for the same sweep, and
 any chunking of the process backend does too.
@@ -15,16 +26,18 @@ which groups cells sharing a graph spec — it turns most per-worker
 artifact-cache lookups into hits.
 
 Two :class:`~repro.simulator.scheduling.ExecutionPolicy` knobs change what a
-dispatched work item *is*:
+work unit *is*:
 
 * ``share_graph=True`` — the process backend activates a
   :class:`~repro.shard.store.SharedCSRStore` around dispatch, so every
   CSR topology crossing the pool boundary ships once as a shared-memory
-  segment and each cell pickles down to a ~100-byte handle (measured
+  segment and each unit pickles down to a ~100-byte handle (measured
   into the rows' ``ship_bytes``/``shared_bytes`` columns).
-* ``shard="components"`` — cells expand into one work item per
-  component shard, spreading a single huge-graph cell across the pool;
-  the shards' rows merge back into one bit-identical row.
+* ``shard="components"`` — a cell plans into one unit per component
+  shard, spreading a single huge-graph cell across the pool; the shards'
+  rows merge back into one bit-identical row.  ``shard="edgecut"`` cells
+  stay one unit each: their shards meet at a barrier every round (see
+  :mod:`repro.shard.edgecut`).
 
 Before any cell runs, every sharded cell is checked against its row of
 :mod:`repro.simulator.capabilities`; with fewer than two shards it runs
@@ -40,7 +53,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.runner import run
 from repro.exec.cache import (
@@ -48,22 +61,13 @@ from repro.exec.cache import (
     configure_process_cache,
     process_cache,
 )
-from repro.exec.plan import Cell, FaultSpec, Spec, Sweep, derive_cell_seed
+from repro.exec.plan import Cell, Spec, Sweep, derive_cell_seed
 from repro.exec.results import CellResult, SweepResult, cell_inputs, cell_row
 from repro.obs.events import MemoryEventSink, write_jsonl_events
 from repro.shard.edgecut import execute_edgecut_cell
 from repro.shard.plan import execute_shard, merge_partials
 from repro.shard.store import SharedCSRStore, reset_worker_state
 from repro.simulator.capabilities import FALLBACK, require
-
-#: A dispatched unit of work: an entire cell, or one component shard.
-#: ``("cell", index, cell, seed)`` /
-#: ``("shard", index, cell, seed, shard, shard_count)``.
-#: ``shard="edgecut"`` cells never become pool items — their shards are
-#: coupled by a per-round barrier, so they run as one unit (threads on
-#: the serial backend, dedicated processes driven by the parent on the
-#: process backend; see :mod:`repro.shard.edgecut`).
-WorkItem = Tuple[Any, ...]
 
 
 def execute(
@@ -88,9 +92,10 @@ def execute(
     cell label, in cell order — as one JSONL file.
 
     The returned :class:`SweepResult` records both the requested and the
-    *effective* backend: a process-backend request runs serially for
-    single-cell sweeps and on platforms that cannot spawn workers, and
-    reports so instead of claiming parallelism it didn't have.
+    *effective* backend: a process-backend request runs serially for a
+    sweep of one unsharded cell and on platforms that cannot spawn
+    workers, and reports so instead of claiming parallelism it didn't
+    have.
     """
     if backend not in ("serial", "process"):
         raise ValueError(f"backend must be 'serial' or 'process', got {backend!r}")
@@ -103,15 +108,46 @@ def execute(
     events = events or events_path is not None
     for cell in sweep.cells:
         _require_shardable(cell, profile, events)
-    tagged = [
-        (index, cell, _resolved_seed(sweep, index, cell))
-        for index, cell in enumerate(sweep.cells)
-    ]
-    shard_count = max(1, jobs or os.cpu_count() or 2)
+    # A sharded cell splits into ``jobs`` shards, on either backend.
+    jobs = max(1, jobs or os.cpu_count() or 2)
+    units = _plan_units(sweep, jobs, profile, events)
     start = time.perf_counter()
     shared_bytes = 0
-    if backend == "serial" or len(tagged) <= 1:
-        effective = "serial"
+    rows: Optional[List[CellResult]] = None
+    # One unsharded cell never pays for a pool.
+    alone = len(units) <= 1 and all(unit[0] == "cell" for unit in units)
+    if backend == "process" and not alone:
+        store = None
+        if any(cell.config.policy.share_graph for cell in sweep.cells):
+            store = SharedCSRStore(directory=cache_dir)
+        try:
+            if store is not None:
+                store.activate()
+            rows, stats = _execute_process_pool(
+                units,
+                jobs=jobs,
+                chunk_size=chunk_size,
+                cache_dir=cache_dir,
+                cache_size=cache_size,
+                store=store,
+            )
+            if store is not None:
+                shared_bytes = store.total_bytes
+        except OSError as exc:
+            # Sandboxes and restricted CI runners sometimes forbid
+            # spawning pool workers or edge-cut shard processes; the
+            # sweep still completes, just serially (edge-cut shards on
+            # threads) — and the result says so (``backend="serial"``).
+            warnings.warn(
+                f"process backend unavailable ({exc}); falling back to serial",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        finally:
+            if store is not None:
+                store.close()
+    effective = "serial" if rows is None else "process"
+    if rows is None:
         # ``is not None``, not truthiness: a fresh caller-supplied cache
         # is empty and ArtifactCache defines ``__len__``.
         local_cache = (
@@ -119,36 +155,10 @@ def execute(
             if cache is not None
             else ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
         )
-        rows = [
-            _execute_cell_any(
-                index, cell, seed, local_cache, profile, events, shard_count
-            )
-            for index, cell, seed in tagged
-        ]
+        rows = _collect_rows(
+            [(unit, _run_unit(unit, local_cache)) for unit in units]
+        )
         stats = local_cache.stats()
-    else:
-        store = None
-        if any(cell.config.policy.share_graph for _, cell, _ in tagged):
-            store = SharedCSRStore(directory=cache_dir)
-        try:
-            if store is not None:
-                store.activate()
-            rows, stats, effective = _execute_process_pool(
-                tagged,
-                jobs=jobs,
-                chunk_size=chunk_size,
-                cache_dir=cache_dir,
-                cache_size=cache_size,
-                profile=profile,
-                events=events,
-                shard_count=shard_count,
-                store=store,
-            )
-            if store is not None:
-                shared_bytes = store.total_bytes
-        finally:
-            if store is not None:
-                store.close()
     rows.sort(key=lambda row: row.index)
     result = SweepResult(
         name=sweep.name,
@@ -203,8 +213,83 @@ def _resolved_seed(sweep: Sweep, index: int, cell: Cell) -> int:
 
 
 # ----------------------------------------------------------------------
-# Per-cell execution (shared verbatim by both backends)
+# Work units: one planner, one runner, one fold (shared by both backends)
 # ----------------------------------------------------------------------
+def _plan_units(
+    sweep: Sweep, shard_count: int, profile: bool, events: bool
+) -> List[tuple]:
+    """Every cell's work units, in grid order, each carrying the cell's
+    index and resolved seed:
+
+    * ``("cell", index, cell, seed, profile, events)`` — a whole cell;
+    * ``("shard", index, cell, seed, shard, shard_count)`` — one component
+      shard of a ``shard="components"`` cell;
+    * ``("edgecut", index, cell, seed, shard_count)`` — a
+      ``shard="edgecut"`` cell, whose shards meet at a barrier every
+      round and so run as one unit.
+
+    With fewer than two shards, a sharded cell is one whole-cell unit.
+    """
+    units: List[tuple] = []
+    for index, cell in enumerate(sweep.cells):
+        seed = _resolved_seed(sweep, index, cell)
+        mode = cell.config.policy.shard if shard_count > 1 else None
+        if mode == "components":
+            units.extend(
+                ("shard", index, cell, seed, shard, shard_count)
+                for shard in range(shard_count)
+            )
+        elif mode == "edgecut":
+            units.append(("edgecut", index, cell, seed, shard_count))
+        else:
+            units.append(("cell", index, cell, seed, profile, events))
+    return units
+
+
+def _run_unit(
+    unit: tuple, cache: ArtifactCache, mode: str = "thread"
+) -> CellResult:
+    """One work unit's row, in whichever process runs it.
+
+    An edge-cut unit's shards run on threads, or under ``mode="process"``
+    on one spawned process each.
+    """
+    kind, index, cell, seed = unit[:4]
+    if kind == "cell":
+        return _execute_cell(index, cell, seed, cache, *unit[4:])
+    if kind == "shard":
+        return execute_shard(index, cell, seed, *unit[4:], cache)
+    (shard_count,) = unit[4:]
+    return execute_edgecut_cell(
+        index, cell, seed, shard_count, mode=mode, cache=cache
+    )
+
+
+def _collect_rows(outputs: List[Tuple[tuple, CellResult]]) -> List[CellResult]:
+    """Fold the units' rows into one row per cell.
+
+    A whole cell's or an edge-cut cell's row passes through, and a cell's
+    shard rows merge in shard order.  A lost unit fails its whole cell —
+    partial rows would not be comparable — with one failed row, however
+    many of its units were lost.
+    """
+    failed = {row.index: row for _, row in outputs if row.failure is not None}
+    rows = list(failed.values())
+    shards: Dict[int, Tuple[tuple, Dict[int, CellResult]]] = {}
+    for unit, row in outputs:
+        if unit[1] in failed:
+            continue
+        if unit[0] == "shard":
+            shards.setdefault(unit[1], (unit, {}))[1][unit[4]] = row
+        else:
+            rows.append(row)
+    for (_, index, cell, seed, _, _), parts in shards.values():
+        rows.append(
+            merge_partials(index, cell, seed, [parts[s] for s in sorted(parts)])
+        )
+    return rows
+
+
 def _execute_cell(
     index: int,
     cell: Cell,
@@ -216,9 +301,7 @@ def _execute_cell(
     started = time.perf_counter()
     graph, predictions = cell_inputs(cell, cache)
     faults = cell.faults
-    if isinstance(faults, FaultSpec):
-        faults = faults.build(graph)
-    elif isinstance(faults, Spec):  # a generic Spec used for faults
+    if isinstance(faults, Spec):  # a FaultSpec, or a generic Spec for faults
         faults = faults.build(graph)
     algorithm = cell.algorithm.build()
     config = cell.config.with_overrides(
@@ -242,66 +325,6 @@ def _execute_cell(
     )
 
 
-def _execute_cell_any(
-    index: int,
-    cell: Cell,
-    seed: int,
-    cache: ArtifactCache,
-    profile: bool,
-    events: bool,
-    shard_count: int,
-) -> CellResult:
-    """One cell on the current process: sharded (run + merge in place)
-    when its policy shards, whole otherwise.
-
-    The serial spelling of the sharded path — same split, same merge —
-    so ``backend="serial"`` stays row-for-row identical to the pool and
-    the differential fuzz can compare all four combinations cheaply.
-    """
-    mode = cell.config.policy.shard
-    if mode is None or shard_count < 2:
-        return _execute_cell(index, cell, seed, cache, profile, events)
-    if mode == "edgecut":
-        return _execute_edgecut_any(
-            index, cell, seed, cache, shard_count, "thread"
-        )
-    partials = [
-        execute_shard(index, cell, seed, shard, shard_count, cache)
-        for shard in range(shard_count)
-    ]
-    return merge_partials(index, cell, seed, partials)
-
-
-def _execute_edgecut_any(
-    index: int,
-    cell: Cell,
-    seed: int,
-    cache: ArtifactCache,
-    shard_count: int,
-    mode: str,
-) -> CellResult:
-    """One ``shard="edgecut"`` cell.
-
-    The process mode falls back to in-process threads when the platform
-    cannot spawn workers (same contract as the pool itself).
-    """
-    if mode == "process":
-        try:
-            return execute_edgecut_cell(
-                index, cell, seed, shard_count, mode="process", cache=cache
-            )
-        except (OSError, PermissionError) as exc:
-            warnings.warn(
-                f"edge-cut shard processes unavailable ({exc}); "
-                f"running cell {cell.label!r} on in-process threads",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    return execute_edgecut_cell(
-        index, cell, seed, shard_count, mode="thread", cache=cache
-    )
-
-
 # ----------------------------------------------------------------------
 # Process-pool backend
 # ----------------------------------------------------------------------
@@ -315,42 +338,28 @@ def _init_worker(cache_size: int, cache_dir: Optional[str]) -> None:
     configure_process_cache(maxsize=cache_size, disk_dir=cache_dir)
 
 
-def _execute_item(item: WorkItem, cache: ArtifactCache) -> CellResult:
-    """One work item in a worker: a full cell's row, or one shard's."""
-    kind = item[0]
-    if kind == "cell":
-        _, index, cell, seed, profile, events = item
-        return _execute_cell(index, cell, seed, cache, profile, events)
-    _, index, cell, seed, shard, shard_count = item
-    return execute_shard(index, cell, seed, shard, shard_count, cache)
-
-
-def _run_chunk(
-    task: Tuple[List[WorkItem], ...]
-) -> Tuple[List[CellResult], Dict[str, int]]:
-    """Execute one chunk in a worker; returns one row per item (the
-    parent merges the rows of a cell's shards) + cache counters."""
-    (items,) = task
+def _run_chunk(units: List[tuple]) -> Tuple[List[CellResult], Dict[str, int]]:
+    """Execute one chunk in a worker; returns one row per unit (the
+    parent pairs them with its units and folds) + cache counters."""
     cache = process_cache()
     before = cache.stats()
-    outputs = [_execute_item(item, cache) for item in items]
+    rows = [_run_unit(unit, cache) for unit in units]
     after = cache.stats()
     delta = {
         key: after[key] - before.get(key, 0)
         for key in ("hits", "disk_hits", "misses", "corrupt")
     }
-    return outputs, delta
+    return rows, delta
 
 
-def _failed_cell_result(item: WorkItem, exc: BaseException) -> CellResult:
-    """A placeholder row for a work item whose worker died (twice).
+def _failed_cell_result(unit: tuple, exc: BaseException) -> CellResult:
+    """A placeholder row for a work unit whose worker died (twice).
 
     Every run-derived field is zero/``None``; ``failure`` records the
     exception so the sweep table stays complete and diagnosable instead
-    of silently dropping the cell.  A failed *shard* fails its whole
-    cell — partial rows would not be comparable.
+    of silently dropping the cell.
     """
-    _kind, index, cell, seed = item[:4]
+    _kind, index, cell, seed = unit[:4]
     return CellResult(
         index=index,
         label=cell.label,
@@ -364,14 +373,14 @@ def _failed_cell_result(item: WorkItem, exc: BaseException) -> CellResult:
 
 
 def _drain_pool(
-    chunks: List[Tuple[List[WorkItem]]],
+    chunks: List[List[tuple]],
     workers: int,
     cache_size: int,
     cache_dir: Optional[str],
-    outputs: List[Tuple[WorkItem, CellResult]],
+    outputs: List[Tuple[tuple, CellResult]],
     stats: Dict[str, int],
-) -> List[Tuple[List[WorkItem], BaseException]]:
-    """Run chunks on one fresh pool, collecting each item's row into
+) -> List[Tuple[List[tuple], BaseException]]:
+    """Run chunks on one fresh pool, collecting each unit's row into
     ``outputs`` and the cache counters into ``stats``.
 
     Returns the chunks (with the exception) whose workers the pool lost
@@ -379,7 +388,7 @@ def _drain_pool(
     chunk surfaces as :class:`BrokenProcessPool` while already-completed
     chunks keep their results.
     """
-    lost: List[Tuple[List[WorkItem], BaseException]] = []
+    lost: List[Tuple[List[tuple], BaseException]] = []
     with ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
@@ -392,202 +401,98 @@ def _drain_pool(
         except BrokenProcessPool as exc:
             # The pool died while submissions were still going in; every
             # chunk that never made it to a worker is lost as well.
-            lost.extend((chunk[0], exc) for chunk in chunks[len(futures):])
+            lost.extend((chunk, exc) for chunk in chunks[len(futures):])
         for future in as_completed(futures):
             chunk = futures[future]
             try:
-                chunk_outputs, chunk_stats = future.result()
+                rows, chunk_stats = future.result()
             except BrokenProcessPool as exc:
-                lost.append((chunk[0], exc))
+                lost.append((chunk, exc))
                 continue
-            outputs.extend(zip(chunk[0], chunk_outputs))
+            outputs.extend(zip(chunk, rows))
             for key, value in chunk_stats.items():
                 stats[key] = stats.get(key, 0) + value
     return lost
 
 
-def _expand_items(
-    tagged: List[Tuple[int, Cell, int]],
-    shard_count: int,
-    profile: bool,
-    events: bool,
-) -> List[WorkItem]:
-    """Work items in grid order: one per cell, or one per shard for
-    component-sharded cells.  Edge-cut cells are absent by construction
-    — the caller routes them to the parent-driven barrier execution
-    instead."""
-    items: List[WorkItem] = []
-    for index, cell, seed in tagged:
-        if shard_count > 1 and cell.config.policy.shard == "components":
-            items.extend(
-                ("shard", index, cell, seed, shard, shard_count)
-                for shard in range(shard_count)
-            )
-        else:
-            items.append(("cell", index, cell, seed, profile, events))
-    return items
-
-
 def _measure_shipping(
-    items: List[WorkItem], store: SharedCSRStore
+    units: List[tuple], store: SharedCSRStore
 ) -> Dict[int, int]:
     """Per-cell dispatched-pickle bytes, measured under the active store.
 
     The measurement pickle is also the store's publication pass: the
     first ``dumps`` of each topology creates its segment, so by the time
-    the pool pickles the same items only handles cross the boundary.
+    the pool pickles the same units only handles cross the boundary.
     Only taken when a store is active — the handles make it cheap; with
     flat buffers it would double the dominant serialization cost.
     """
     ship: Dict[int, int] = {}
-    for item in items:
-        index = item[1]
-        size = len(pickle.dumps(item, protocol=pickle.HIGHEST_PROTOCOL))
+    for unit in units:
+        index = unit[1]
+        size = len(pickle.dumps(unit, protocol=pickle.HIGHEST_PROTOCOL))
         ship[index] = ship.get(index, 0) + size
     return ship
 
 
-def _shared_bytes_for(cell: Cell, store: SharedCSRStore) -> Optional[int]:
-    """Segment bytes behind the cell's literal graph, if published."""
-    csr = getattr(cell.graph.value, "csr", None)
-    if csr is None:
-        return None
-    handle = store.handle_for(csr)
-    return handle.nbytes if handle is not None else None
-
-
-def _collect_rows(
-    tagged: List[Tuple[int, Cell, int]],
-    outputs: List[Tuple[WorkItem, CellResult]],
-    failed: List[CellResult],
-) -> List[CellResult]:
-    """Fold worker outputs into final rows: pass cell rows through,
-    merge each cell's shard rows in shard order, let a failed shard fail
-    its cell."""
-    rows: List[CellResult] = []
-    shard_rows: Dict[int, Dict[int, CellResult]] = {}
-    for item, output in outputs:
-        if item[0] == "shard":
-            shard_rows.setdefault(output.index, {})[item[4]] = output
-        else:
-            rows.append(output)
-    failed_indexes = {row.index for row in failed}
-    by_index = {index: (cell, seed) for index, cell, seed in tagged}
-    for index, parts in shard_rows.items():
-        if index in failed_indexes:
-            continue  # a lost shard already failed the whole cell
-        cell, seed = by_index[index]
-        rows.append(
-            merge_partials(index, cell, seed, [parts[s] for s in sorted(parts)])
-        )
-    seen = {row.index for row in rows}
-    # One failed row per cell, however many of its shards were lost.
-    rows.extend(
-        {row.index: row for row in failed if row.index not in seen}.values()
-    )
-    return rows
-
-
 def _execute_process_pool(
-    tagged: List[Tuple[int, Cell, int]],
+    units: List[tuple],
     *,
-    jobs: Optional[int],
+    jobs: int,
     chunk_size: Optional[int],
     cache_dir: Optional[str],
     cache_size: int,
-    profile: bool = False,
-    events: bool = False,
-    shard_count: int = 1,
     store: Optional[SharedCSRStore] = None,
-) -> Tuple[List[CellResult], Dict[str, int], str]:
-    """Rows, cache counters and the backend that actually ran them."""
-    workers = jobs or os.cpu_count() or 2
-    workers = max(1, min(workers, len(tagged)))
-    edgecut_indexes = {
-        index
-        for index, cell, _ in tagged
-        if shard_count > 1 and cell.config.policy.shard == "edgecut"
-    }
-    edgecut_tagged = [e for e in tagged if e[0] in edgecut_indexes]
-    pool_tagged = [e for e in tagged if e[0] not in edgecut_indexes]
-    items = _expand_items(pool_tagged, shard_count, profile, events)
-    ship = _measure_shipping(items, store) if store is not None else {}
-    if chunk_size is None:
-        # ~4 waves per worker balances scheduling slack against IPC cost.
-        chunk_size = max(1, len(items) // (workers * 4) or 1)
-    chunks = [
-        (items[i : i + chunk_size],)
-        for i in range(0, len(items), chunk_size)
-    ]
-    outputs: List[Tuple[WorkItem, CellResult]] = []
-    failed: List[CellResult] = []
-    stats: Dict[str, int] = {
-        "hits": 0, "disk_hits": 0, "misses": 0, "corrupt": 0,
-    }
-    effective = "process"
-    try:
-        lost = _drain_pool(
-            chunks, workers, cache_size, cache_dir, outputs, stats
-        )
+) -> Tuple[List[CellResult], Dict[str, int]]:
+    """Rows and cache counters: cell and shard units run on the pool,
+    then each edge-cut unit runs here, spawning one process per shard,
+    since the parent routes their barriers."""
+    pooled = [unit for unit in units if unit[0] != "edgecut"]
+    ship = _measure_shipping(pooled, store) if store is not None else {}
+    outputs: List[Tuple[tuple, CellResult]] = []
+    stats = dict.fromkeys(("hits", "disk_hits", "misses", "corrupt"), 0)
+    if pooled:
+        workers = min(jobs, len(pooled))
+        if chunk_size is None:
+            # ~4 waves per worker balances scheduling slack against IPC cost.
+            chunk_size = max(1, len(pooled) // (workers * 4))
+        chunks = [
+            pooled[i : i + chunk_size] for i in range(0, len(pooled), chunk_size)
+        ]
+        lost = _drain_pool(chunks, workers, cache_size, cache_dir, outputs, stats)
         if lost:
             # A worker died and took the pool with it.  The completed
-            # chunks' outputs are already collected; retry only the lost
-            # items, once, each on its own fresh single-worker pool —
+            # chunks' rows are already collected; retry only the lost
+            # units, once, each on its own fresh single-worker pool —
             # isolation, so a permanently-poisonous cell can neither
-            # sink its chunk-mates nor the other cells being retried.
-            retry_items = [item for chunk, _ in lost for item in chunk]
+            # sink its chunk-mates nor the other units being retried.
+            retry = [unit for chunk, _ in lost for unit in chunk]
             warnings.warn(
                 f"a sweep worker died ({lost[0][1]}); retrying "
-                f"{len(retry_items)} affected work item(s) on a fresh pool",
+                f"{len(retry)} affected work unit(s) on a fresh pool",
                 RuntimeWarning,
                 stacklevel=3,
             )
-            for item in retry_items:
-                still_lost = _drain_pool(
-                    [([item],)], 1, cache_size, cache_dir, outputs, stats
-                )
-                for chunk, exc in still_lost:
-                    failed.extend(
-                        _failed_cell_result(lost_item, exc)
-                        for lost_item in chunk
-                    )
-        rows = _collect_rows(pool_tagged, outputs, failed)
-        if edgecut_tagged:
-            # Edge-cut cells run here in the parent: their shards are one
-            # barrier-coupled unit (dedicated worker processes, parent as
-            # router), not independent pool items.
-            parent_cache = ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
-            rows.extend(
-                _execute_edgecut_any(
-                    index, cell, seed, parent_cache, shard_count, "process"
-                )
-                for index, cell, seed in edgecut_tagged
-            )
-            for key, value in parent_cache.stats().items():
-                stats[key] = stats.get(key, 0) + value
-        if store is not None:
-            # Tagged is enumerate-ordered, so ``tagged[i] == (i, cell, seed)``.
-            for row in rows:
-                if row.failure is not None:
-                    continue
+            for unit in retry:
+                for _, exc in _drain_pool(
+                    [[unit]], 1, cache_size, cache_dir, outputs, stats
+                ):
+                    outputs.append((unit, _failed_cell_result(unit, exc)))
+    cache = ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
+    outputs.extend(
+        (unit, _run_unit(unit, cache, "process"))
+        for unit in units
+        if unit[0] == "edgecut"
+    )
+    for key, value in cache.stats().items():
+        stats[key] = stats.get(key, 0) + value
+    rows = _collect_rows(outputs)
+    if store is not None:
+        cells = {unit[1]: unit[2] for unit in units}
+        for row in rows:
+            if row.failure is None:
+                # Segment bytes behind the cell's literal graph, if published.
+                csr = getattr(cells[row.index].graph.value, "csr", None)
+                handle = None if csr is None else store.handle_for(csr)
                 row.ship_bytes = ship.get(row.index)
-                row.shared_bytes = _shared_bytes_for(tagged[row.index][1], store)
-    except (OSError, PermissionError) as exc:
-        # Sandboxes and restricted CI runners sometimes forbid spawning
-        # worker processes; the sweep still completes, just serially —
-        # and the result says so (``backend="serial"``).
-        warnings.warn(
-            f"process backend unavailable ({exc}); falling back to serial",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        effective = "serial"
-        cache = ArtifactCache(maxsize=cache_size, disk_dir=cache_dir)
-        rows = [
-            _execute_cell_any(
-                index, cell, seed, cache, profile, events, shard_count
-            )
-            for index, cell, seed in tagged
-        ]
-        stats = cache.stats()
-    return rows, stats, effective
+                row.shared_bytes = None if handle is None else handle.nbytes
+    return rows, stats

@@ -309,9 +309,9 @@ class SweepResult:
         rows: One :class:`CellResult` per cell.
         backend: The backend that *actually* executed the cells
             (``"serial"`` or ``"process"``).  May differ from
-            :attr:`requested_backend`: single-cell sweeps and platforms
-            that cannot spawn worker processes run serially even when
-            the process backend was requested.
+            :attr:`requested_backend`: a sweep of one unsharded cell,
+            and platforms that cannot spawn worker or shard processes,
+            run serially even when the process backend was requested.
         requested_backend: The backend the caller asked for.
         elapsed: Wall-clock seconds for the whole execution.
         cache_stats: Aggregated artifact-cache counters (summed over

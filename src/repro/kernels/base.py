@@ -26,14 +26,14 @@ An initialization compiles to an :class:`InitPass` instead.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.graphs.csr import CSRTopology, ensure_topology
 from repro.graphs.window import GraphWindow
 from repro.simulator.metrics import NodeSnapshot, StuckReport
-from repro.simulator.transport import BandwidthExceeded
+from repro.simulator.transport import BandwidthExceeded, bandwidth_error
 
 
 class FrontierKernel:
@@ -131,8 +131,15 @@ class FrontierKernel:
     # ------------------------------------------------------------------
     # Batched message accounting (Transport.account, vectorized)
     # ------------------------------------------------------------------
-    def account_uniform(self, count: int, bits: int) -> None:
-        """Charge ``count`` messages of identical ``bits`` width."""
+    def account_uniform(
+        self, count: int, bits: int, round_index: int,
+        first: Callable[[], Tuple[int, int]],
+    ) -> None:
+        """Charge ``count`` messages of identical ``bits`` width.
+
+        ``first()`` names the first of them in compose order as ``(sender,
+        receiver)`` internal indices, for a strict-CONGEST violation.
+        """
         count = int(count)
         if count == 0:
             return
@@ -146,15 +153,18 @@ class FrontierKernel:
         if self.bits_budget is not None and bits > self.bits_budget:
             result.bandwidth_violations += count
             if self.model.strict:
-                raise BandwidthExceeded(
-                    f"{bits}-bit message exceeds "
-                    f"{self.bits_budget}-bit budget"
-                )
+                raise self._over_budget(bits, round_index, first())
 
     def account_varying(
-        self, counts: np.ndarray, bits: np.ndarray
+        self, counts: np.ndarray, bits: np.ndarray, round_index: int,
+        first: Callable[[np.ndarray], Tuple[int, int]],
     ) -> None:
-        """Charge ``counts[i]`` messages of ``bits[i]`` width each."""
+        """Charge ``counts[i]`` messages of ``bits[i]`` width each.
+
+        Batches are in compose order; ``first(over)`` names the first
+        message of the first batch that ``over`` marks, as for
+        :meth:`account_uniform`.
+        """
         total = int(counts.sum())
         if total == 0:
             return
@@ -172,10 +182,41 @@ class FrontierKernel:
                 over = sent & (bits > self.bits_budget)
                 result.bandwidth_violations += int(counts[over].sum())
                 if self.model.strict:
-                    raise BandwidthExceeded(
-                        f"{widest}-bit message exceeds "
-                        f"{self.bits_budget}-bit budget"
-                    )
+                    width = int(bits[np.argmax(over)])
+                    raise self._over_budget(width, round_index, first(over))
+
+    def _over_budget(
+        self, bits: int, round_index: int, message: Tuple[int, int]
+    ) -> BandwidthExceeded:
+        """The interpreter's strict-CONGEST error for one message."""
+        sender, receiver = self.ids[list(message)].tolist()
+        return bandwidth_error(
+            bits, self.bits_budget, sender, receiver, round_index
+        )
+
+    def first_broadcast(
+        self, senders: np.ndarray, sending: np.ndarray,
+        skip: Optional[np.ndarray] = None,
+    ) -> Tuple[int, int]:
+        """The first message, as ``(sender, receiver)`` internal indices,
+        of a round in which ``senders`` (ascending) each message their
+        active neighbors but ``skip[sender]``.
+
+        The sender is the first one ``sending`` marks (a positive count,
+        or ``True``); the receiver is the first of its active neighbors
+        in the interpreter's outbox order.  ``NodeContext.active_neighbors``
+        copies the neighbor frozenset into a set and discards departed
+        nodes, so that order is the copy's, not the frozenset's.
+        """
+        sender = int(senders[np.argmax(sending > 0)])
+        avoid = -1 if skip is None else skip[sender]
+        index_of, active = self.csr.index_of, self.active
+        neighbors = set(self.rt.graph.neighbors(int(self.ids[sender])))
+        receivers = map(index_of.__getitem__, neighbors)
+        return sender, next(
+            receiver for receiver in receivers
+            if active[receiver] and receiver != avoid
+        )
 
     # ------------------------------------------------------------------
     # Family hooks

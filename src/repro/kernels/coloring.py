@@ -63,7 +63,10 @@ class GreedyColoringKernel(FrontierKernel):
             )
         act_deg = self.arrays.segment_count(nb_act)
         bits = np.frexp(choice.astype(np.float64))[1].astype(np.int64)
-        self.account_varying(act_deg[widx], bits)
+        self.account_varying(
+            act_deg[widx], bits, round_index,
+            lambda over: self.first_broadcast(widx, over),
+        )
         self.color[widx] = choice
         self.retire(widx, round_index)
         return int(widx.size)

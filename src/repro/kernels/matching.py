@@ -73,7 +73,10 @@ class GreedyMatchingKernel(FrontierKernel):
         targets = min_active_nb[pidx]
         self.proposed_to[pidx] = targets
         self.proposed_round[pidx] = round_index
-        self.account_uniform(int(pidx.size), self.propose_bits)
+        self.account_uniform(
+            int(pidx.size), self.propose_bits, round_index,
+            lambda: (int(pidx[0]), int(targets[0])),
+        )
         # Each proposee keeps its largest proposer.  Proposees are never
         # proposers (they have a larger active neighbor), and every
         # active node enters step 0 with partner == -1, so the scatter
@@ -86,7 +89,10 @@ class GreedyMatchingKernel(FrontierKernel):
         senders = np.flatnonzero(self.active & (self.partner >= 0))
         if senders.size == 0:
             return 0
-        self.account_uniform(int(senders.size), self.accept_bits)
+        self.account_uniform(
+            int(senders.size), self.accept_bits, round_index,
+            lambda: (int(senders[0]), int(self.partner[senders[0]])),
+        )
         stamped = np.flatnonzero(
             self.active & (self.proposed_round == round_index - 1)
         )
@@ -101,11 +107,12 @@ class GreedyMatchingKernel(FrontierKernel):
         midx = np.flatnonzero(matched)
         nb_act = self.active_neighbor_flags()
         if midx.size:
-            act_deg = self.arrays.segment_count(nb_act)
             # MATCHED goes to every active neighbor except the partner,
             # who is itself matched and active this round.
+            counts = self.arrays.segment_count(nb_act)[midx] - 1
             self.account_uniform(
-                int(act_deg[midx].sum()) - int(midx.size), self.matched_bits
+                int(counts.sum()), self.matched_bits, round_index,
+                lambda: self.first_broadcast(midx, counts, skip=self.partner),
             )
         # An unmatched node terminates when every active neighbor matched
         # this group (vacuously true once its neighborhood emptied).

@@ -46,8 +46,11 @@ class GreedyMISKernel(FrontierKernel):
             widx = np.flatnonzero(winners)
             if widx.size == 0:
                 return 0
-            act_deg = self.arrays.segment_count(nb_act)
-            self.account_uniform(int(act_deg[widx].sum()), self.join_bits)
+            counts = self.arrays.segment_count(nb_act)[widx]
+            self.account_uniform(
+                int(counts.sum()), self.join_bits, round_index,
+                lambda: self.first_broadcast(widx, counts),
+            )
             # Every active node adjacent to a winner received a JOIN this
             # round; winners themselves cannot (winners are independent).
             hit = active & self.arrays.segment_any(winners[self.nbr])

@@ -108,8 +108,11 @@ class EdgecutPlan:
         #: First owned identifier of each shard, for owner lookup (none
         #: on an empty graph, where no owner is ever looked up).
         self._starts = [nodes[b] for b in bounds[:-1] if b < len(nodes)]
-        #: The run's stop rule, asked once per round boundary.
-        self.stop_rule = StopRule(max_rounds, on_round_limit, deadline_s)
+        #: The run's stop rule, asked once per round boundary.  It is
+        #: armed at round 0, once every shard is set up, so the deadline
+        #: counts from where an unsharded engine's does.
+        self.stop_rule: Optional[StopRule] = None
+        self._limits = (max_rounds, on_round_limit, deadline_s)
         self.bandwidth_budget = bandwidth_budget
         #: What the run raises once every shard has stopped: the globally
         #: first strict violation, or a blown budget under
@@ -165,6 +168,8 @@ class EdgecutPlan:
         unsharded would have raised mid-round); a raising decision
         becomes :attr:`error` and stops every shard with ``"done"``.
         """
+        if round_index == 0:
+            self.stop_rule = StopRule(*self._limits)
         events: List[tuple] = []
         violations: List[tuple] = []
         active = 0

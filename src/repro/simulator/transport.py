@@ -69,9 +69,9 @@ class Transport:
     """Owns mailbox state and message/bit accounting for one run.
 
     This base class *is* the protocol: the engine and schedulers program
-    against its surface (``inboxes``/``deposit``/``clear_inbox`` plus the
-    boundary hooks ``remote``/``export``/``boundary_events``/``sync``/``stop``)
-    and the engine injects a concrete transport at construction.  The base
+    against its surface (``inboxes``/``deposit`` plus the boundary hooks
+    ``remote``/``export``/``boundary_events``/``sync``/``stop``) and the
+    engine injects a concrete transport at construction.  The base
     behavior is fully local; :class:`LocalTransport` is its alias-like
     subclass, and :class:`BoundaryTransport` overrides the hooks to speak
     to a shard coordinator.
@@ -119,10 +119,6 @@ class Transport:
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def clear_inbox(self, node: int) -> None:
-        """Empty one node's inbox (start of its scheduled round)."""
-        self.inboxes[node].clear()
-
     def deposit(self, sender: int, receiver: int, payload: Any) -> None:
         """Account one message and land it in the receiver's inbox.
 

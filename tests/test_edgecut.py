@@ -12,6 +12,7 @@ the bandwidth budget names the same round and edge as the unsharded run
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import pytest
@@ -309,6 +310,22 @@ class TestLimitParity:
             assert sharded.stuck is None
         else:
             _assert_same_stuck(sharded.stuck, reference.stuck)
+
+    def test_deadline_counts_from_round_zero(self):
+        """The plan arms its deadline at round 0, once every shard is set
+        up, as an unsharded engine arms its own after setup: time spent
+        before round 0 does not count against it."""
+        config = RunConfig(
+            policy=ExecutionPolicy(shard="edgecut", deadline_s=0.05)
+        )
+        _, plan = edgecut._admit(
+            config, _fuzz_graph(43), greedy_mis_reference(), False, 2
+        )
+        time.sleep(0.1)
+        replies = plan.decide(
+            0, {shard: ([], 5, [1, 2, 3], []) for shard in range(2)}
+        )
+        assert [reason for _, reason in replies.values()] == [None, None]
 
 
 def _assert_same_stuck(sharded, reference):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import warnings
 
 import pytest
 
-from repro.core import RunConfig, run
+from repro.core import ExecutionPolicy, RunConfig, run
 from repro.exec import (
     AlgorithmSpec,
     ArtifactCache,
@@ -16,10 +17,11 @@ from repro.exec import (
     GraphSpec,
     PredictionSpec,
     Sweep,
+    backends,
     content_hash,
     derive_cell_seed,
 )
-from repro.graphs import grid2d, ring
+from repro.graphs import grid2d, path_forest, preorder_kary_tree, ring
 
 
 # ----------------------------------------------------------------------
@@ -416,6 +418,100 @@ class TestEffectiveBackend:
         telemetry = result.telemetry()
         assert telemetry["backend"] == "serial"
         assert telemetry["requested_backend"] == "serial"
+
+
+# ----------------------------------------------------------------------
+# Dispatch: every backend runs the same work units
+# ----------------------------------------------------------------------
+def _sharded_sweep(*cells):
+    """One greedy-MIS cell per ``(shard, graph)`` pair."""
+    sweep = Sweep(name="dispatch", base_seed=5)
+    for position, (shard, graph) in enumerate(cells):
+        sweep.add(
+            f"greedy-{position}",
+            GraphSpec.literal(graph),
+            "greedy_mis_reference",
+            problem="mis",
+            policy=ExecutionPolicy(schedule="quiescent", shard=shard),
+        )
+    return sweep
+
+
+class TestDispatch:
+    def test_one_cell_component_sweep_reaches_the_pool(self):
+        """A cell's component shards are work units of their own, so a
+        single sharded cell spreads across the pool."""
+        forest = path_forest(6, 5)
+        result = _sharded_sweep(("components", forest)).run("process", jobs=2)
+        assert result.backend == "process"
+        assert result.rows[0].shards == 2
+        assert result.equivalent_to(_sharded_sweep((None, forest)).run("serial"))
+
+    def test_one_cell_edgecut_sweep_runs_shard_processes(self):
+        tree = preorder_kary_tree(3, 4)
+        sweep = _sharded_sweep(("edgecut", tree))
+        threads = sweep.run("serial", jobs=2)
+        result = sweep.run("process", jobs=2)
+        assert result.backend == "process"
+        assert result.equivalent_to(threads)
+        row, thread_row = result.rows[0], threads.rows[0]
+        assert row.boundary_msgs > 0
+        assert (row.boundary_msgs, row.boundary_bytes) == (
+            thread_row.boundary_msgs,
+            thread_row.boundary_bytes,
+        )
+
+    def test_unspawnable_workers_run_the_units_serially(self, monkeypatch):
+        """Where no worker can be spawned, the process backend runs the
+        same units and fold as the serial backend, and says so."""
+
+        def refuse(*args, **kwargs):
+            raise OSError("no worker processes here")
+
+        monkeypatch.setattr(backends, "ProcessPoolExecutor", refuse)
+        sweep = _sharded_sweep(
+            (None, ring(12)),
+            ("components", path_forest(6, 5)),
+            ("edgecut", preorder_kary_tree(3, 4)),
+        )
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            result = sweep.run("process", jobs=2)
+        serial = sweep.run("serial", jobs=2)
+        assert result.backend == "serial"
+        assert result.requested_backend == "process"
+        assert result.equivalent_to(serial)
+        assert [row.shards for row in result.rows] == [None, 2, 2]
+        assert [row.boundary_msgs for row in result.rows] == [
+            row.boundary_msgs for row in serial.rows
+        ]
+
+    def test_unspawnable_shard_processes_run_the_cell_serially(
+        self, monkeypatch
+    ):
+        """Where an edge-cut cell's shard processes cannot be spawned, the
+        sweep runs serially, its shards on threads, and reports so."""
+
+        def refuse(process):
+            raise OSError("no shard processes here")
+
+        monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+        sweep = _sharded_sweep(("edgecut", preorder_kary_tree(3, 4)))
+        with pytest.warns(RuntimeWarning) as record:
+            result = sweep.run("process", jobs=2)
+        assert [str(w.message) for w in record] == [
+            "process backend unavailable (no shard processes here); "
+            "falling back to serial"
+        ]
+        serial = sweep.run("serial", jobs=2)
+        assert result.backend == "serial"
+        assert result.requested_backend == "process"
+        assert result.equivalent_to(serial)
+        row, thread_row = result.rows[0], serial.rows[0]
+        assert row.shards == 2
+        assert (row.boundary_msgs, row.boundary_bytes) == (
+            thread_row.boundary_msgs,
+            thread_row.boundary_bytes,
+        )
 
 
 class TestSolutionSize:

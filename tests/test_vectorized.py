@@ -34,7 +34,8 @@ from repro.predictions import noisy_predictions, perfect_predictions
 from repro.problems import MATCHING, MIS, UNMATCHED, VERTEX_COLORING
 from repro.shard.plan import shard_view
 from repro.simulator import CONGEST, SyncEngine, schedule_capabilities
-from repro.simulator.models import LOCAL, ExecutionModel
+from repro.simulator.models import LOCAL, ExecutionModel, strict_congest
+from repro.simulator.transport import BandwidthExceeded
 
 FAMILIES = [
     ("mis", MIS, GreedyMISAlgorithm, "greedy-mis"),
@@ -143,6 +144,43 @@ class TestDifferentialFuzz:
             vectorized.records.termination_rounds
             == interpreted.records.termination_rounds
         )
+
+
+class _OneBitCongest(ExecutionModel):
+    """Strict CONGEST with a 1-bit budget.  A palette color fits
+    ``ceil(log2(n + 1))`` bits, so no ``bandwidth_factor`` makes the
+    coloring break its budget; here every color from 2 up does."""
+
+    def bandwidth_bits(self, n):
+        return 1
+
+
+#: A strict model each family breaks early: JOIN is 16 bits, PROPOSE 56.
+STRICT = {
+    "mis": strict_congest(2),
+    "matching": strict_congest(2),
+    "coloring": _OneBitCongest(name="CONGEST", bandwidth_factor=1, strict=True),
+}
+
+
+class TestStrictCongest:
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0])
+    def test_violation_matches_eager(self, family):
+        """The kernel raises the interpreter's error for the first
+        over-budget message in compose order: same width, sender,
+        receiver, round and budget.  The receiver is the first of the
+        sender's active neighbors in its outbox's order, which several of
+        these graphs tell apart from the neighbor frozenset's."""
+        name, _, algorithm_cls, _ = family
+        model = STRICT[name]
+        for seed in range(12):
+            graph = erdos_renyi(30, 0.2, seed=seed)
+            with pytest.raises(BandwidthExceeded) as eager:
+                run(algorithm_cls(), graph, model=model)
+            with pytest.raises(BandwidthExceeded) as vectorized:
+                run(algorithm_cls(), graph, model=model, policy=VECTORIZED)
+            assert type(vectorized.value) is type(eager.value)
+            assert str(vectorized.value) == str(eager.value)
 
 
 # ----------------------------------------------------------------------
